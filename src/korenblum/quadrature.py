@@ -23,12 +23,17 @@ Two coordinate systems are supported:
 
 The two routes share no code with the Taylor-series engine, so their
 agreement is a genuine consistency check on both.
+
+Each Gauss-Legendre rule is solved once per node count and cached, and
+``cross_check`` builds one tensor rule per grid that its four integrals
+share.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Literal
+from functools import lru_cache
+from typing import Literal, NamedTuple
 
 import numpy as np
 
@@ -68,9 +73,23 @@ class QuadratureGrid:
         )
 
 
+@lru_cache(maxsize=8)
+def _legendre_rule(count: int):
+    """Gauss-Legendre nodes and weights on [-1, 1], solved once per count.
+
+    The arrays are shared by every caller, so they are read-only.  A
+    cross-check needs two counts and a convergence-checked norm three, so
+    a few entries suffice and odd grids cannot grow the cache unbounded.
+    """
+    x, w = np.polynomial.legendre.leggauss(count)
+    x.flags.writeable = False
+    w.flags.writeable = False
+    return x, w
+
+
 def gauss_legendre_nodes(count: int, lo: float = 0.0, hi: float = 1.0):
     """Gauss-Legendre nodes and weights mapped to [lo, hi]."""
-    x, w = np.polynomial.legendre.leggauss(count)
+    x, w = _legendre_rule(count)
     half = 0.5 * (hi - lo)
     return lo + half * (x + 1.0), half * w
 
@@ -106,12 +125,24 @@ def integrand_g(params: Params, r, phi):
     return _kernel_g(a, r ** params.n, np.cos(phi)) * r * r * r
 
 
-def _tensor_value(params: Params, which: Which, grid: QuadratureGrid, coords: Coords) -> float:
-    a = params.a_float
-    n = params.n
+class _TensorRule(NamedTuple):
+    """Radial nodes, cos of the angular nodes and the tensor weights."""
+
+    u: np.ndarray
+    cos_phi: np.ndarray
+    weights: np.ndarray
+
+
+def _tensor_rule(grid: QuadratureGrid) -> _TensorRule:
     u, wu = gauss_legendre_nodes(grid.radial_nodes)
     phi, wphi = gauss_legendre_nodes(grid.angular_nodes, 0.0, 2.0 * np.pi)
-    cos_phi = np.cos(phi)[None, :]
+    return _TensorRule(u, np.cos(phi)[None, :], np.outer(wu, wphi))
+
+
+def _tensor_value(params: Params, which: Which, rule: _TensorRule, coords: Coords) -> float:
+    a = params.a_float
+    n = params.n
+    u, cos_phi = rule.u, rule.cos_phi
     if coords == "original":
         r = u[:, None]
         if which == "f":
@@ -119,9 +150,7 @@ def _tensor_value(params: Params, which: Which, grid: QuadratureGrid, coords: Co
         else:
             values = _kernel_g(a, r ** n, cos_phi) * r ** 3
         prefactor = 1.0 / np.pi
-        weights = np.outer(wu, wphi)
-        return float(prefactor * np.sum(weights * values))
-    if which == "f":
+    elif which == "f":
         rho = (u ** (n / 2.0))[:, None]
         values = _kernel_f(a, rho, cos_phi)
         prefactor = 1.0 / (2.0 * np.pi)
@@ -129,8 +158,7 @@ def _tensor_value(params: Params, which: Which, grid: QuadratureGrid, coords: Co
         rho = (u ** (n / 4.0))[:, None]
         values = _kernel_g(a, rho, cos_phi)
         prefactor = 1.0 / (4.0 * np.pi)
-    weights = np.outer(wu, wphi)
-    return float(prefactor * np.sum(weights * values))
+    return float(prefactor * np.sum(rule.weights * values))
 
 
 def norm_sq_quad(
@@ -153,9 +181,9 @@ def norm_sq_quad(
         raise ValueError(f"unknown coordinates {coords!r}")
     if grid is None:
         grid = QuadratureGrid()
-    value = _tensor_value(params, which, grid, coords)
+    value = _tensor_value(params, which, _tensor_rule(grid), coords)
     if check_convergence:
-        refined = _tensor_value(params, which, grid.doubled(), coords)
+        refined = _tensor_value(params, which, _tensor_rule(grid.doubled()), coords)
         if abs(refined - value) > convergence_tol:
             raise QuadratureNotConverged(
                 f"norm_sq_quad({which}, {coords}) moved by "
@@ -201,10 +229,11 @@ def cross_check(
     sg = norm_sq_g(params, K=K, mode="float")
     series_f = float(sf.midpoint)
     series_g = float(sg.midpoint)
-    qf_orig = _tensor_value(params, "f", grid, "original")
-    qf_subs = _tensor_value(params, "f", grid, "substituted")
-    qg_orig = _tensor_value(params, "g", grid, "original")
-    qg_subs = _tensor_value(params, "g", grid, "substituted")
+    rule = _tensor_rule(grid)
+    qf_orig = _tensor_value(params, "f", rule, "original")
+    qf_subs = _tensor_value(params, "f", rule, "substituted")
+    qg_orig = _tensor_value(params, "g", rule, "original")
+    qg_subs = _tensor_value(params, "g", rule, "substituted")
     f_values = (series_f, qf_orig, qf_subs)
     g_values = (series_g, qg_orig, qg_subs)
     disc_f = max(abs(x - y) for x in f_values for y in f_values)

@@ -167,6 +167,13 @@ class DifferenceResult:
         return self.delta_lower > 0
 
 
+def enclose_difference(nf: NormEnclosure, ng: NormEnclosure) -> DifferenceResult:
+    """Enclose ||f||^2 - ||g||^2 from enclosures of the two norms."""
+    return DifferenceResult(
+        nf.lower - ng.upper, nf.upper - ng.lower, nf.truncation_index, nf.mode
+    )
+
+
 def _check_terms(K: int) -> None:
     if K < 1:
         raise ValueError(f"truncation index must be at least 1, got {K}")
@@ -238,11 +245,7 @@ def norm_difference(
     """
     _check_terms(K)
     while True:
-        nf = norm_sq_f(params, K, mode)
-        ng = norm_sq_g(params, K, mode)
-        lower = nf.lower - ng.upper
-        upper = nf.upper - ng.lower
-        result = DifferenceResult(lower, upper, K, mode)
+        result = enclose_difference(norm_sq_f(params, K, mode), norm_sq_g(params, K, mode))
         if not adaptive or K >= max_terms:
             return result
         mid = result.midpoint

@@ -3,11 +3,14 @@ from __future__ import annotations
 import csv
 import io
 import json
+import sys
 from fractions import Fraction
 
 import pytest
 
-from korenblum import Certificate, reference_params, run_verification
+import korenblum.cli
+import korenblum.series
+from korenblum import Certificate, norm_difference, reference_params, run_verification
 from korenblum.certificate import decode_fraction, encode_fraction
 from korenblum.cli import main
 
@@ -108,6 +111,31 @@ class TestNorms:
         assert lower >= Fraction(22, 10**8)
         assert payload["delta"]["certified"] is True
 
+    @pytest.mark.parametrize("mode_flags", [[], ["--exact"]])
+    def test_gap_reuses_the_two_enclosures(self, capsys, monkeypatch, mode_flags):
+        calls = []
+        for module in (korenblum.cli, korenblum.series):
+            for name in ("norm_sq_f", "norm_sq_g"):
+                original = getattr(module, name)
+
+                def counted(*args, _original=original, _name=name, **kwargs):
+                    calls.append(_name)
+                    return _original(*args, **kwargs)
+
+                monkeypatch.setattr(module, name, counted)
+        code, out, _ = run_cli(capsys, "norms", *REFERENCE_ARGS, *mode_flags, "--json")
+        assert code == 0
+        assert sorted(calls) == ["norm_sq_f", "norm_sq_g"]
+        monkeypatch.undo()
+        mode = "exact" if mode_flags else "float"
+        delta = norm_difference(reference_params(), K=64, mode=mode)
+        payload = json.loads(out)["delta"]
+        if mode == "exact":
+            assert decode_fraction(payload["lower"]) == delta.delta_lower
+            assert decode_fraction(payload["upper"]) == delta.delta_upper
+        else:
+            assert (payload["lower"], payload["upper"]) == (delta.delta_lower, delta.delta_upper)
+
 
 class TestSearchAndScan:
     def test_search_human_output(self, capsys):
@@ -197,6 +225,20 @@ class TestCertificateObject:
     def test_fraction_encoding_round_trip(self):
         x = Fraction(-22, 7)
         assert decode_fraction(encode_fraction(x)) == x
+
+    @pytest.mark.xfail(
+        strict=True,
+        raises=ValueError,
+        reason="encode_fraction calls str() on integers past the 4300-digit limit",
+    )
+    def test_fraction_encoding_round_trip_past_digit_limit(self):
+        x = Fraction(10**5000 + 1, 3)
+        saved = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)
+        try:
+            assert decode_fraction(encode_fraction(x)) == x
+        finally:
+            sys.set_int_max_str_digits(saved)
 
     def test_failure_is_named_and_ordered(self):
         from korenblum import Params

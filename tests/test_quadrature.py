@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 from fractions import Fraction
 
 import numpy as np
@@ -16,6 +17,7 @@ from korenblum import (
     norm_sq_f,
     norm_sq_g,
 )
+from korenblum import quadrature
 from korenblum.quadrature import gauss_legendre_nodes
 
 AGREEMENT_CASES = [("0.6666714", 10), ("0.1", 2), ("0.5", 10), ("0.9", 4)]
@@ -50,6 +52,56 @@ class TestNodes:
         x, w = gauss_legendre_nodes(8, 0.0, 2 * np.pi)
         assert np.dot(w, np.ones_like(x)) == pytest.approx(2 * np.pi, abs=1e-12)
         assert x.min() > 0 and x.max() < 2 * np.pi
+
+
+class TestRuleCache:
+    @pytest.fixture
+    def leggauss_counts(self, monkeypatch):
+        counts = {}
+        original = np.polynomial.legendre.leggauss
+
+        def counted(count):
+            counts[count] = counts.get(count, 0) + 1
+            return original(count)
+
+        quadrature._legendre_rule.cache_clear()
+        monkeypatch.setattr(np.polynomial.legendre, "leggauss", counted)
+        yield counts
+        quadrature._legendre_rule.cache_clear()
+
+    def test_cross_check_solves_each_count_once(self, reference, leggauss_counts):
+        grid = QuadratureGrid()
+        cross_check(reference, grid)
+        assert leggauss_counts == {grid.radial_nodes: 1, grid.angular_nodes: 1}
+        cross_check(reference, grid)
+        assert leggauss_counts == {grid.radial_nodes: 1, grid.angular_nodes: 1}
+
+    def test_norm_sq_quad_solves_base_and_doubled_grid_once(self, reference, leggauss_counts):
+        norm_sq_quad(reference, "f")
+        norm_sq_quad(reference, "g", coords="substituted")
+        assert leggauss_counts == {128: 1, 256: 1, 512: 1}
+
+    def test_cached_rule_is_read_only(self):
+        x, w = quadrature._legendre_rule(16)
+        with pytest.raises(ValueError):
+            x[0] = 0.0
+        with pytest.raises(ValueError):
+            w[0] = 0.0
+
+    def test_writes_into_returned_nodes_do_not_leak(self):
+        x0, w0 = gauss_legendre_nodes(16)
+        x, w = gauss_legendre_nodes(16)
+        x[:] = 0.5
+        w[:] = 0.0
+        x1, w1 = gauss_legendre_nodes(16)
+        assert np.array_equal(x1, x0) and np.array_equal(w1, w0)
+
+    def test_report_unchanged_by_clearing_the_cache(self, reference):
+        warm = cross_check(reference)
+        quadrature._legendre_rule.cache_clear()
+        cold = cross_check(reference)
+        for field in dataclasses.fields(warm):
+            assert getattr(cold, field.name) == getattr(warm, field.name), field.name
 
 
 class TestIntegrands:
