@@ -34,7 +34,7 @@ from .search import (
     delta_of_a,
     scan,
 )
-from .series import enclose_difference, norm_sq_f, norm_sq_g
+from .series import MAX_TERMS, enclose_difference, norm_sq_f, norm_sq_g
 # Not called here; kept so that ``cli.norm_difference`` stays a name that
 # bench/tracing.py can wrap.
 from .series import norm_difference  # noqa: F401
@@ -71,13 +71,22 @@ def _frequency(text: str) -> int:
     return value
 
 
-def _terms(text: str) -> int:
+def _count(text: str, noun: str = "count") -> int:
     try:
         value = int(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"cannot parse term count {text!r}")
+        raise argparse.ArgumentTypeError(f"cannot parse {noun} {text!r}")
     if value < 1:
-        raise argparse.ArgumentTypeError("term count must be at least 1")
+        raise argparse.ArgumentTypeError(f"{noun} must be at least 1")
+    return value
+
+
+def _terms(text: str) -> int:
+    # Exact enclosures grow superlinearly in K: refuse at once what would
+    # otherwise run for minutes.
+    value = _count(text, "term count")
+    if value > MAX_TERMS:
+        raise argparse.ArgumentTypeError(f"term count must be at most {MAX_TERMS}")
     return value
 
 
@@ -167,7 +176,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_plot = sub.add_parser("plot-data", help="CSV data for plots")
     add_params(p_plot)
     p_plot.add_argument("--kind", choices=("envelope", "delta"), default="envelope")
-    p_plot.add_argument("--points", type=_terms, default=256)
+    p_plot.add_argument("--points", type=_count, default=256)
     p_plot.add_argument("--a-min", type=_coefficient, default=Fraction("0.6"))
     p_plot.add_argument("--a-max", type=_coefficient, default=Fraction("0.7"))
     p_plot.add_argument("--terms", type=_terms, default=64)

@@ -19,10 +19,36 @@ squares form a geometric series with ratio (a/2)^2.  Hence
 
     0 <= ||f||^2 - S_K(f) <= c_{K+1}^2 / ((1 - (a/2)^2) (n (K+1) + 1))
 
-and the analogous bound for g with weight 1/(n (K+1) + 2).  In exact
-mode everything is rational arithmetic and the resulting enclosures are
-mathematically rigorous; float mode evaluates the same formulas in
-double precision for speed.
+and the analogous bound for g with weight 1/(n (K+1) + 2).
+
+Both norms have one shape.  With x = (a/2)^2 and s the exponent offset,
+
+    S_K = c_0^2 / s + c_1^2 * sum_{k=1..K} x^(k-1) / (n k + s)
+    tail = c_1^2 x^K / ((1 - x) (n (K+1) + s))
+
+where f has s = 1, c_0 = a/2, c_1 = (a^2 + 2)/4 and g has s = 2,
+c_0 = 1/2, c_1 = 3a/4.  One routine encloses both.
+
+Exact mode writes a = p/q, so x = P/D with P = p^2 and D = 4 q^2, and
+puts the whole sum over one common denominator, with m_k = n k + s:
+
+    sum_{k=1..K} x^(k-1) / m_k = N / (D^(K-1) m_1 m_2 ... m_K),
+    N = sum_{k=1..K} P^(k-1) D^(K-k) prod_{j != k} m_j.
+
+The integer N is built in plain Python ints by binary splitting: each
+half of the index range returns its numerator, its product of m_k and
+its powers of P and D, and two halves combine with a few products.  The
+tail over the same denominator is one more integer term, so the lower
+end and the upper end are each one ``Fraction(numerator, denominator)``,
+one gcd normalisation each, where adding the K + 1 terms as fractions
+normalises after every term.  A ``Fraction`` is always in lowest terms,
+so both routes give the same numerators and denominators; only the
+time differs.
+
+Float mode evaluates the same formulas in double precision for speed:
+the coefficients by the ratio a/2 recurrence, the partial sum with
+``math.fsum``.  Exact mode gives rigorous enclosures; float mode does not
+round outward.
 """
 
 from __future__ import annotations
@@ -99,28 +125,6 @@ def g_term(params: Params, k: int) -> CoefficientTerm:
     return CoefficientTerm(k, params.n * k + 1, g_coefficient(params, k))
 
 
-def _f_coefficients_float(a: float, count: int) -> list:
-    # Same closed form as f_coefficient, evaluated by the ratio a/2
-    # recurrence in double precision.
-    coeffs = [a / 2.0]
-    if count > 1:
-        value = (a * a + 2.0) / 4.0
-        for _ in range(1, count):
-            coeffs.append(value)
-            value *= a / 2.0
-    return coeffs[:count]
-
-
-def _g_coefficients_float(a: float, count: int) -> list:
-    coeffs = [0.5]
-    if count > 1:
-        value = 3.0 * a / 4.0
-        for _ in range(1, count):
-            coeffs.append(value)
-            value *= a / 2.0
-    return coeffs[:count]
-
-
 @dataclass(frozen=True)
 class NormEnclosure:
     """Two-sided enclosure of a squared norm.
@@ -179,52 +183,78 @@ def _check_terms(K: int) -> None:
         raise ValueError(f"truncation index must be at least 1, got {K}")
 
 
+def _mode_value(params: Params, mode: Mode) -> Scalar:
+    """The coefficient a in the arithmetic of ``mode``."""
+    if mode == "exact":
+        return params.a
+    if mode == "float":
+        return params.a_float
+    raise ValueError(f"unknown mode {mode!r}")
+
+
 def norm_sq_f(params: Params, K: int = DEFAULT_TERMS, mode: Mode = "float") -> NormEnclosure:
     """Enclose ||f||^2 by the partial sum through k = K plus tail bound."""
-    _check_terms(K)
-    n = params.n
-    if mode == "exact":
-        partial = power_series_norm_sq(
-            (n * k, f_coefficient(params, k)) for k in range(K + 1)
-        )
-        nxt = f_coefficient(params, K + 1)
-        q = params.a / 2
-        tail = nxt * nxt / ((1 - q * q) * (n * (K + 1) + 1))
-    elif mode == "float":
-        a = params.a_float
-        coeffs = _f_coefficients_float(a, K + 2)
-        partial = math.fsum(
-            coeffs[k] * coeffs[k] / (n * k + 1) for k in range(K + 1)
-        )
-        q = a / 2.0
-        tail = coeffs[K + 1] ** 2 / ((1.0 - q * q) * (n * (K + 1) + 1))
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
-    return NormEnclosure(partial, partial + tail, K, mode)
+    a = _mode_value(params, mode)
+    return _enclose_norm_sq(a, params.n, K, mode, 1, a / 2, (a * a + 2) / 4)
 
 
 def norm_sq_g(params: Params, K: int = DEFAULT_TERMS, mode: Mode = "float") -> NormEnclosure:
     """Enclose ||g||^2 by the partial sum through k = K plus tail bound."""
+    a = _mode_value(params, mode)
+    # a ** 0 / 2 is one half as a Fraction or a float, whichever a is.
+    return _enclose_norm_sq(a, params.n, K, mode, 2, a ** 0 / 2, 3 * a / 4)
+
+
+def _enclose_norm_sq(
+    a: Scalar, n: int, K: int, mode: Mode, s: int, c0: Scalar, c1: Scalar
+) -> NormEnclosure:
+    """Enclose c0^2/s + c1^2 sum_{k>=1} (a/2)^(2(k-1)) / (n k + s).
+
+    The partial sum runs through k = K and the upper end adds the
+    closed form tail; see the module docstring.
+    """
     _check_terms(K)
-    n = params.n
     if mode == "exact":
-        partial = power_series_norm_sq(
-            (n * k + 1, g_coefficient(params, k)) for k in range(K + 1)
-        )
-        nxt = g_coefficient(params, K + 1)
-        q = params.a / 2
-        tail = nxt * nxt / ((1 - q * q) * (n * (K + 1) + 2))
-    elif mode == "float":
-        a = params.a_float
-        coeffs = _g_coefficients_float(a, K + 2)
-        partial = math.fsum(
-            coeffs[k] * coeffs[k] / (n * k + 2) for k in range(K + 1)
-        )
-        q = a / 2.0
-        tail = coeffs[K + 1] ** 2 / ((1.0 - q * q) * (n * (K + 1) + 2))
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
+        lower, upper = _exact_sum(a, n, K, s, c0, c1)
+        return NormEnclosure(lower, upper, K, mode)
+    ratio = a / 2.0
+    coeffs = [c0]
+    value = c1
+    for _ in range(K + 1):
+        coeffs.append(value)
+        value *= ratio
+    partial = math.fsum(coeffs[k] * coeffs[k] / (n * k + s) for k in range(K + 1))
+    tail = coeffs[K + 1] ** 2 / ((1.0 - ratio * ratio) * (n * (K + 1) + s))
     return NormEnclosure(partial, partial + tail, K, mode)
+
+
+def _exact_sum(
+    a: Fraction, n: int, K: int, s: int, c0: Fraction, c1: Fraction
+) -> Tuple[Fraction, Fraction]:
+    """Exact lower and upper ends of the enclosure, each one normalisation."""
+    P, D = a.numerator ** 2, 4 * a.denominator ** 2  # x = (a/2)^2 = P / D
+
+    def split(lo: int, hi: int) -> Tuple[int, int, int, int]:
+        # For k in [lo, hi): sum P^(k-lo) D^(hi-1-k) / (n k + s) = N / M,
+        # returned with M = prod (n k + s), P^(hi-lo) and D^(hi-lo).
+        if hi - lo == 1:
+            return 1, n * lo + s, P, D
+        mid = (lo + hi) // 2
+        n1, m1, p1, d1 = split(lo, mid)
+        n2, m2, p2, d2 = split(mid, hi)
+        return n1 * d2 * m2 + n2 * p1 * m1, m1 * m2, p1 * p2, d1 * d2
+
+    N, M, P_K, D_K = split(1, K + 1)
+    common = D_K // D * M  # sum_{k=1..K} x^(k-1) / (n k + s) = N / common
+    u0, v0, u1, v1 = c0.numerator, c0.denominator, c1.numerator, c1.denominator
+    weight = s * v0 * v0 * u1 * u1
+    numerator = u0 * u0 * v1 * v1 * common + weight * N
+    denominator = s * v0 * v0 * v1 * v1 * common
+    # tail / c1^2 = x^K / ((1 - x) (n (K+1) + s)) = P_K M / (common r)
+    r = (D - P) * (n * (K + 1) + s)
+    lower = Fraction(numerator, denominator)
+    upper = Fraction(numerator * r + weight * P_K * M, denominator * r)
+    return lower, upper
 
 
 def norm_difference(

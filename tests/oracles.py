@@ -9,14 +9,18 @@ recovers them numerically instead, by sampling the generating functions
 on the circle |w| = 3/4 and projecting with a discrete Fourier sum in
 50-digit arithmetic.  With 512 samples the aliasing error of bin m is
 of order |coeff_{m+512}| * (3/4)^512, far below every comparison
-tolerance used in the tests.  Nothing here shares code with the series
-engine.
+tolerance used in the tests.
+
+``exact_norm_sq`` is the exact counterpart for the norm enclosures: it
+adds the K + 1 squared coefficients one ``Fraction`` at a time, each
+with its Bergman weight, and adds the closed form tail at the end.
+Nothing here shares code with the series engine.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import List
+from typing import List, Tuple
 
 from mpmath import mp
 
@@ -56,6 +60,32 @@ class TaylorOracle:
                 # e^(-2 pi i m j / M) is the conjugate root at index (m*j) mod M
                 acc += self._values[j] * mp.conj(self._roots[(m * j) % M])
             return (acc / M / self._radius ** m).real
+
+
+def _exact_coefficient(a: Fraction, kind: str, k: int) -> Fraction:
+    """Coefficient of z^(n k) in f or of z^(n k + 1) in g, closed form."""
+    if kind == "f":
+        return a / 2 if k == 0 else a ** (k - 1) * (a * a + 2) / 2 ** (k + 1)
+    return Fraction(1, 2) if k == 0 else 3 * a ** k / 2 ** (k + 1)
+
+
+def exact_norm_sq(a: Fraction, n: int, K: int, kind: str) -> Tuple[Fraction, Fraction]:
+    """Term-by-term exact enclosure (lower, upper) of ||f||^2 or ||g||^2.
+
+    The lower end sums c_k^2 / (exponent + 1) over k = 0..K; the upper
+    end adds c_{K+1}^2 / ((1 - (a/2)^2) (n (K+1) + s)), where s is 1 for
+    f and 2 for g.
+    """
+    if kind not in ("f", "g"):
+        raise ValueError(f"kind must be 'f' or 'g', got {kind!r}")
+    s = 1 if kind == "f" else 2
+    lower = Fraction(0)
+    for k in range(K + 1):
+        c = _exact_coefficient(a, kind, k)
+        lower += c * c / (n * k + s)
+    nxt = _exact_coefficient(a, kind, K + 1)
+    q = a / 2
+    return lower, lower + nxt * nxt / ((1 - q * q) * (n * (K + 1) + s))
 
 
 def relative_gap(value, target) -> float:

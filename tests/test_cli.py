@@ -1,9 +1,11 @@
 from __future__ import annotations
 
 import csv
+import hashlib
 import io
 import json
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -15,6 +17,14 @@ from korenblum.certificate import decode_fraction, encode_fraction
 from korenblum.cli import main
 
 REFERENCE_ARGS = ["--a", "0.6666714", "--n", "10"]
+
+# sha256 of the stdout of two commands at the n = 10 benchmark pair, as
+# the term-by-term Fraction engine printed them.  A change of engine must
+# not change these bytes.
+GOLDEN_NORMS_SHA256 = "09d1dae9ae8ebb5bd142e749a760751b98be526449fff0f0a1dab38f895525af"
+# The verify certificate with wall_time_s removed, re-serialised with
+# json.dumps(indent=2) as Certificate.to_json does.
+GOLDEN_VERIFY_SHA256 = "452b09bdbdea7f1ca914729bb80e17047039be7fd1db2bfc26500bc490dc8ad8"
 
 
 def run_cli(capsys, *argv):
@@ -61,6 +71,23 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as excinfo:
             main(argv)
         assert excinfo.value.code == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", *REFERENCE_ARGS, "--exact"],
+            ["norms", *REFERENCE_ARGS, "--exact"],
+            ["search", "--n", "10"],
+            ["plot-data", *REFERENCE_ARGS, "--kind", "delta"],
+        ],
+    )
+    def test_terms_above_limit_fail_fast(self, capsys, argv):
+        start = time.perf_counter()
+        with pytest.raises(SystemExit) as excinfo:
+            main([*argv, "--terms", str(korenblum.series.MAX_TERMS + 1)])
+        assert time.perf_counter() - start < 1.0
+        assert excinfo.value.code == 2
+        assert f"at most {korenblum.series.MAX_TERMS}" in capsys.readouterr().err
 
 
 class TestVerify:
@@ -135,6 +162,26 @@ class TestNorms:
             assert decode_fraction(payload["upper"]) == delta.delta_upper
         else:
             assert (payload["lower"], payload["upper"]) == (delta.delta_lower, delta.delta_upper)
+
+
+class TestGoldenOutput:
+    def test_exact_norms_json(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "norms", "--a", "0.6666757", "--n", "10",
+            "--exact", "--terms", "256", "--json",
+        )
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_NORMS_SHA256
+
+    def test_exact_verify_certificate(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "verify", "--a", "0.6666757", "--n", "10", "--exact", "--json",
+        )
+        assert code == 0
+        cert = json.loads(out)
+        del cert["wall_time_s"]
+        text = json.dumps(cert, indent=2)
+        assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_VERIFY_SHA256
 
 
 class TestSearchAndScan:

@@ -19,7 +19,7 @@ from korenblum import (
     reference_params,
 )
 
-from .oracles import TaylorOracle, relative_gap
+from .oracles import TaylorOracle, exact_norm_sq, relative_gap
 
 # Exact values at the reference pair, frozen from independent runs:
 # the DFT oracle for the leading coefficients, quadrature agreement for
@@ -187,3 +187,81 @@ class TestNormDifference:
         fine = norm_difference(reference, K=256, mode="exact")
         assert coarse.delta_lower <= fine.delta_lower
         assert fine.delta_upper <= coarse.delta_upper
+
+
+def _ends(enclosure):
+    return (
+        enclosure.lower.numerator, enclosure.lower.denominator,
+        enclosure.upper.numerator, enclosure.upper.denominator,
+    )
+
+
+def _oracle_ends(a, n, K, kind):
+    lower, upper = exact_norm_sq(a, n, K, kind)
+    return lower.numerator, lower.denominator, upper.numerator, upper.denominator
+
+
+class TestExactAgainstTermByTermOracle:
+    """The common-denominator sum gives the oracle's rationals, term for term."""
+
+    @given(
+        a=coefficients,
+        n=st.integers(min_value=2, max_value=24),
+        K=st.integers(min_value=1, max_value=64),
+    )
+    def test_same_numerators_and_denominators(self, a, n, K):
+        p = Params(a, n)
+        assert _ends(norm_sq_f(p, K=K, mode="exact")) == _oracle_ends(a, n, K, "f")
+        assert _ends(norm_sq_g(p, K=K, mode="exact")) == _oracle_ends(a, n, K, "g")
+
+    @pytest.mark.parametrize("K", [1, 2, 7])
+    def test_a_zero(self, K):
+        p = Params(Fraction(0), 10)
+        assert _ends(norm_sq_f(p, K=K, mode="exact")) == _oracle_ends(Fraction(0), 10, K, "f")
+        assert _ends(norm_sq_g(p, K=K, mode="exact")) == _oracle_ends(Fraction(0), 10, K, "g")
+
+    @pytest.mark.parametrize("n, a", [(4, "0.5898501"), (10, "0.6666757"), (20, "0.6885401")])
+    def test_large_truncation(self, n, a):
+        p = Params(Fraction(a), n)
+        assert _ends(norm_sq_f(p, K=256, mode="exact")) == _oracle_ends(p.a, n, 256, "f")
+        assert _ends(norm_sq_g(p, K=256, mode="exact")) == _oracle_ends(p.a, n, 256, "g")
+
+
+# Float enclosures ((lower, upper) of ||f||^2, then of ||g||^2) as the
+# per-function float code computed them before f and g shared one
+# routine; the shared routine must reproduce them to the bit.  At K = 64
+# the tail is below half an ulp, so the K <= 8 rows pin the tail too.
+FLOAT_ENCLOSURES = (
+    (4, "0.5898501", 64, (0.15943482111609278, 0.15943482111609278), (0.15943353259014, 0.15943353259014)),
+    (5, "0.6167154", 64, (0.15738227965335982, 0.15738227965335982), (0.15738090708099942, 0.15738090708099942)),
+    (6, "0.6340504", 64, (0.15501570908612936, 0.15501570908612936), (0.15501427095255335, 0.15501427095255335)),
+    (7, "0.6460616", 64, (0.15274080515673935, 0.15274080515673935), (0.1527393162540271, 0.1527393162540271)),
+    (8, "0.6548247", 64, (0.15067388652098088, 0.15067388652098088), (0.1506723678122868, 0.1506723678122868)),
+    (9, "0.6614735", 64, (0.14883307604663237, 0.14883307604663237), (0.14883154073113475, 0.14883154073113475)),
+    (10, "0.6666757", 64, (0.14720357362930309, 0.14720357362930309), (0.14720202550245248, 0.14720202550245248)),
+    (11, "0.6708482", 64, (0.14576124654090636, 0.14576124654090636), (0.14575966634151927, 0.14575966634151927)),
+    (12, "0.6742636", 64, (0.14448116390046373, 0.14448116390046373), (0.14447955936335646, 0.14447955936335646)),
+    (13, "0.6771072", 64, (0.1433406250833412, 0.1433406250833412), (0.1433390269818974, 0.1433390269818974)),
+    (14, "0.6795093", 64, (0.1423200273461693, 0.1423200273461693), (0.1423184102688906, 0.1423184102688906)),
+    (15, "0.6815637", 64, (0.14140263833054295, 0.14140263833054295), (0.14140099572576278, 0.14140099572576278)),
+    (16, "0.6833396", 64, (0.14057434378141978, 0.14057434378141978), (0.14057270325014792, 0.14057270325014792)),
+    (17, "0.6848893", 64, (0.13982334303686153, 0.13982334303686153), (0.139821708201018, 0.139821708201018)),
+    (18, "0.6862529", 64, (0.13913969881421462, 0.13913969881421462), (0.13913806057604913, 0.13913806057604913)),
+    (19, "0.6874616", 64, (0.13851500781707463, 0.13851500781707463), (0.13851336273048728, 0.13851336273048728)),
+    (20, "0.6885401", 64, (0.1379421693375621, 0.1379421693375621), (0.13794050383950027, 0.13794050383950027)),
+    (4, "0.5898501", 4, (0.15943380780734806, 0.15943483639629005), (0.15943298286832414, 0.1594335405630494)),
+    (10, "0.6666757", 4, (0.14720234273977068, 0.14720359849645015), (0.1472012170946013, 0.1472020415733527)),
+    (20, "0.6885401", 4, (0.13794133954627255, 0.13794218749802264), (0.13793993099537807, 0.13794051627476583)),
+    (2, "0.9999999", 1, (0.4374999250000047, 0.4749999100000076), (0.26562497187500145, 0.29687495729167107)),
+    (3, "0.5", 8, (0.14455647515396775, 0.1445564751567742), (0.1542761562847013, 0.15427615628590557)),
+)
+
+
+class TestFloatEnclosuresPinned:
+    @pytest.mark.parametrize("n, a, K, f_ends, g_ends", FLOAT_ENCLOSURES)
+    def test_bit_identical(self, n, a, K, f_ends, g_ends):
+        p = Params(Fraction(a), n)
+        nf = norm_sq_f(p, K=K, mode="float")
+        ng = norm_sq_g(p, K=K, mode="float")
+        assert (nf.lower, nf.upper) == f_ends
+        assert (ng.lower, ng.upper) == g_ends
