@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
@@ -386,9 +387,16 @@ def cmd_plot_data(args: argparse.Namespace) -> int:
     return 0
 
 
+@functools.lru_cache(maxsize=1)
+def _main_parser() -> argparse.ArgumentParser:
+    # Building the parser costs ~2 ms; in-process callers of main (tests,
+    # the benchmark worker, library users) pay it once.  parse_args
+    # leaves the parser unchanged, so one instance serves every call.
+    return build_parser()
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _main_parser().parse_args(argv)
     return args.func(args)
 
 

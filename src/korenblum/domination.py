@@ -25,17 +25,26 @@ Nothing here is taken on faith: the envelope maximality, the boundary
 identities, the pole and zero locations and the pointwise domination
 are all sampled on grids and reported, with violations raised as
 exceptions rather than absorbed.
+
+The domination grid is evaluated GRID_BLOCK_ROWS radii at a time and
+each block is reduced at once to its row maxima, their positions and
+their angular offsets, so the whole grid is never held in memory.  The
+blocks sample exactly the values a single whole-grid evaluation of
+|eval_f| / |eval_g| gives, bit for bit, whatever the block height.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Tuple, Union
+from typing import Callable, Optional, Tuple, Union
 
 import numpy as np
 
-from .family import Params, eval_f, eval_g
+from .family import Params, eval_abs_ratio
+# Not called here; kept so that ``domination.eval_f`` and
+# ``domination.eval_g`` stay names that bench/tracing.py can wrap.
+from .family import eval_f, eval_g  # noqa: F401
 
 Radius = Union[Fraction, int, float]
 
@@ -45,6 +54,9 @@ SCAN_CELLS = 1024
 # is always a root of p and r = 0 is outside the domain of h.
 SCAN_LO = 1e-3
 SCAN_HI = 1.0 - 1e-3
+# Radial rows per block of the domination grid: 8 rows of 1024 angles
+# are 128 KiB per complex temporary.
+GRID_BLOCK_ROWS = 8
 
 
 class NoInteriorRoot(ArithmeticError):
@@ -138,34 +150,65 @@ def newton_polish(
     raise ArithmeticError(f"Newton polish did not reach |p| < {tol:g}")
 
 
+def deflated_polynomial(params: Params, r):
+    """q(r) = p(r) / (r - 1) = a sum_{k=0..n} r^k - sum_{k=1..n-1} r^k.
+
+    Dividing out the root r = 1 leaves the sign change of an interior
+    root next to 1 clear, where p itself is tiny on both sides.
+    """
+    a = params.a_float
+    return np.polyval([a] + [a - 1.0] * (params.n - 1) + [a], r)
+
+
 def critical_root(params: Params, tol: float = ROOT_TOL, scan_cells: int = SCAN_CELLS) -> float:
     """Interior root c of h(r) = 1, via scan + bisection + Newton polish.
 
     Scans p on [SCAN_LO, SCAN_HI] with ``scan_cells`` cells for a sign
-    change, bisects the first bracket found, then polishes until the
-    residual satisfies |p(c)| < tol.  Raises NoInteriorRoot when the
-    scan finds no sign change (for example n = 1, or a = 0, where h < 1
-    throughout the interior).
+    change and bisects the first bracket found.  Only when that scan
+    finds none, it scans the deflated polynomial q = p / (r - 1) on
+    ``scan_cells`` points of [SCAN_HI, 1), excluding the root r = 1
+    itself, and bisects q's first sign change instead.  Either way it
+    then polishes on p until the residual satisfies |p(c)| < tol.
+    Raises NoInteriorRoot when neither scan finds a sign change (for
+    example n = 1, or a = 0, where h < 1 throughout the interior, or
+    a = 9/11 at n = 10, where the root has merged into r = 1).
     """
-    xs = np.linspace(SCAN_LO, SCAN_HI, scan_cells + 1)
-    values = critical_polynomial(params, xs)
-    signs = np.sign(values)
-    hits = np.nonzero(signs == 0.0)[0]
+    c0 = _scan_and_bisect(
+        lambda r: critical_polynomial(params, r),
+        np.linspace(SCAN_LO, SCAN_HI, scan_cells + 1),
+    )
+    if c0 is None:
+        c0 = _scan_and_bisect(
+            lambda r: deflated_polynomial(params, r),
+            np.linspace(SCAN_HI, 1.0, scan_cells + 1)[:-1],
+        )
+    if c0 is None:
+        raise NoInteriorRoot(
+            f"h(r) = 1 has no root in [{SCAN_LO}, 1) for {params.describe()}"
+        )
     p = lambda r: critical_polynomial(params, float(r))
     dp = lambda r: critical_polynomial_derivative(params, float(r))
-    if hits.size:
-        c0 = float(xs[hits[0]])
-    else:
-        changes = np.nonzero(signs[:-1] * signs[1:] < 0)[0]
-        if not changes.size:
-            raise NoInteriorRoot(
-                f"h(r) = 1 has no root in [{SCAN_LO}, {SCAN_HI}] for {params.describe()}"
-            )
-        i = int(changes[0])
-        lo, hi = bisect_sign_change(p, float(xs[i]), float(xs[i + 1]), steps=20)
-        c0 = 0.5 * (lo + hi)
     c, _ = newton_polish(p, dp, c0, tol)
     return float(c)
+
+
+def _scan_and_bisect(fn: Callable, xs: np.ndarray) -> Optional[float]:
+    """Newton start point from the first root of ``fn`` seen on ``xs``.
+
+    A sample where fn is exactly zero wins; otherwise the first sign
+    change between neighbours is bisected 20 times and its midpoint
+    returned.  None when fn keeps one sign on all of ``xs``.
+    """
+    signs = np.sign(fn(xs))
+    hits = np.nonzero(signs == 0.0)[0]
+    if hits.size:
+        return float(xs[hits[0]])
+    changes = np.nonzero(signs[:-1] * signs[1:] < 0)[0]
+    if not changes.size:
+        return None
+    i = int(changes[0])
+    lo, hi = bisect_sign_change(lambda r: fn(float(r)), float(xs[i]), float(xs[i + 1]), steps=20)
+    return 0.5 * (lo + hi)
 
 
 def pole_zero_radii(params: Params) -> Tuple[float, float]:
@@ -249,26 +292,34 @@ def verify_domination(
 
     radii = np.linspace(c, 1.0, radial_samples)
     theta = np.linspace(0.0, 2.0 * np.pi, angular_samples, endpoint=False)
-    z = radii[:, None] * np.exp(1j * theta[None, :])
-    # |1 + a z^n| >= 1 - a > 0 on the disk, so the quotient is finite.
-    ratio = np.abs(eval_f(params, z)) / np.abs(eval_g(params, z))
-    grid_max = float(ratio.max())
-    if grid_max > 1.0 + tol:
-        i, j = np.unravel_index(int(ratio.argmax()), ratio.shape)
-        raise DominationViolated(
-            f"|f|/|g| = {grid_max!r} at r = {radii[i]:.12f}, "
-            f"theta = {theta[j]:.12f} exceeds 1 + {tol:g}"
-        )
-
+    circle = np.exp(1j * theta)
     # Angular maxima should sit where n*theta = 0 (mod 2 pi), i.e. at
     # multiples of angular_samples / n grid steps.  Ties within a
     # relative 1e-13 band count as maxima (flat rows at a = 0).
     period = angular_samples / params.n
     idx = np.arange(angular_samples, dtype=float)
     dist = np.abs((idx + 0.5 * period) % period - 0.5 * period)
-    row_max = ratio.max(axis=1)
-    near = ratio >= row_max[:, None] * (1.0 - 1e-13)
-    offsets = np.where(near, dist[None, :], np.inf).min(axis=1)
+
+    row_max = np.empty(radial_samples)
+    row_argmax = np.empty(radial_samples, dtype=np.intp)
+    offsets = np.empty(radial_samples)
+    for start in range(0, radial_samples, GRID_BLOCK_ROWS):
+        rows = slice(start, start + GRID_BLOCK_ROWS)
+        # |1 + a z^n| >= 1 - a > 0 on the disk, so the quotient is finite.
+        ratio = eval_abs_ratio(params, radii[rows, None] * circle)
+        row_max[rows] = ratio.max(axis=1)
+        row_argmax[rows] = ratio.argmax(axis=1)
+        near = ratio >= row_max[rows, None] * (1.0 - 1e-13)
+        offsets[rows] = np.where(near, dist, np.inf).min(axis=1)
+
+    grid_max = float(row_max.max())
+    if grid_max > 1.0 + tol:
+        i = int(row_max.argmax())
+        j = int(row_argmax[i])
+        raise DominationViolated(
+            f"|f|/|g| = {grid_max!r} at r = {radii[i]:.12f}, "
+            f"theta = {theta[j]:.12f} exceeds 1 + {tol:g}"
+        )
     peak_offset = float(offsets.max())
     verdict = "pass" if peak_offset <= 1.0 + 1e-9 else "fail"
 

@@ -83,10 +83,28 @@ def eval_f(params: Params, z):
 
 
 def eval_g(params: Params, z):
-    """Evaluate g(z) = z (1 + a z^n) / (2 - a z^n)."""
+    """Evaluate g(z) = z (1 + a z^n) / (2 - a z^n).
+
+    The product is written (1 + a z^n) * z because complex
+    multiplication is not bitwise commutative: for large arrays numpy
+    reuses the temporary 1 + a z^n and evaluates z * (1 + a z^n) in that
+    order anyway, so only this order gives the same bits at every size.
+    """
     a = params.a_float
     zn = z ** params.n
-    return z * (1.0 + a * zn) / (2.0 - a * zn)
+    return (1.0 + a * zn) * z / (2.0 - a * zn)
+
+
+def eval_abs_ratio(params: Params, z):
+    """|f(z)| / |g(z)|, with z^n and 2 - a z^n formed once.
+
+    Bit for bit the same as abs(eval_f(params, z)) / abs(eval_g(params, z)).
+    """
+    a = params.a_float
+    zn = z ** params.n
+    azn = a * zn
+    den = 2.0 - azn
+    return abs((a + zn) / den) / abs((1.0 + azn) * z / den)
 
 
 def fraction_to_decimal(x: Fraction) -> str:

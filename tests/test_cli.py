@@ -33,6 +33,26 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+class TestSharedParser:
+    def test_successive_calls_print_what_separate_calls_print(self, capsys):
+        calls = [
+            ["root", *REFERENCE_ARGS, "--json"],
+            ["norms", *REFERENCE_ARGS, "--terms", "8", "--json"],
+            ["root", "--a", "0.45", "--n", "2"],
+            ["root", *REFERENCE_ARGS],
+        ]
+        separate = []
+        for argv in calls:
+            args = korenblum.cli.build_parser().parse_args(argv)
+            code = args.func(args)
+            separate.append((code, *capsys.readouterr()))
+        successive = [run_cli(capsys, *argv) for argv in calls]
+        assert successive == separate
+
+    def test_build_parser_returns_a_fresh_parser(self):
+        assert korenblum.cli.build_parser() is not korenblum.cli.build_parser()
+
+
 class TestRoot:
     def test_prints_critical_radius(self, capsys):
         code, out, _ = run_cli(capsys, "root", *REFERENCE_ARGS)

@@ -1,11 +1,13 @@
 from __future__ import annotations
 
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, strategies as st
 
+import korenblum.domination
 from korenblum import (
     DominationViolated,
     HypothesisViolated,
@@ -13,8 +15,12 @@ from korenblum import (
     Params,
     critical_polynomial,
     critical_root,
+    eval_f,
+    eval_g,
     pole_zero_radii,
     ratio_envelope,
+    run_verification,
+    scan,
     verify_domination,
 )
 from korenblum.domination import (
@@ -22,10 +28,58 @@ from korenblum.domination import (
     SCAN_LO,
     bisect_sign_change,
     critical_polynomial_derivative,
+    deflated_polynomial,
     newton_polish,
 )
 
 FROZEN_ROOT = 0.6779049274218489
+
+# (n, a, c, grid_max_ratio, angular_peak_offset, verdict) on the default
+# 256x1024 grid for the 17 certified pairs of `korenblum scan --n-min 4
+# --n-max 20`, as the whole-grid evaluation computed them.  The blocked
+# grid must reproduce every bit.
+PINNED_DOMINATION = (
+    (4, "0.5898501", 0.8516706811286321, 1.0000000000000016, 0.0, "pass"),
+    (5, "0.6167154", 0.7320090554828018, 1.0000000000000016, 0.0, "pass"),
+    (6, "0.6340504", 0.6989956106765488, 1.000000000000003, 0.0, "pass"),
+    (7, "0.6460616", 0.685796192364925, 1.000000000000002, 0.0, "pass"),
+    (8, "0.6548247", 0.680252189111467, 1.0000000000000024, 0.0, "pass"),
+    (9, "0.6614735", 0.678213172724522, 1.000000000000003, 0.0, "pass"),
+    (10, "0.6666757", 0.6779099280036488, 1.000000000000004, 0.0, "pass"),
+    (11, "0.6708482", 0.6784909589206722, 1.0000000000000033, 0.0, "pass"),
+    (12, "0.6742636", 0.679514665711971, 1.0000000000000069, 0.0, "pass"),
+    (13, "0.6771072", 0.680741404602351, 1.0000000000000053, 0.0, "pass"),
+    (14, "0.6795093", 0.6820381956202886, 1.0000000000000049, 0.0, "pass"),
+    (15, "0.6815637", 0.6833306386240192, 1.0000000000000058, 0.0, "pass"),
+    (16, "0.6833396", 0.6845779458993118, 1.000000000000007, 0.0, "pass"),
+    (17, "0.6848893", 0.6857591907904366, 1.000000000000007, 0.0, "pass"),
+    (18, "0.6862529", 0.6868650287139317, 1.00000000000001, 0.0, "pass"),
+    (19, "0.6874616", 0.6878929093504782, 1.0000000000000078, 0.0, "pass"),
+    (20, "0.6885401", 0.6888443019008581, 1.000000000000012, 0.0, "pass"),
+)
+
+# Just below a = 9/11, where the interior root of p merges into r = 1 at
+# n = 10, the root sits above SCAN_HI.
+NEAR_MERGE = Params(Fraction(9, 11) - Fraction(1, 10**7), 10)
+
+
+def whole_grid(params, c, radial_samples, angular_samples):
+    """The grid as one array: reference for the blocked evaluation.
+
+    Returns the radii, the angles, |f|/|g| at every sample, and the
+    largest distance of a row maximum from the nearest angle with
+    n*theta = 0 (mod 2 pi), in grid steps.
+    """
+    radii = np.linspace(c, 1.0, radial_samples)
+    theta = np.linspace(0.0, 2.0 * np.pi, angular_samples, endpoint=False)
+    z = radii[:, None] * np.exp(1j * theta[None, :])
+    ratio = np.abs(eval_f(params, z)) / np.abs(eval_g(params, z))
+    period = angular_samples / params.n
+    idx = np.arange(angular_samples, dtype=float)
+    dist = np.abs((idx + 0.5 * period) % period - 0.5 * period)
+    near = ratio >= ratio.max(axis=1)[:, None] * (1.0 - 1e-13)
+    offset = float(np.where(near, dist[None, :], np.inf).min(axis=1).max())
+    return radii, theta, ratio, offset
 
 coefficients = st.integers(min_value=1, max_value=9_999_999).map(
     lambda m: Fraction(m, 10**7)
@@ -59,8 +113,6 @@ class TestEnvelope:
 
     def test_matches_sampled_circle_max(self, reference):
         # the closed form really is the angular maximum of |f/g|
-        from korenblum import eval_f, eval_g
-
         for r in (0.7, 0.85, 0.99):
             theta = np.linspace(0.0, 2 * np.pi, 4096, endpoint=False)
             z = r * np.exp(1j * theta)
@@ -104,8 +156,36 @@ class TestCriticalRoot:
             c = critical_root(params)
         except NoInteriorRoot:
             assume(False)
-        assert SCAN_LO <= c <= SCAN_HI
+        assert SCAN_LO <= c < 1.0
         assert abs(float(ratio_envelope(params, c)) - 1.0) < 1e-10
+
+    def test_pinned_roots_of_certified_pairs(self):
+        for n, a, c, *_ in PINNED_DOMINATION:
+            assert critical_root(Params(Fraction(a), n)) == c
+
+    def test_root_above_scan_range(self):
+        assert float(critical_polynomial(NEAR_MERGE, SCAN_HI)) < 0
+        c = critical_root(NEAR_MERGE)
+        assert SCAN_HI < c < 1.0
+        assert c == pytest.approx(0.99972924, abs=1e-8)
+        assert abs(critical_polynomial(NEAR_MERGE, c)) < 1e-14
+        assert run_verification(NEAR_MERGE, exact=True).passed
+
+    def test_root_merged_into_boundary(self):
+        # a = 9/11 makes r = 1 a double root of q = p / (r - 1)
+        params = Params(Fraction(9, 11), 10)
+        assert deflated_polynomial(params, 1.0) == pytest.approx(0.0, abs=1e-14)
+        with pytest.raises(NoInteriorRoot):
+            critical_root(params)
+
+    def test_deflated_polynomial(self, reference):
+        for r in (0.3, 0.7, 0.999):
+            expected = critical_polynomial(reference, r) / (r - 1.0)
+            assert deflated_polynomial(reference, r) == pytest.approx(expected, rel=1e-9)
+
+    def test_scan_fails_only_below_n_4(self):
+        failed = {row.n for row in scan(range(2, 21)).rows if row.candidate is None}
+        assert failed == {2, 3}
 
 
 class TestRootHelpers:
@@ -178,6 +258,67 @@ class TestVerifyDomination:
         )
         assert report.verdict == "pass"
         assert report.grid_max_ratio <= 1.0 + 1e-12
+
+    def test_pinned_certified_pairs(self):
+        for n, a, c, grid_max, offset, verdict in PINNED_DOMINATION:
+            report = verify_domination(Params(Fraction(a), n), c)
+            assert (report.grid_max_ratio, report.angular_peak_offset, report.verdict) == (
+                grid_max, offset, verdict,
+            )
+
+    @pytest.mark.parametrize("shape", [(256, 1024), (100, 1024), (256, 300), (37, 301)])
+    @pytest.mark.parametrize("block_rows", [1, 7, korenblum.domination.GRID_BLOCK_ROWS])
+    def test_blocked_grid_matches_whole_grid(self, monkeypatch, shape, block_rows):
+        monkeypatch.setattr(korenblum.domination, "GRID_BLOCK_ROWS", block_rows)
+        # At a = 0 every row is flat up to rounding, so only the tie band
+        # keeps the row maxima at the angles with n*theta = 0.
+        for n, a, c in ((4, "0.5898501", 0.8516706811286321),
+                        (13, "0.6771072", 0.680741404602351),
+                        (7, "0", 0.9)):
+            params = Params(Fraction(a), n)
+            _, _, ratio, offset = whole_grid(params, c, *shape)
+            report = verify_domination(params, c, *shape, require_boundary_identity=False)
+            assert report.grid_max_ratio == float(ratio.max())
+            assert report.angular_peak_offset == offset
+
+    @pytest.mark.parametrize("radial_samples", [256, 100])
+    def test_block_ratios_match_whole_grid(self, radial_samples):
+        # The same expression as verify_domination's loop, block by block;
+        # 100 rows end in a partial block.
+        params = Params(Fraction("0.6885401"), 20)
+        c = critical_root(params)
+        radii, theta, ratio, _ = whole_grid(params, c, radial_samples, 1024)
+        circle = np.exp(1j * theta)
+        step = korenblum.domination.GRID_BLOCK_ROWS
+        blocks = [
+            korenblum.domination.eval_abs_ratio(params, radii[i:i + step, None] * circle)
+            for i in range(0, radial_samples, step)
+        ]
+        assert np.array_equal(np.concatenate(blocks), ratio)
+
+    @pytest.mark.parametrize(
+        "n, a, shape",
+        [(10, "0.6666714", (256, 1024)), (7, "0.6460616", (100, 301))],
+    )
+    def test_violation_names_whole_grid_argmax(self, n, a, shape):
+        params = Params(Fraction(a), n)
+        radii, theta, ratio, _ = whole_grid(params, 0.5, *shape)
+        i, j = np.unravel_index(int(ratio.argmax()), ratio.shape)
+        with pytest.raises(DominationViolated) as info:
+            verify_domination(params, 0.5, *shape, require_boundary_identity=False)
+        assert f"= {float(ratio.max())!r} at r = {radii[i]:.12f}, theta = {theta[j]:.12f} " in str(
+            info.value
+        )
+
+    def test_grid_memory(self, reference):
+        c = critical_root(reference)
+        tracemalloc.start()
+        try:
+            verify_domination(reference, c, 256, 1024)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
 
     def test_validation(self, reference):
         c = critical_root(reference)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from korenblum import Params, as_fraction, eval_f, eval_g, fraction_to_decimal, reference_params
+from korenblum.family import eval_abs_ratio
 
 
 class TestAsFraction:
@@ -58,6 +59,24 @@ class TestEvaluation:
         zn = z**10
         assert eval_f(reference, z) == pytest.approx((a + zn) / (2 - a * zn))
         assert eval_g(reference, z) == pytest.approx(z * (1 + a * zn) / (2 - a * zn))
+
+    def test_g_does_not_depend_on_array_size(self, reference):
+        # numpy reuses large temporaries, which reorders a commutative
+        # complex product; eval_g must give the same bits either way.
+        radii = np.linspace(0.6, 1.0, 256)
+        theta = np.linspace(0.0, 2.0 * np.pi, 1024, endpoint=False)
+        z = radii[:, None] * np.exp(1j * theta[None, :])
+        whole = eval_g(reference, z)
+        by_row = np.array([eval_g(reference, row) for row in z])
+        assert np.array_equal(whole, by_row)
+
+    def test_abs_ratio_matches_f_over_g(self, reference):
+        z = np.linspace(0.6, 1.0, 64)[:, None] * np.exp(1j * np.linspace(0.0, 6.0, 300))
+        expected = np.abs(eval_f(reference, z)) / np.abs(eval_g(reference, z))
+        assert np.array_equal(eval_abs_ratio(reference, z), expected)
+        assert eval_abs_ratio(reference, 0.8 + 0.1j) == abs(eval_f(reference, 0.8 + 0.1j)) / abs(
+            eval_g(reference, 0.8 + 0.1j)
+        )
 
     def test_vectorized(self, reference):
         z = np.linspace(0.1, 0.9, 7) * np.exp(1j * 0.3)
