@@ -16,120 +16,36 @@ below the previously best bound 0.67795.
 
 __version__ = "0.1.0"
 
-from .family import (
-    Params,
-    REFERENCE_A,
-    REFERENCE_N,
-    as_fraction,
-    eval_f,
-    eval_g,
-    fraction_to_decimal,
-    reference_params,
-)
+from .family import Params, reference_params
 from .series import (
-    CoefficientTerm,
-    DifferenceResult,
-    NormEnclosure,
-    bergman_weight,
     f_coefficient,
-    f_term,
     g_coefficient,
-    g_term,
     norm_difference,
     norm_sq_f,
     norm_sq_g,
     power_series_norm_sq,
 )
-from .quadrature import (
-    CrossCheckReport,
-    QuadratureGrid,
-    QuadratureNotConverged,
-    cross_check,
-    integrand_f,
-    integrand_g,
-    norm_sq_quad,
-)
-from .domination import (
-    DominationReport,
-    DominationViolated,
-    HypothesisViolated,
-    NoInteriorRoot,
-    critical_polynomial,
-    critical_root,
-    pole_zero_radii,
-    ratio_envelope,
-    verify_domination,
-)
-from .search import (
-    AmbiguousSign,
-    BoundCandidate,
-    CertificationFailed,
-    CoarseScan,
-    CriticalPoint,
-    InvalidBracket,
-    ScanResult,
-    ScanRow,
-    WANG_UPPER_BOUND,
-    best_bound,
-    coarse_scan,
-    critical_a,
-    delta_of_a,
-    scan,
-)
-from .certificate import Certificate, run_verification
+from .quadrature import norm_sq_quad
+from .domination import critical_root, pole_zero_radii, ratio_envelope, verify_domination
+from .search import best_bound, critical_a, delta_of_a, scan
 
 __all__ = [
     "__version__",
     "Params",
-    "REFERENCE_A",
-    "REFERENCE_N",
-    "as_fraction",
-    "eval_f",
-    "eval_g",
-    "fraction_to_decimal",
     "reference_params",
-    "CoefficientTerm",
-    "DifferenceResult",
-    "NormEnclosure",
-    "bergman_weight",
     "f_coefficient",
-    "f_term",
     "g_coefficient",
-    "g_term",
     "norm_difference",
     "norm_sq_f",
     "norm_sq_g",
     "power_series_norm_sq",
-    "CrossCheckReport",
-    "QuadratureGrid",
-    "QuadratureNotConverged",
-    "cross_check",
-    "integrand_f",
-    "integrand_g",
     "norm_sq_quad",
-    "DominationReport",
-    "DominationViolated",
-    "HypothesisViolated",
-    "NoInteriorRoot",
-    "critical_polynomial",
     "critical_root",
     "pole_zero_radii",
     "ratio_envelope",
     "verify_domination",
-    "AmbiguousSign",
-    "BoundCandidate",
-    "CertificationFailed",
-    "CoarseScan",
-    "CriticalPoint",
-    "InvalidBracket",
-    "ScanResult",
-    "ScanRow",
-    "WANG_UPPER_BOUND",
     "best_bound",
-    "coarse_scan",
     "critical_a",
     "delta_of_a",
     "scan",
-    "Certificate",
-    "run_verification",
 ]

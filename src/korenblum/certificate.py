@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import Any, Dict, List, Optional
 
@@ -22,13 +22,14 @@ from .domination import (
     DominationViolated,
     HypothesisViolated,
     NoInteriorRoot,
+    ROOT_TOL,
     critical_polynomial,
     critical_root,
     verify_domination,
 )
 from .family import Params, fraction_to_decimal
-from .quadrature import CrossCheckReport, QuadratureGrid, QuadratureNotConverged, cross_check
-from .series import DifferenceResult, norm_difference
+from .quadrature import QuadratureGrid, QuadratureNotConverged, cross_check
+from .series import DifferenceResult, Scalar, norm_difference
 
 SCHEMA = "korenblum.certificate.v1"
 
@@ -48,59 +49,41 @@ def decode_fraction(d: Dict[str, Any]) -> Fraction:
     return Fraction(int(d["numerator"]), int(d["denominator"]))
 
 
+def encode_scalar(x: Scalar) -> Any:
+    """JSON value of an enclosure end: a Fraction losslessly, a float as is."""
+    if isinstance(x, Fraction):
+        return encode_fraction(x)
+    return float(x)
+
+
+def _fields_dict(record, skip: str = "") -> Dict[str, Any]:
+    """Shallow dict of a dataclass's fields, in declaration order."""
+    return {f.name: getattr(record, f.name) for f in fields(record) if f.name != skip}
+
+
 def _domination_dict(report: DominationReport) -> Dict[str, Any]:
-    return {
-        "sampled_only": True,
-        "c": report.c,
-        "h_at_c": report.h_at_c,
-        "h_at_1": report.h_at_1,
-        "h_at_1_exact": report.h_at_1_exact,
-        "pole_radius": report.pole_radius,
-        "zero_radius": report.zero_radius,
-        "grid_max_ratio": report.grid_max_ratio,
-        "angular_peak_offset": report.angular_peak_offset,
-        "radial_samples": report.radial_samples,
-        "angular_samples": report.angular_samples,
-        "tol": report.tol,
-        "verdict": report.verdict,
-    }
-
-
-def _cross_check_dict(report: CrossCheckReport) -> Dict[str, Any]:
-    return {
-        "series_f": report.series_f,
-        "quad_f_original": report.quad_f_original,
-        "quad_f_substituted": report.quad_f_substituted,
-        "series_g": report.series_g,
-        "quad_g_original": report.quad_g_original,
-        "quad_g_substituted": report.quad_g_substituted,
-        "delta_quad": report.delta_quad,
-        "max_discrepancy": report.max_discrepancy,
-        "tol": report.tol,
-        "passed": report.passed,
-    }
+    return {"sampled_only": True, **_fields_dict(report, skip="params")}
 
 
 def _norm_gap_dict(delta: DifferenceResult) -> Dict[str, Any]:
-    if delta.mode == "exact":
-        lower: Any = encode_fraction(delta.delta_lower)
-        upper: Any = encode_fraction(delta.delta_upper)
-    else:
-        lower = float(delta.delta_lower)
-        upper = float(delta.delta_upper)
     return {
         "mode": delta.mode,
         "truncation_index": delta.truncation_index,
-        "lower": lower,
-        "upper": upper,
+        "lower": encode_scalar(delta.delta_lower),
+        "upper": encode_scalar(delta.delta_upper),
         "certified": bool(delta.certifies),
     }
 
 
-@dataclass
+@dataclass(kw_only=True)
 class Certificate:
-    """JSON-shaped verification record; all fields are plain data."""
+    """JSON-shaped verification record; all fields are plain data.
 
+    The field order is the key order of the JSON form.
+    """
+
+    schema: str = SCHEMA
+    version: str = __version__
     params: Dict[str, Any]
     critical_radius: Optional[Dict[str, Any]]
     norm_gap: Optional[Dict[str, Any]]
@@ -110,42 +93,16 @@ class Certificate:
     passed: bool
     failed_check: Optional[str]
     wall_time_s: float
-    schema: str = SCHEMA
-    version: str = __version__
 
     def to_dict(self) -> Dict[str, Any]:
-        return {
-            "schema": self.schema,
-            "version": self.version,
-            "params": self.params,
-            "critical_radius": self.critical_radius,
-            "norm_gap": self.norm_gap,
-            "domination": self.domination,
-            "cross_check": self.cross_check,
-            "checks": self.checks,
-            "passed": self.passed,
-            "failed_check": self.failed_check,
-            "wall_time_s": self.wall_time_s,
-        }
+        return _fields_dict(self)
 
     def to_json(self, indent: int = 2) -> str:
         return json.dumps(self.to_dict(), indent=indent)
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "Certificate":
-        return cls(
-            schema=data["schema"],
-            version=data["version"],
-            params=data["params"],
-            critical_radius=data["critical_radius"],
-            norm_gap=data["norm_gap"],
-            domination=data["domination"],
-            cross_check=data["cross_check"],
-            checks=data["checks"],
-            passed=data["passed"],
-            failed_check=data["failed_check"],
-            wall_time_s=data["wall_time_s"],
-        )
+        return cls(**{f.name: data[f.name] for f in fields(cls)})
 
     @classmethod
     def from_json(cls, text: str) -> "Certificate":
@@ -163,11 +120,7 @@ def run_verification(
     terms: int = 64,
     exact: bool = False,
     grid: Optional[QuadratureGrid] = None,
-    root_tol: float = 1e-14,
-    radial_samples: int = 256,
-    angular_samples: int = 1024,
     domination_tol: float = 1e-12,
-    cross_tol: float = 1e-8,
 ) -> Certificate:
     """Run the full verification chain and assemble a certificate.
 
@@ -186,11 +139,11 @@ def run_verification(
 
     c = None
     try:
-        c = critical_root(params, tol=root_tol)
+        c = critical_root(params)
         c_dict = {
             "value": c,
             "residual": abs(float(critical_polynomial(params, c))),
-            "tol": root_tol,
+            "tol": ROOT_TOL,
         }
         checks.append({"name": "critical_root", "passed": True})
     except (NoInteriorRoot, ArithmeticError) as exc:
@@ -199,13 +152,7 @@ def run_verification(
 
     if failed is None:
         try:
-            report = verify_domination(
-                params,
-                c,
-                radial_samples=radial_samples,
-                angular_samples=angular_samples,
-                tol=domination_tol,
-            )
+            report = verify_domination(params, c, tol=domination_tol)
             dom_dict = _domination_dict(report)
             ok = report.verdict == "pass"
             checks.append({"name": "domination", "passed": ok})
@@ -227,8 +174,8 @@ def run_verification(
 
     if failed is None:
         try:
-            xc = cross_check(params, grid=grid, tol=cross_tol, K=terms)
-            xc_dict = _cross_check_dict(xc)
+            xc = cross_check(params, grid=grid, K=terms)
+            xc_dict = _fields_dict(xc)
             checks.append({"name": "cross_check", "passed": xc.passed})
             if not xc.passed:
                 failed = "cross_check"

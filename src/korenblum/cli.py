@@ -16,7 +16,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Optional, Sequence
 
-from .certificate import encode_fraction, run_verification
+from .certificate import encode_fraction, encode_scalar, run_verification
 from .domination import (
     DominationViolated,
     HypothesisViolated,
@@ -188,16 +188,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _enclosure_dict(enc) -> dict:
-    if enc.mode == "exact":
-        return {
-            "lower": encode_fraction(enc.lower),
-            "upper": encode_fraction(enc.upper),
-            "truncation_index": enc.truncation_index,
-            "mode": enc.mode,
-        }
     return {
-        "lower": enc.lower,
-        "upper": enc.upper,
+        "lower": encode_scalar(enc.lower),
+        "upper": encode_scalar(enc.upper),
         "truncation_index": enc.truncation_index,
         "mode": enc.mode,
     }
@@ -260,8 +253,8 @@ def cmd_norms(args: argparse.Namespace) -> int:
             "norm_sq_f": _enclosure_dict(nf),
             "norm_sq_g": _enclosure_dict(ng),
             "delta": {
-                "lower": encode_fraction(delta.delta_lower) if args.exact else delta.delta_lower,
-                "upper": encode_fraction(delta.delta_upper) if args.exact else delta.delta_upper,
+                "lower": encode_scalar(delta.delta_lower),
+                "upper": encode_scalar(delta.delta_upper),
                 "certified": delta.certifies,
                 "mode": mode,
                 "truncation_index": delta.truncation_index,

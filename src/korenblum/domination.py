@@ -35,6 +35,7 @@ blocks sample exactly the values a single whole-grid evaluation of
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Tuple, Union
@@ -54,9 +55,16 @@ SCAN_CELLS = 1024
 # is always a root of p and r = 0 is outside the domain of h.
 SCAN_LO = 1e-3
 SCAN_HI = 1.0 - 1e-3
-# Radial rows per block of the domination grid: 8 rows of 1024 angles
-# are 128 KiB per complex temporary.
-GRID_BLOCK_ROWS = 8
+# Closest approach to r = 1 of the fallback scan of q = p / (r - 1).
+SCAN_TOP_GAP = 1e-15
+# h(c) must lie this close to 1 for c to count as the critical radius.
+BOUNDARY_TOL = 1e-9
+# Radial rows per block of the domination grid: 4 rows of 1024 angles
+# are 64 KiB per complex temporary, half glibc's default 128 KiB mmap
+# threshold.  With 8 rows the temporaries sit on that threshold, and
+# whether each block's ~0.7 MiB of them was page-faulted in afresh after
+# a heap trim depended on the heap layout: 0 to ~5000 faults per grid.
+GRID_BLOCK_ROWS = 4
 
 
 class NoInteriorRoot(ArithmeticError):
@@ -94,10 +102,7 @@ def critical_polynomial(params: Params, r):
     matched to the input kind.
     """
     n = params.n
-    if isinstance(r, (Fraction, int)):
-        a = params.a
-        return r + a * r ** (n + 1) - a - r ** n
-    a = params.a_float
+    a = params.a if isinstance(r, (Fraction, int)) else params.a_float
     return r + a * r ** (n + 1) - a - r ** n
 
 
@@ -154,33 +159,44 @@ def deflated_polynomial(params: Params, r):
     """q(r) = p(r) / (r - 1) = a sum_{k=0..n} r^k - sum_{k=1..n-1} r^k.
 
     Dividing out the root r = 1 leaves the sign change of an interior
-    root next to 1 clear, where p itself is tiny on both sides.
+    root next to 1 clear, where p itself is tiny on both sides.  q is
+    evaluated as a polynomial in t = 1 - r whose coefficients are formed
+    exactly from a = u/v and rounded once: near r = 1 the coefficients
+    in r cancel to rounding noise, which would show sign changes that q
+    does not have (at a = 1/2, n = 3, q = (1 - r)^2 (1 + r) / 2 > 0).
     """
-    a = params.a_float
-    return np.polyval([a] + [a - 1.0] * (params.n - 1) + [a], r)
+    n, u, v = params.n, params.a.numerator, params.a.denominator
+    c = [u] + [u - v] * (n - 1) + [u]  # v times the coefficients of q in r
+    shifted = [
+        (-1) ** j * sum(c[k] * math.comb(k, j) for k in range(j, n + 1)) / v
+        for j in range(n, -1, -1)
+    ]
+    return np.polyval(shifted, 1.0 - r)
 
 
-def critical_root(params: Params, tol: float = ROOT_TOL, scan_cells: int = SCAN_CELLS) -> float:
+def critical_root(params: Params, tol: float = ROOT_TOL) -> float:
     """Interior root c of h(r) = 1, via scan + bisection + Newton polish.
 
-    Scans p on [SCAN_LO, SCAN_HI] with ``scan_cells`` cells for a sign
+    Scans p on [SCAN_LO, SCAN_HI] with SCAN_CELLS cells for a sign
     change and bisects the first bracket found.  Only when that scan
     finds none, it scans the deflated polynomial q = p / (r - 1) on
-    ``scan_cells`` points of [SCAN_HI, 1), excluding the root r = 1
-    itself, and bisects q's first sign change instead.  Either way it
-    then polishes on p until the residual satisfies |p(c)| < tol.
+    SCAN_CELLS + 1 points from SCAN_HI to 1 - SCAN_TOP_GAP, spaced
+    geometrically in 1 - r so that a root within 1e-6 of r = 1 still
+    falls between two of them, and bisects q's first sign change
+    instead.  Either way it then polishes on p until the residual
+    satisfies |p(c)| < tol.
     Raises NoInteriorRoot when neither scan finds a sign change (for
     example n = 1, or a = 0, where h < 1 throughout the interior, or
     a = 9/11 at n = 10, where the root has merged into r = 1).
     """
     c0 = _scan_and_bisect(
         lambda r: critical_polynomial(params, r),
-        np.linspace(SCAN_LO, SCAN_HI, scan_cells + 1),
+        np.linspace(SCAN_LO, SCAN_HI, SCAN_CELLS + 1),
     )
     if c0 is None:
         c0 = _scan_and_bisect(
             lambda r: deflated_polynomial(params, r),
-            np.linspace(SCAN_HI, 1.0, scan_cells + 1)[:-1],
+            1.0 - np.geomspace(1.0 - SCAN_HI, SCAN_TOP_GAP, SCAN_CELLS + 1),
         )
     if c0 is None:
         raise NoInteriorRoot(
@@ -250,14 +266,13 @@ def verify_domination(
     radial_samples: int = 256,
     angular_samples: int = 1024,
     tol: float = 1e-12,
-    boundary_tol: float = 1e-9,
     require_boundary_identity: bool = True,
 ) -> DominationReport:
     """Check the domination hypotheses on a polar grid of the annulus.
 
     Raises HypothesisViolated if a pole or zero radius fails to clear
     the unit circle or (with ``require_boundary_identity``) if h(c) is
-    not within ``boundary_tol`` of 1; raises DominationViolated if any
+    not within BOUNDARY_TOL of 1; raises DominationViolated if any
     grid sample has |f|/|g| > 1 + tol.  The boundary identity check is
     meant for c produced by critical_root; pass
     ``require_boundary_identity=False`` to audit a conservative inner
@@ -284,9 +299,9 @@ def verify_domination(
     if not h_at_1_exact:
         raise HypothesisViolated("h(1) != 1 in exact arithmetic")
     h_at_c = float(ratio_envelope(params, float(c)))
-    if require_boundary_identity and abs(h_at_c - 1.0) > boundary_tol:
+    if require_boundary_identity and abs(h_at_c - 1.0) > BOUNDARY_TOL:
         raise HypothesisViolated(
-            f"h(c) = {h_at_c!r} is not within {boundary_tol:g} of 1; "
+            f"h(c) = {h_at_c!r} is not within {BOUNDARY_TOL:g} of 1; "
             "is c the critical radius?"
         )
 

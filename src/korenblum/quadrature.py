@@ -31,7 +31,7 @@ share.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Literal, NamedTuple
 
@@ -55,22 +55,15 @@ class QuadratureGrid:
 
     radial_nodes: int = 128
     angular_nodes: int = 256
-    scheme: str = "gauss-legendre"
 
     def __post_init__(self) -> None:
         if self.radial_nodes < 8:
             raise ValueError("need at least 8 radial nodes")
         if self.angular_nodes < 16:
             raise ValueError("need at least 16 angular nodes")
-        if self.scheme != "gauss-legendre":
-            raise ValueError(f"unsupported scheme {self.scheme!r}")
 
     def doubled(self) -> "QuadratureGrid":
-        return replace(
-            self,
-            radial_nodes=2 * self.radial_nodes,
-            angular_nodes=2 * self.angular_nodes,
-        )
+        return QuadratureGrid(2 * self.radial_nodes, 2 * self.angular_nodes)
 
 
 @lru_cache(maxsize=8)
@@ -104,25 +97,6 @@ def _kernel_g(a: float, rho, cos_phi):
     num = 1.0 + 2.0 * a * rho * cos_phi + (a * rho) ** 2
     den = 4.0 - 4.0 * a * rho * cos_phi + (a * rho) ** 2
     return num / den
-
-
-def integrand_f(params: Params, r, phi):
-    """|f|^2 at radius r and reduced angle phi = n*theta, times the
-    polar area factor r.  Accepts scalars or numpy arrays."""
-    r = np.asarray(r, dtype=float)
-    if np.any(r < 0.0) or np.any(r > 1.0):
-        raise ValueError("radius samples must lie in [0, 1]")
-    a = params.a_float
-    return _kernel_f(a, r ** params.n, np.cos(phi)) * r
-
-
-def integrand_g(params: Params, r, phi):
-    """|g|^2 at radius r and reduced angle phi = n*theta, times r."""
-    r = np.asarray(r, dtype=float)
-    if np.any(r < 0.0) or np.any(r > 1.0):
-        raise ValueError("radius samples must lie in [0, 1]")
-    a = params.a_float
-    return _kernel_g(a, r ** params.n, np.cos(phi)) * r * r * r
 
 
 class _TensorRule(NamedTuple):
@@ -167,12 +141,11 @@ def norm_sq_quad(
     grid: QuadratureGrid | None = None,
     coords: Coords = "original",
     check_convergence: bool = True,
-    convergence_tol: float = CONVERGENCE_TOL,
 ) -> float:
     """Squared norm of f or g by tensor Gauss-Legendre quadrature.
 
     With ``check_convergence`` the grid is doubled once in both
-    directions; a change above ``convergence_tol`` raises
+    directions; a change above CONVERGENCE_TOL raises
     QuadratureNotConverged instead of returning a dubious value.
     """
     if which not in ("f", "g"):
@@ -184,11 +157,11 @@ def norm_sq_quad(
     value = _tensor_value(params, which, _tensor_rule(grid), coords)
     if check_convergence:
         refined = _tensor_value(params, which, _tensor_rule(grid.doubled()), coords)
-        if abs(refined - value) > convergence_tol:
+        if abs(refined - value) > CONVERGENCE_TOL:
             raise QuadratureNotConverged(
                 f"norm_sq_quad({which}, {coords}) moved by "
                 f"{abs(refined - value):.3e} under grid doubling "
-                f"(tol {convergence_tol:.1e}); refine the grid"
+                f"(tol {CONVERGENCE_TOL:.1e}); refine the grid"
             )
         value = refined
     return value

@@ -9,10 +9,11 @@ certifying just above the sign change: the safety margin trades a
 sliver of bound quality for a gap that is comfortably positive in
 exact arithmetic.
 
-The localization runs in double precision on rigorous enclosures (the
-truncation index escalates automatically whenever an enclosure straddles
-zero), and the final certificate at the backed off coefficient is
-recomputed in exact rational arithmetic.
+The localization runs in double precision.  Its enclosures are float
+estimates that nothing rounds outward, so the signs it reads are not
+proved (the truncation index escalates whenever an enclosure straddles
+zero).  Only the final gap at the backed off coefficient is a proof:
+it is recomputed in exact rational arithmetic.
 """
 
 from __future__ import annotations
@@ -40,14 +41,16 @@ DEFAULT_SAFETY = 5e-6
 # Certified coefficients are reported on a fixed decimal lattice so the
 # certificate parameter stays a short exact decimal.
 QUANTIZE_DECIMALS = 7
+# Width at which critical_a stops bisecting the sign change of delta(a).
+BRACKET_TOL = 1e-10
 
 
 class InvalidBracket(ValueError):
-    """The norm gap has the same certified sign at both bracket ends."""
+    """The norm gap's float enclosures give one sign at both bracket ends."""
 
 
 class AmbiguousSign(ArithmeticError):
-    """An enclosure straddles zero even at the maximum truncation index."""
+    """A float enclosure straddles zero even at the maximum truncation index."""
 
 
 class CertificationFailed(ArithmeticError):
@@ -68,7 +71,11 @@ def delta_of_a(
 def _certified_sign(
     n: int, a: float, K: int, max_terms: int = MAX_TERMS
 ) -> Tuple[int, DifferenceResult]:
-    """Sign of delta(a) from a float enclosure, escalating K as needed."""
+    """Sign of delta(a) read from a float enclosure, escalating K as needed.
+
+    The enclosure is not rounded outward, so the sign is an estimate,
+    not a proof.
+    """
     terms = K
     while True:
         d = delta_of_a(n, a, K=terms)
@@ -133,15 +140,17 @@ class CriticalPoint:
 def critical_a(
     n: int,
     bracket: Tuple[float, float],
-    tol: float = 1e-10,
+    tol: float = BRACKET_TOL,
     K: int = DEFAULT_TERMS,
 ) -> CriticalPoint:
     """Bisect a sign change of delta(a) inside ``bracket``.
 
-    Both endpoints must have certified (enclosure excludes zero) and
-    opposite signs, else InvalidBracket.  Each midpoint sign is also
-    certified, with the truncation index escalating automatically;
-    an unresolvable midpoint raises AmbiguousSign.
+    Signs are read from float enclosures that are not rounded outward,
+    so a* is a float estimate, not a certified value.  Both endpoints
+    must have opposite signs with enclosures that exclude zero, else
+    InvalidBracket.  Each midpoint sign is read the same way, with the
+    truncation index escalating automatically; a midpoint whose
+    enclosure still straddles zero raises AmbiguousSign.
     """
     a_lo, a_hi = float(bracket[0]), float(bracket[1])
     if not 0.0 < a_lo < a_hi < 1.0:
@@ -193,10 +202,6 @@ def best_bound(
     safety: float = DEFAULT_SAFETY,
     a: Optional[Coefficient] = None,
     K: int = DEFAULT_TERMS,
-    bracket_tol: float = 1e-10,
-    quantize_decimals: int = QUANTIZE_DECIMALS,
-    radial_samples: int = 256,
-    angular_samples: int = 1024,
 ) -> BoundCandidate:
     """Best certified radius for frequency n.
 
@@ -220,7 +225,7 @@ def best_bound(
         scan = coarse_scan(n, K=K)
         rising = None
         for lo, hi in scan.sign_changes:
-            point = critical_a(n, (lo, hi), tol=bracket_tol, K=K)
+            point = critical_a(n, (lo, hi), K=K)
             if point.rising:
                 rising = point
                 break
@@ -229,7 +234,7 @@ def best_bound(
                 f"no rising sign change of delta(a) detected for n = {n}"
             )
         a_star = rising.a_star
-        a_cert = _quantize_up(a_star + safety, quantize_decimals)
+        a_cert = _quantize_up(a_star + safety, QUANTIZE_DECIMALS)
     if not 0 < a_cert < 1:
         raise CertificationFailed(
             f"certified coefficient {a_cert} escaped the open unit interval"
@@ -243,9 +248,7 @@ def best_bound(
             f"delta_lower = {float(delta.delta_lower):.3e}"
         )
     c = critical_root(params)
-    report = verify_domination(
-        params, c, radial_samples=radial_samples, angular_samples=angular_samples
-    )
+    report = verify_domination(params, c)
     return BoundCandidate(
         params=params,
         c=c,
@@ -292,17 +295,12 @@ class ScanResult:
         return min(candidates, key=lambda cand: cand.c)
 
 
-def scan(
-    n_values: Iterable[int],
-    safety: float = DEFAULT_SAFETY,
-    K: int = DEFAULT_TERMS,
-    bracket_tol: float = 1e-10,
-) -> ScanResult:
+def scan(n_values: Iterable[int], safety: float = DEFAULT_SAFETY) -> ScanResult:
     """Run best_bound for each n, recording per-row failures and moving on."""
     rows = []
     for n in n_values:
         try:
-            candidate = best_bound(n, safety=safety, K=K, bracket_tol=bracket_tol)
+            candidate = best_bound(n, safety=safety)
             rows.append(ScanRow(n=n, candidate=candidate, error=None))
         except (
             NoInteriorRoot,

@@ -65,13 +65,9 @@ Scalar = Union[Fraction, float]
 
 DEFAULT_TERMS = 64
 MAX_TERMS = 8192
-
-
-def bergman_weight(exponent: int) -> Fraction:
-    """Exact squared norm of the monomial z^exponent."""
-    if exponent < 0:
-        raise ValueError("monomial exponent must be nonnegative")
-    return Fraction(1, exponent + 1)
+# Adaptive mode stops doubling K once the gap enclosure is this narrow
+# relative to its midpoint.
+ADAPTIVE_WIDTH = 1e-3
 
 
 def power_series_norm_sq(terms: Iterable[Tuple[int, Union[Fraction, int]]]) -> Fraction:
@@ -79,22 +75,15 @@ def power_series_norm_sq(terms: Iterable[Tuple[int, Union[Fraction, int]]]) -> F
 
     ``terms`` yields (exponent, coefficient) pairs with distinct
     exponents; orthogonality turns the norm into a weighted sum of
-    squares.
+    squares with ||z^m||^2 = 1/(m + 1).
     """
     total = Fraction(0)
     for exponent, value in terms:
+        if exponent < 0:
+            raise ValueError("monomial exponent must be nonnegative")
         v = Fraction(value)
-        total += v * v * bergman_weight(exponent)
+        total += v * v / (exponent + 1)
     return total
-
-
-@dataclass(frozen=True)
-class CoefficientTerm:
-    """One Taylor term: index k, monomial exponent, exact coefficient."""
-
-    k: int
-    exponent: int
-    value: Fraction
 
 
 def f_coefficient(params: Params, k: int) -> Fraction:
@@ -115,14 +104,6 @@ def g_coefficient(params: Params, k: int) -> Fraction:
     if k == 0:
         return Fraction(1, 2)
     return 3 * a ** k / 2 ** (k + 1)
-
-
-def f_term(params: Params, k: int) -> CoefficientTerm:
-    return CoefficientTerm(k, params.n * k, f_coefficient(params, k))
-
-
-def g_term(params: Params, k: int) -> CoefficientTerm:
-    return CoefficientTerm(k, params.n * k + 1, g_coefficient(params, k))
 
 
 @dataclass(frozen=True)
@@ -262,23 +243,21 @@ def norm_difference(
     K: int = DEFAULT_TERMS,
     mode: Mode = "float",
     adaptive: bool = False,
-    width_factor: float = 1e-3,
-    max_terms: int = MAX_TERMS,
 ) -> DifferenceResult:
     """Enclose delta = ||f||^2 - ||g||^2 from the two norm enclosures.
 
     With ``adaptive`` set, the truncation index doubles until the
-    enclosure width drops below ``width_factor`` times the midpoint
-    magnitude (or ``max_terms`` is reached), so callers get a relative
+    enclosure width drops below ADAPTIVE_WIDTH times the midpoint
+    magnitude (or MAX_TERMS is reached), so callers get a relative
     resolution of the gap without guessing K.  The enclosure stays
     valid at every stage; escalation only tightens it.
     """
     _check_terms(K)
     while True:
         result = enclose_difference(norm_sq_f(params, K, mode), norm_sq_g(params, K, mode))
-        if not adaptive or K >= max_terms:
+        if not adaptive or K >= MAX_TERMS:
             return result
         mid = result.midpoint
-        if result.width <= width_factor * abs(mid):
+        if result.width <= ADAPTIVE_WIDTH * abs(mid):
             return result
-        K = min(2 * K, max_terms)
+        K = min(2 * K, MAX_TERMS)

@@ -12,8 +12,8 @@ import pytest
 
 import korenblum.cli
 import korenblum.series
-from korenblum import Certificate, norm_difference, reference_params, run_verification
-from korenblum.certificate import decode_fraction, encode_fraction
+from korenblum import norm_difference, reference_params
+from korenblum.certificate import Certificate, decode_fraction, encode_fraction, run_verification
 from korenblum.cli import main
 
 REFERENCE_ARGS = ["--a", "0.6666714", "--n", "10"]
@@ -25,6 +25,13 @@ GOLDEN_NORMS_SHA256 = "09d1dae9ae8ebb5bd142e749a760751b98be526449fff0f0a1dab38f8
 # The verify certificate with wall_time_s removed, re-serialised with
 # json.dumps(indent=2) as Certificate.to_json does.
 GOLDEN_VERIFY_SHA256 = "452b09bdbdea7f1ca914729bb80e17047039be7fd1db2bfc26500bc490dc8ad8"
+# Float-mode certificate (wall_time_s removed, as above) and float norms
+# at the same pair, plus search and a short scan, taken before the
+# serialisers were rebuilt from the dataclass fields.
+GOLDEN_FLOAT_VERIFY_SHA256 = "45796c8c7c0a3c1c5a55a9b2ae571369a336d9de69c684b81f0d9c2090e3e833"
+GOLDEN_FLOAT_NORMS_SHA256 = "08d56cd63ad28830c74fdf00dbe398b7ad86c6ae8b7108a8ddd2e96358ca79d9"
+GOLDEN_SEARCH_SHA256 = "5b97646f82cf9518474eb95f53fb4fa04fdb9663fa26356856a013f076e1c644"
+GOLDEN_SCAN_SHA256 = "6db71d3be384f1e0231d636fcedca4f66cb550b830dad9b132c85617168bbd30"
 
 
 def run_cli(capsys, *argv):
@@ -202,6 +209,28 @@ class TestGoldenOutput:
         del cert["wall_time_s"]
         text = json.dumps(cert, indent=2)
         assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_VERIFY_SHA256
+
+    def test_float_verify_certificate(self, capsys):
+        code, out, _ = run_cli(capsys, "verify", "--a", "0.6666757", "--n", "10", "--json")
+        assert code == 0
+        cert = json.loads(out)
+        del cert["wall_time_s"]
+        text = json.dumps(cert, indent=2)
+        assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_FLOAT_VERIFY_SHA256
+
+    @pytest.mark.parametrize(
+        "argv, golden",
+        [
+            (["norms", "--a", "0.6666757", "--n", "10", "--json"], GOLDEN_FLOAT_NORMS_SHA256),
+            (["search", "--n", "10", "--json"], GOLDEN_SEARCH_SHA256),
+            (["scan", "--n-min", "4", "--n-max", "12", "--json"], GOLDEN_SCAN_SHA256),
+        ],
+        ids=["float-norms", "search", "scan"],
+    )
+    def test_stdout(self, capsys, argv, golden):
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == golden
 
 
 class TestSearchAndScan:

@@ -9,28 +9,27 @@ from hypothesis import assume, given, strategies as st
 
 import korenblum.domination
 from korenblum import (
-    DominationViolated,
-    HypothesisViolated,
-    NoInteriorRoot,
     Params,
-    critical_polynomial,
     critical_root,
-    eval_f,
-    eval_g,
     pole_zero_radii,
     ratio_envelope,
-    run_verification,
     scan,
     verify_domination,
 )
+from korenblum.certificate import run_verification
 from korenblum.domination import (
     SCAN_HI,
     SCAN_LO,
+    DominationViolated,
+    HypothesisViolated,
+    NoInteriorRoot,
     bisect_sign_change,
+    critical_polynomial,
     critical_polynomial_derivative,
     deflated_polynomial,
     newton_polish,
 )
+from korenblum.family import eval_f, eval_g
 
 FROZEN_ROOT = 0.6779049274218489
 
@@ -61,6 +60,9 @@ PINNED_DOMINATION = (
 # Just below a = 9/11, where the interior root of p merges into r = 1 at
 # n = 10, the root sits above SCAN_HI.
 NEAR_MERGE = Params(Fraction(9, 11) - Fraction(1, 10**7), 10)
+# Closer still: the root lies about 2.7e-7 below 1, between the last two
+# points of a linear scan of [SCAN_HI, 1).
+NEARER_MERGE = Params(Fraction(9, 11) - Fraction(1, 10**13), 10)
 
 
 def whole_grid(params, c, radial_samples, angular_samples):
@@ -171,10 +173,23 @@ class TestCriticalRoot:
         assert abs(critical_polynomial(NEAR_MERGE, c)) < 1e-14
         assert run_verification(NEAR_MERGE, exact=True).passed
 
+    def test_root_within_1e_6_of_one(self):
+        c = critical_root(NEARER_MERGE)
+        assert c == pytest.approx(0.99999972922, abs=1e-10)
+        assert abs(critical_polynomial(NEARER_MERGE, c)) < 1e-14
+        assert run_verification(NEARER_MERGE, exact=True).passed
+
     def test_root_merged_into_boundary(self):
         # a = 9/11 makes r = 1 a double root of q = p / (r - 1)
         params = Params(Fraction(9, 11), 10)
         assert deflated_polynomial(params, 1.0) == pytest.approx(0.0, abs=1e-14)
+        with pytest.raises(NoInteriorRoot):
+            critical_root(params)
+        # a = 1/2 is exact in floats: q = (1 - r)^2 (1 + r) / 2 > 0 on
+        # [0, 1), and its value next to r = 1 must not drown in rounding
+        params = Params(Fraction(1, 2), 3)
+        t = np.geomspace(1e-3, 1e-15, 50)
+        assert np.all(deflated_polynomial(params, 1.0 - t) > 0)
         with pytest.raises(NoInteriorRoot):
             critical_root(params)
 
@@ -267,7 +282,7 @@ class TestVerifyDomination:
             )
 
     @pytest.mark.parametrize("shape", [(256, 1024), (100, 1024), (256, 300), (37, 301)])
-    @pytest.mark.parametrize("block_rows", [1, 7, korenblum.domination.GRID_BLOCK_ROWS])
+    @pytest.mark.parametrize("block_rows", sorted({1, 7, 8, korenblum.domination.GRID_BLOCK_ROWS}))
     def test_blocked_grid_matches_whole_grid(self, monkeypatch, shape, block_rows):
         monkeypatch.setattr(korenblum.domination, "GRID_BLOCK_ROWS", block_rows)
         # At a = 0 every row is flat up to rounding, so only the tie band

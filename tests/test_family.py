@@ -5,8 +5,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from korenblum import Params, as_fraction, eval_f, eval_g, fraction_to_decimal, reference_params
-from korenblum.family import eval_abs_ratio
+from korenblum import Params, reference_params
+from korenblum.family import as_fraction, eval_abs_ratio, eval_f, eval_g, fraction_to_decimal
 
 
 class TestAsFraction:

@@ -6,19 +6,15 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from korenblum import (
-    Params,
+from korenblum import Params, norm_sq_quad, norm_sq_f, norm_sq_g
+from korenblum import quadrature
+from korenblum.family import eval_f, eval_g
+from korenblum.quadrature import (
     QuadratureGrid,
     QuadratureNotConverged,
     cross_check,
-    integrand_f,
-    integrand_g,
-    norm_sq_quad,
-    norm_sq_f,
-    norm_sq_g,
+    gauss_legendre_nodes,
 )
-from korenblum import quadrature
-from korenblum.quadrature import gauss_legendre_nodes
 
 AGREEMENT_CASES = [("0.6666714", 10), ("0.1", 2), ("0.5", 10), ("0.9", 4)]
 
@@ -27,7 +23,6 @@ class TestGrid:
     def test_defaults(self):
         grid = QuadratureGrid()
         assert (grid.radial_nodes, grid.angular_nodes) == (128, 256)
-        assert grid.scheme == "gauss-legendre"
 
     def test_doubled(self):
         grid = QuadratureGrid(8, 16).doubled()
@@ -38,8 +33,6 @@ class TestGrid:
             QuadratureGrid(radial_nodes=4)
         with pytest.raises(ValueError):
             QuadratureGrid(angular_nodes=8)
-        with pytest.raises(ValueError):
-            QuadratureGrid(scheme="trapezoid")
 
 
 class TestNodes:
@@ -106,23 +99,28 @@ class TestRuleCache:
 
 class TestIntegrands:
     def test_nonnegative_on_grid(self):
-        r = np.linspace(0.0, 1.0, 41)[:, None]
-        phi = np.linspace(0.0, 2 * np.pi, 64)[None, :]
-        for a, n in AGREEMENT_CASES:
-            p = Params(Fraction(a), n)
-            assert np.all(integrand_f(p, r, phi) >= 0.0)
-            assert np.all(integrand_g(p, r, phi) >= 0.0)
-
-    def test_rejects_radius_outside_disk(self, reference):
-        with pytest.raises(ValueError):
-            integrand_f(reference, 1.2, 0.0)
-        with pytest.raises(ValueError):
-            integrand_g(reference, -0.1, 0.0)
+        rho = np.linspace(0.0, 1.0, 41)[:, None]
+        cos_phi = np.cos(np.linspace(0.0, 2 * np.pi, 64))[None, :]
+        for a, _ in AGREEMENT_CASES:
+            a = float(Fraction(a))
+            assert np.all(quadrature._kernel_f(a, rho, cos_phi) >= 0.0)
+            assert np.all(quadrature._kernel_g(a, rho, cos_phi) >= 0.0)
 
     def test_angular_reduction(self, reference):
-        # integrand depends on the angle only through cos(phi)
-        assert integrand_f(reference, 0.7, 0.5) == pytest.approx(
-            integrand_f(reference, 0.7, 2 * np.pi - 0.5), abs=1e-15
+        # |f|^2 and |g|^2 / r^2 depend on the angle only through
+        # cos(n theta), which is what the kernels take
+        r = np.linspace(0.05, 1.0, 20)[:, None]
+        theta = np.linspace(0.0, 2 * np.pi, 37)[None, :]
+        z = r * np.exp(1j * theta)
+        rho, cos_phi = r ** reference.n, np.cos(reference.n * theta)
+        a = reference.a_float
+        assert np.allclose(
+            quadrature._kernel_f(a, rho, cos_phi), np.abs(eval_f(reference, z)) ** 2,
+            rtol=1e-13, atol=0.0,
+        )
+        assert np.allclose(
+            quadrature._kernel_g(a, rho, cos_phi) * r ** 2, np.abs(eval_g(reference, z)) ** 2,
+            rtol=1e-13, atol=0.0,
         )
 
 

@@ -4,20 +4,18 @@ from fractions import Fraction
 
 import pytest
 
-from korenblum import (
+from korenblum import best_bound, critical_a, delta_of_a, scan
+from korenblum.domination import NoInteriorRoot
+from korenblum.family import fraction_to_decimal
+from korenblum.search import (
+    WANG_UPPER_BOUND,
     AmbiguousSign,
     CertificationFailed,
     InvalidBracket,
-    NoInteriorRoot,
-    WANG_UPPER_BOUND,
-    best_bound,
+    _certified_sign,
+    _quantize_up,
     coarse_scan,
-    critical_a,
-    delta_of_a,
-    fraction_to_decimal,
-    scan,
 )
-from korenblum.search import _certified_sign, _quantize_up
 
 # Sign change of delta(a) at n = 10, frozen from exact-arithmetic bisection.
 FROZEN_A_STAR = 0.6666706833862361

@@ -7,11 +7,8 @@ from hypothesis import given, strategies as st
 
 from korenblum import (
     Params,
-    bergman_weight,
     f_coefficient,
-    f_term,
     g_coefficient,
-    g_term,
     norm_difference,
     norm_sq_f,
     norm_sq_g,
@@ -37,7 +34,6 @@ coefficients = st.integers(min_value=1, max_value=9_999_999).map(
 class TestMonomialWeights:
     def test_exact_identity_up_to_30(self):
         for m in range(31):
-            assert bergman_weight(m) == Fraction(1, m + 1)
             assert power_series_norm_sq([(m, 1)]) == Fraction(1, m + 1)
 
     def test_scaling(self):
@@ -46,7 +42,7 @@ class TestMonomialWeights:
 
     def test_rejects_negative_exponent(self):
         with pytest.raises(ValueError):
-            bergman_weight(-1)
+            power_series_norm_sq([(-1, 1)])
 
 
 class TestClosedFormCoefficients:
@@ -58,12 +54,6 @@ class TestClosedFormCoefficients:
         assert g_coefficient(reference, 0) == Fraction(1, 2)
         assert g_coefficient(reference, 1) == 3 * a / 4
         assert float(g_coefficient(reference, 1)) == pytest.approx(0.50000355, abs=1e-14)
-
-    def test_exponent_placement(self, reference):
-        assert f_term(reference, 3).exponent == 30
-        assert g_term(reference, 3).exponent == 31
-        assert f_term(reference, 0).exponent == 0
-        assert g_term(reference, 0).exponent == 1
 
     def test_rejects_negative_index(self, reference):
         with pytest.raises(ValueError):
