@@ -25,7 +25,7 @@ from .domination import (
     ratio_envelope,
 )
 from .family import Params, fraction_to_decimal
-from .quadrature import QuadratureGrid, QuadratureNotConverged
+from .quadrature import QuadratureGrid
 from .search import (
     AmbiguousSign,
     CertificationFailed,
@@ -44,7 +44,6 @@ COMPUTE_ERRORS = (
     NoInteriorRoot,
     DominationViolated,
     HypothesisViolated,
-    QuadratureNotConverged,
     CertificationFailed,
     AmbiguousSign,
     InvalidBracket,

@@ -141,10 +141,9 @@ def newton_polish(
     dfn: Callable[[float], float],
     x: float,
     tol: float,
-    max_iter: int = 25,
 ) -> Tuple[float, int]:
     """Newton iteration from a good initial guess until |fn(x)| < tol."""
-    for iteration in range(max_iter):
+    for iteration in range(25):
         residual = fn(x)
         if abs(residual) < tol:
             return x, iteration
@@ -192,11 +191,15 @@ def critical_root(params: Params, tol: float = ROOT_TOL) -> float:
     c0 = _scan_and_bisect(
         lambda r: critical_polynomial(params, r),
         np.linspace(SCAN_LO, SCAN_HI, SCAN_CELLS + 1),
+        steps=20,
     )
     if c0 is None:
+        # Next to r = 1, p = (r - 1) q is below tol before Newton starts,
+        # so the bisection alone has to bring c0 to full precision.
         c0 = _scan_and_bisect(
             lambda r: deflated_polynomial(params, r),
             1.0 - np.geomspace(1.0 - SCAN_HI, SCAN_TOP_GAP, SCAN_CELLS + 1),
+            steps=60,
         )
     if c0 is None:
         raise NoInteriorRoot(
@@ -208,12 +211,12 @@ def critical_root(params: Params, tol: float = ROOT_TOL) -> float:
     return float(c)
 
 
-def _scan_and_bisect(fn: Callable, xs: np.ndarray) -> Optional[float]:
+def _scan_and_bisect(fn: Callable, xs: np.ndarray, steps: int) -> Optional[float]:
     """Newton start point from the first root of ``fn`` seen on ``xs``.
 
     A sample where fn is exactly zero wins; otherwise the first sign
-    change between neighbours is bisected 20 times and its midpoint
-    returned.  None when fn keeps one sign on all of ``xs``.
+    change between neighbours is bisected ``steps`` times and its
+    midpoint returned.  None when fn keeps one sign on all of ``xs``.
     """
     signs = np.sign(fn(xs))
     hits = np.nonzero(signs == 0.0)[0]
@@ -223,7 +226,9 @@ def _scan_and_bisect(fn: Callable, xs: np.ndarray) -> Optional[float]:
     if not changes.size:
         return None
     i = int(changes[0])
-    lo, hi = bisect_sign_change(lambda r: fn(float(r)), float(xs[i]), float(xs[i + 1]), steps=20)
+    lo, hi = bisect_sign_change(
+        lambda r: fn(float(r)), float(xs[i]), float(xs[i + 1]), steps=steps
+    )
     return 0.5 * (lo + hi)
 
 

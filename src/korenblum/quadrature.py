@@ -24,16 +24,16 @@ Two coordinate systems are supported:
 The two routes share no code with the Taylor-series engine, so their
 agreement is a genuine consistency check on both.
 
-Each Gauss-Legendre rule is solved once per node count and cached, and
-``cross_check`` builds one tensor rule per grid that its four integrals
-share.
+Each Gauss-Legendre rule is solved once per node count and cached.
+``cross_check`` takes its four quadrature values from ``norm_sq_quad``,
+so the certificate's numbers and the norm function share one code path.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Literal, NamedTuple
+from typing import Literal
 
 import numpy as np
 
@@ -99,24 +99,12 @@ def _kernel_g(a: float, rho, cos_phi):
     return num / den
 
 
-class _TensorRule(NamedTuple):
-    """Radial nodes, cos of the angular nodes and the tensor weights."""
-
-    u: np.ndarray
-    cos_phi: np.ndarray
-    weights: np.ndarray
-
-
-def _tensor_rule(grid: QuadratureGrid) -> _TensorRule:
+def _tensor_value(params: Params, which: Which, grid: QuadratureGrid, coords: Coords) -> float:
     u, wu = gauss_legendre_nodes(grid.radial_nodes)
     phi, wphi = gauss_legendre_nodes(grid.angular_nodes, 0.0, 2.0 * np.pi)
-    return _TensorRule(u, np.cos(phi)[None, :], np.outer(wu, wphi))
-
-
-def _tensor_value(params: Params, which: Which, rule: _TensorRule, coords: Coords) -> float:
+    cos_phi = np.cos(phi)[None, :]
     a = params.a_float
     n = params.n
-    u, cos_phi = rule.u, rule.cos_phi
     if coords == "original":
         r = u[:, None]
         if which == "f":
@@ -132,7 +120,7 @@ def _tensor_value(params: Params, which: Which, rule: _TensorRule, coords: Coord
         rho = (u ** (n / 4.0))[:, None]
         values = _kernel_g(a, rho, cos_phi)
         prefactor = 1.0 / (4.0 * np.pi)
-    return float(prefactor * np.sum(rule.weights * values))
+    return float(prefactor * np.sum(np.outer(wu, wphi) * values))
 
 
 def norm_sq_quad(
@@ -154,9 +142,9 @@ def norm_sq_quad(
         raise ValueError(f"unknown coordinates {coords!r}")
     if grid is None:
         grid = QuadratureGrid()
-    value = _tensor_value(params, which, _tensor_rule(grid), coords)
+    value = _tensor_value(params, which, grid, coords)
     if check_convergence:
-        refined = _tensor_value(params, which, _tensor_rule(grid.doubled()), coords)
+        refined = _tensor_value(params, which, grid.doubled(), coords)
         if abs(refined - value) > CONVERGENCE_TOL:
             raise QuadratureNotConverged(
                 f"norm_sq_quad({which}, {coords}) moved by "
@@ -186,27 +174,25 @@ class CrossCheckReport:
 def cross_check(
     params: Params,
     grid: QuadratureGrid | None = None,
-    tol: float = CONVERGENCE_TOL,
     K: int = 64,
 ) -> CrossCheckReport:
     """Compare the series norms against both quadrature routes.
 
     The report fails (``passed`` False) if any pairwise discrepancy
-    within the f values or within the g values exceeds ``tol``.
+    within the f values or within the g values exceeds CONVERGENCE_TOL.
+    The grid is not doubled: the three-way agreement is the evidence.
     """
     from .series import norm_sq_f, norm_sq_g
 
-    if grid is None:
-        grid = QuadratureGrid()
     sf = norm_sq_f(params, K=K, mode="float")
     sg = norm_sq_g(params, K=K, mode="float")
     series_f = float(sf.midpoint)
     series_g = float(sg.midpoint)
-    rule = _tensor_rule(grid)
-    qf_orig = _tensor_value(params, "f", rule, "original")
-    qf_subs = _tensor_value(params, "f", rule, "substituted")
-    qg_orig = _tensor_value(params, "g", rule, "original")
-    qg_subs = _tensor_value(params, "g", rule, "substituted")
+    qf_orig, qf_subs, qg_orig, qg_subs = (
+        norm_sq_quad(params, which, grid, coords, check_convergence=False)
+        for which in ("f", "g")
+        for coords in ("original", "substituted")
+    )
     f_values = (series_f, qf_orig, qf_subs)
     g_values = (series_g, qg_orig, qg_subs)
     disc_f = max(abs(x - y) for x in f_values for y in f_values)
@@ -221,6 +207,6 @@ def cross_check(
         quad_g_substituted=qg_subs,
         delta_quad=qf_orig - qg_orig,
         max_discrepancy=disc,
-        tol=tol,
-        passed=disc <= tol,
+        tol=CONVERGENCE_TOL,
+        passed=disc <= CONVERGENCE_TOL,
     )

@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence, Tuple
+from typing import Iterable, Optional, Tuple
 
 from .domination import (
     DominationReport,
@@ -43,6 +43,8 @@ DEFAULT_SAFETY = 5e-6
 QUANTIZE_DECIMALS = 7
 # Width at which critical_a stops bisecting the sign change of delta(a).
 BRACKET_TOL = 1e-10
+# Coefficients at which coarse_scan samples delta(a).
+COARSE_GRID = tuple(i / 100 for i in range(1, 100))
 
 
 class InvalidBracket(ValueError):
@@ -62,15 +64,12 @@ def delta_of_a(
     a: Coefficient,
     K: int = DEFAULT_TERMS,
     mode: str = "float",
-    adaptive: bool = False,
 ) -> DifferenceResult:
     """Norm gap enclosure at coefficient a and frequency n."""
-    return norm_difference(Params(as_fraction(a), n), K=K, mode=mode, adaptive=adaptive)
+    return norm_difference(Params(as_fraction(a), n), K=K, mode=mode)
 
 
-def _certified_sign(
-    n: int, a: float, K: int, max_terms: int = MAX_TERMS
-) -> Tuple[int, DifferenceResult]:
+def _certified_sign(n: int, a: float, K: int) -> Tuple[int, DifferenceResult]:
     """Sign of delta(a) read from a float enclosure, escalating K as needed.
 
     The enclosure is not rounded outward, so the sign is an estimate,
@@ -83,12 +82,12 @@ def _certified_sign(
             return 1, d
         if d.delta_upper < 0:
             return -1, d
-        if terms >= max_terms:
+        if terms >= MAX_TERMS:
             raise AmbiguousSign(
                 f"delta enclosure straddles zero at a = {a!r}, n = {n} "
                 f"even with {terms} terms"
             )
-        terms = min(2 * terms, max_terms)
+        terms = min(2 * terms, MAX_TERMS)
 
 
 @dataclass(frozen=True)
@@ -101,26 +100,21 @@ class CoarseScan:
     sign_changes: Tuple[Tuple[float, float], ...]
 
 
-def coarse_scan(
-    n: int,
-    a_values: Optional[Sequence[float]] = None,
-    K: int = DEFAULT_TERMS,
-) -> CoarseScan:
-    """Sample delta(a) on a grid and record every sign-change cell.
+def coarse_scan(n: int, K: int = DEFAULT_TERMS) -> CoarseScan:
+    """Sample delta(a) on COARSE_GRID and record every sign-change cell.
 
     All sign changes are recorded rather than assuming there is exactly
     one; downstream code picks the rising change it can certify from.
     """
-    if a_values is None:
-        a_values = [i / 100 for i in range(1, 100)]
-    values = [float(delta_of_a(n, a, K=K).midpoint) for a in a_values]
+    grid = COARSE_GRID
+    values = [float(delta_of_a(n, a, K=K).midpoint) for a in grid]
     changes = []
     for i in range(len(values) - 1):
         if values[i] == 0.0 or (values[i] > 0) != (values[i + 1] > 0):
-            changes.append((float(a_values[i]), float(a_values[i + 1])))
+            changes.append((grid[i], grid[i + 1]))
     return CoarseScan(
         n=n,
-        a_values=tuple(float(a) for a in a_values),
+        a_values=grid,
         deltas=tuple(values),
         sign_changes=tuple(changes),
     )
@@ -134,13 +128,11 @@ class CriticalPoint:
     a_star: float
     bracket: Tuple[float, float]
     rising: bool
-    delta_at_star: DifferenceResult
 
 
 def critical_a(
     n: int,
     bracket: Tuple[float, float],
-    tol: float = BRACKET_TOL,
     K: int = DEFAULT_TERMS,
 ) -> CriticalPoint:
     """Bisect a sign change of delta(a) inside ``bracket``.
@@ -159,22 +151,21 @@ def critical_a(
     s_hi, _ = _certified_sign(n, a_hi, K)
     if s_lo == s_hi:
         raise InvalidBracket(
-            f"delta has certified sign {s_lo:+d} at both ends of {bracket} for n = {n}"
+            f"float estimates of delta have sign {s_lo:+d} at both ends of {bracket} "
+            f"for n = {n}"
         )
-    while a_hi - a_lo > tol:
+    while a_hi - a_lo > BRACKET_TOL:
         mid = 0.5 * (a_lo + a_hi)
         s_mid, _ = _certified_sign(n, mid, K)
         if s_mid == s_lo:
             a_lo = mid
         else:
             a_hi = mid
-    a_star = 0.5 * (a_lo + a_hi)
     return CriticalPoint(
         n=n,
-        a_star=a_star,
+        a_star=0.5 * (a_lo + a_hi),
         bracket=(a_lo, a_hi),
         rising=s_lo < 0,
-        delta_at_star=delta_of_a(n, a_star, K=K),
     )
 
 
@@ -188,7 +179,6 @@ class BoundCandidate:
     certified: bool
     improves_wang: bool
     a_star: Optional[float]
-    delta: DifferenceResult
     domination: DominationReport
 
 
@@ -256,7 +246,6 @@ def best_bound(
         certified=True,
         improves_wang=c < WANG_UPPER_BOUND - 1e-9,
         a_star=a_star,
-        delta=delta,
         domination=report,
     )
 

@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from hypothesis import assume, given, strategies as st
+from mpmath import mp
 
 import korenblum.domination
 from korenblum import (
@@ -30,6 +31,8 @@ from korenblum.domination import (
     newton_polish,
 )
 from korenblum.family import eval_f, eval_g
+
+from .oracles import mp_fraction
 
 FROZEN_ROOT = 0.6779049274218489
 
@@ -178,6 +181,23 @@ class TestCriticalRoot:
         assert c == pytest.approx(0.99999972922, abs=1e-10)
         assert abs(critical_polynomial(NEARER_MERGE, c)) < 1e-14
         assert run_verification(NEARER_MERGE, exact=True).passed
+
+    @pytest.mark.parametrize("n", [2, 3, 10, 20])
+    def test_near_merge_roots_match_mpmath(self, n):
+        # q = p / (r - 1) has a double root at r = 1 when a = (n-1)/(n+1).
+        # Just below that a the root lies next to 1, where |p| < ROOT_TOL
+        # holds before Newton starts, so c is as good as the bisection.
+        for e in range(7, 17):
+            a = Fraction(n - 1, n + 1) - Fraction(1, 10**e)
+            c = critical_root(Params(a, n))
+            with mp.workdps(50):
+                a_mp = mp_fraction(a)
+                q = lambda r: a_mp * mp.fsum(r**k for k in range(n + 1)) - mp.fsum(
+                    r**k for k in range(1, n)
+                )
+                half = (1 - mp.mpf(c)) / 2
+                root = mp.findroot(q, (c - half, c + half), solver="anderson")
+                assert abs(c - root) < 2.5e-16, (n, e)
 
     def test_root_merged_into_boundary(self):
         # a = 9/11 makes r = 1 a double root of q = p / (r - 1)

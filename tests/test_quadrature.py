@@ -171,14 +171,25 @@ class TestCrossCheck:
         ):
             assert value == pytest.approx(report.series_f, abs=1e-10)
 
-    def test_flags_failure_under_absurd_tolerance(self, reference):
-        report = cross_check(reference, tol=1e-16)
+    def test_flags_failure_under_absurd_tolerance(self, reference, monkeypatch):
+        monkeypatch.setattr(quadrature, "CONVERGENCE_TOL", 1e-16)
+        report = cross_check(reference)
         assert not report.passed
 
     @pytest.mark.parametrize("a, n", [("0.9", 4), ("0.1", 2)])
     def test_other_params_pass(self, a, n):
         report = cross_check(Params(Fraction(a), n))
         assert report.passed
+
+    @pytest.mark.parametrize("a, n", AGREEMENT_CASES + [("0", 4)])
+    def test_quadrature_values_are_norm_sq_quad(self, a, n):
+        # the certificate's numbers come from the same code as norm_sq_quad
+        p = Params(Fraction(a), n)
+        report = cross_check(p)
+        for which in ("f", "g"):
+            for coords in ("original", "substituted"):
+                value = norm_sq_quad(p, which, coords=coords, check_convergence=False)
+                assert getattr(report, f"quad_{which}_{coords}") == value
 
     def test_exact_agreement_at_a_zero(self):
         report = cross_check(Params(Fraction(0), 4))

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from korenblum import best_bound, critical_a, delta_of_a, scan
+from korenblum import best_bound, critical_a, delta_of_a, scan, search
 from korenblum.domination import NoInteriorRoot
 from korenblum.family import fraction_to_decimal
 from korenblum.search import (
@@ -49,9 +49,10 @@ class TestCertifiedSign:
         assert sign == 1
         assert d.truncation_index > 1
 
-    def test_ambiguous_when_capped(self):
+    def test_ambiguous_when_capped(self, monkeypatch):
+        monkeypatch.setattr(search, "MAX_TERMS", 4)
         with pytest.raises(AmbiguousSign):
-            _certified_sign(10, FROZEN_A_STAR, 2, max_terms=4)
+            _certified_sign(10, FROZEN_A_STAR, 2)
 
 
 class TestCoarseScan:
@@ -61,8 +62,9 @@ class TestCoarseScan:
         i = result.a_values.index(0.66)
         assert result.deltas[i] < 0 < result.deltas[i + 1]
 
-    def test_custom_grid(self):
-        result = coarse_scan(10, a_values=[0.5, 0.6, 0.7, 0.8])
+    def test_custom_grid(self, monkeypatch):
+        monkeypatch.setattr(search, "COARSE_GRID", (0.5, 0.6, 0.7, 0.8))
+        result = coarse_scan(10)
         assert result.sign_changes == ((0.6, 0.7),)
 
 
@@ -74,14 +76,14 @@ class TestCriticalA:
         assert point.bracket[1] - point.bracket[0] <= 1e-10
 
     def test_wide_bracket_still_works(self):
-        # any bracket with certified opposite signs is fair game
-        point = critical_a(10, (0.01, 0.99), tol=1e-9)
+        # any bracket whose float estimates have opposite signs is fair game
+        point = critical_a(10, (0.01, 0.99))
         assert point.a_star == pytest.approx(FROZEN_A_STAR, abs=1e-8)
 
     def test_same_sign_brackets_rejected(self):
-        with pytest.raises(InvalidBracket):
+        with pytest.raises(InvalidBracket, match=r"float estimates of delta have sign -1"):
             critical_a(10, (0.1, 0.5))
-        with pytest.raises(InvalidBracket):
+        with pytest.raises(InvalidBracket, match=r"float estimates of delta have sign \+1"):
             critical_a(10, (0.7, 0.9))
 
     def test_domain_validation(self):
