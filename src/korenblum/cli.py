@@ -32,10 +32,9 @@ from .search import (
     InvalidBracket,
     WANG_UPPER_BOUND,
     best_bound,
-    delta_of_a,
     scan,
 )
-from .series import MAX_TERMS, enclose_difference, norm_sq_f, norm_sq_g
+from .series import MAX_TERMS, enclose_difference, float_norms_sq, norm_sq_f, norm_sq_g
 # Not called here; kept so that ``cli.norm_difference`` stays a name that
 # bench/tracing.py can wrap.
 from .series import norm_difference  # noqa: F401
@@ -371,10 +370,10 @@ def cmd_plot_data(args: argparse.Namespace) -> int:
             return 2
         writer.writerow(["a", "delta_lower", "delta_upper"])
         points = max(args.points, 2)
-        for i in range(points):
-            a = a_lo + (a_hi - a_lo) * i / (points - 1)
-            d = delta_of_a(args.n, a, K=args.terms)
-            writer.writerow([repr(a), repr(float(d.delta_lower)), repr(float(d.delta_upper))])
+        a_values = [a_lo + (a_hi - a_lo) * i / (points - 1) for i in range(points)]
+        d = enclose_difference(*float_norms_sq(a_values, args.n, args.terms))
+        for row in zip(a_values, d.delta_lower.tolist(), d.delta_upper.tolist()):
+            writer.writerow([repr(x) for x in row])
     _emit(buffer.getvalue().rstrip("\n"), args.out)
     return 0
 

@@ -32,7 +32,14 @@ from .domination import (
     verify_domination,
 )
 from .family import Coefficient, Params, as_fraction
-from .series import DEFAULT_TERMS, MAX_TERMS, DifferenceResult, norm_difference
+from .series import (
+    DEFAULT_TERMS,
+    MAX_TERMS,
+    DifferenceResult,
+    enclose_difference,
+    float_norms_sq,
+    norm_difference,
+)
 
 # Best previously published upper bound for Korenblum's constant that
 # this construction is measured against.
@@ -103,11 +110,16 @@ class CoarseScan:
 def coarse_scan(n: int, K: int = DEFAULT_TERMS) -> CoarseScan:
     """Sample delta(a) on COARSE_GRID and record every sign-change cell.
 
-    All sign changes are recorded rather than assuming there is exactly
-    one; downstream code picks the rising change it can certify from.
+    The float enclosures of ||f||^2 and ||g||^2 are formed once each,
+    over the whole grid in one pass (``series.float_norms_sq``), and
+    each sample is the midpoint of the gap enclosure: bit for bit what
+    ``delta_of_a(n, a, K)`` gives at that grid point, since every grid
+    float survives ``as_fraction`` unchanged.  All sign changes are
+    recorded rather than assuming there is exactly one; downstream code
+    picks the rising change it can certify from.
     """
     grid = COARSE_GRID
-    values = [float(delta_of_a(n, a, K=K).midpoint) for a in grid]
+    values = enclose_difference(*float_norms_sq(grid, n, K)).midpoint.tolist()
     changes = []
     for i in range(len(values) - 1):
         if values[i] == 0.0 or (values[i] > 0) != (values[i + 1] > 0):

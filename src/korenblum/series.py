@@ -45,10 +45,17 @@ normalises after every term.  A ``Fraction`` is always in lowest terms,
 so both routes give the same numerators and denominators; only the
 time differs.
 
-Float mode evaluates the same formulas in double precision for speed:
-the coefficients by the ratio a/2 recurrence, the partial sum with
-``math.fsum``.  Exact mode gives rigorous enclosures; float mode does not
-round outward.
+Float mode evaluates the same formulas in double precision for speed,
+for an array of coefficients a in one pass (``float_norms_sq``); a
+scalar call goes through the same pass as a one-element array.  Row k
+of a (K + 2)-row table holds c_k for every a: row 0 is c_0, and rows
+1..K+1 are one cumulative product down [c_1, a/2, a/2, ...], which
+rounds exactly as multiplying by a/2 one step at a time.  The K + 1
+weighted squares of each coefficient's column are summed by
+``math.fsum``, which rounds once whatever the order, and the tail is
+added per coefficient.  So element i of an array call equals the scalar
+call at a[i] bit for bit.  Exact mode gives rigorous enclosures; float
+mode does not round outward.
 """
 
 from __future__ import annotations
@@ -56,7 +63,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Literal, Tuple, Union
+from typing import Iterable, List, Literal, Sequence, Tuple, Union
+
+import numpy as np
 
 from .family import Params
 
@@ -68,6 +77,11 @@ MAX_TERMS = 8192
 # Adaptive mode stops doubling K once the gap enclosure is this narrow
 # relative to its midpoint.
 ADAPTIVE_WIDTH = 1e-3
+# Cells of one float pass's table, K + 2 per coefficient: 64 KiB of
+# doubles, so memory stays bounded for any number of coefficients and the
+# table stays below glibc's 128 KiB mmap threshold.  At K = 64 one pass
+# takes 124 coefficients.
+FLOAT_BLOCK_CELLS = 1 << 13
 
 
 def power_series_norm_sq(terms: Iterable[Tuple[int, Union[Fraction, int]]]) -> Fraction:
@@ -112,7 +126,8 @@ class NormEnclosure:
 
     ``lower`` is the partial sum through index ``truncation_index`` and
     ``upper`` adds the closed form tail bound.  Exact mode carries
-    Fractions, float mode carries floats.
+    Fractions, float mode carries floats, or arrays of floats (one per
+    coefficient) from ``float_norms_sq``.
     """
 
     lower: Scalar
@@ -164,49 +179,101 @@ def _check_terms(K: int) -> None:
         raise ValueError(f"truncation index must be at least 1, got {K}")
 
 
-def _mode_value(params: Params, mode: Mode) -> Scalar:
-    """The coefficient a in the arithmetic of ``mode``."""
-    if mode == "exact":
-        return params.a
-    if mode == "float":
-        return params.a_float
-    raise ValueError(f"unknown mode {mode!r}")
-
-
 def norm_sq_f(params: Params, K: int = DEFAULT_TERMS, mode: Mode = "float") -> NormEnclosure:
     """Enclose ||f||^2 by the partial sum through k = K plus tail bound."""
-    a = _mode_value(params, mode)
-    return _enclose_norm_sq(a, params.n, K, mode, 1, a / 2, (a * a + 2) / 4)
+    return _enclose_norm_sq(params, K, mode, _f_shape)
 
 
 def norm_sq_g(params: Params, K: int = DEFAULT_TERMS, mode: Mode = "float") -> NormEnclosure:
     """Enclose ||g||^2 by the partial sum through k = K plus tail bound."""
-    a = _mode_value(params, mode)
-    # a ** 0 / 2 is one half as a Fraction or a float, whichever a is.
-    return _enclose_norm_sq(a, params.n, K, mode, 2, a ** 0 / 2, 3 * a / 4)
+    return _enclose_norm_sq(params, K, mode, _g_shape)
 
 
-def _enclose_norm_sq(
-    a: Scalar, n: int, K: int, mode: Mode, s: int, c0: Scalar, c1: Scalar
-) -> NormEnclosure:
+def float_norms_sq(
+    a: Sequence[float], n: int, K: int = DEFAULT_TERMS
+) -> Tuple[NormEnclosure, NormEnclosure]:
+    """Float enclosures of ||f||^2 and ||g||^2 at every coefficient in ``a``.
+
+    One pass per norm over each block of coefficients; ``lower`` and
+    ``upper`` are arrays whose element i equals, bit for bit, the float
+    ``norm_sq_f`` and ``norm_sq_g`` at ``Params(a[i], n)``.  The
+    coefficients are used as given, without the ``Params`` check that
+    0 <= a < 1.
+    """
+    _check_terms(K)
+    a = np.asarray(a, dtype=float)
+    step = max(1, FLOAT_BLOCK_CELLS // (K + 2))
+    enclosures = []
+    for shape in (_f_shape, _g_shape):
+        lower: List[float] = []
+        upper: List[float] = []
+        for start in range(0, a.size, step):
+            block = a[start:start + step]
+            block_lower, block_upper = _float_sums(block, n, K, *shape(block))
+            lower += block_lower
+            upper += block_upper
+        enclosures.append(NormEnclosure(np.array(lower), np.array(upper), K, "float"))
+    return enclosures[0], enclosures[1]
+
+
+def _f_shape(a):
+    """Exponent offset s, c_0 and c_1 of ||f||^2, in the arithmetic of a."""
+    return 1, a / 2, (a * a + 2) / 4
+
+
+def _g_shape(a):
+    """Exponent offset s, c_0 and c_1 of ||g||^2, in the arithmetic of a."""
+    # a ** 0 / 2 is one half as a Fraction, a float or an array, whichever a is.
+    return 2, a ** 0 / 2, 3 * a / 4
+
+
+def _enclose_norm_sq(params: Params, K: int, mode: Mode, shape) -> NormEnclosure:
     """Enclose c0^2/s + c1^2 sum_{k>=1} (a/2)^(2(k-1)) / (n k + s).
 
-    The partial sum runs through k = K and the upper end adds the
-    closed form tail; see the module docstring.
+    ``shape`` gives s, c0 and c1 from a.  The partial sum runs through
+    k = K and the upper end adds the closed form tail; see the module
+    docstring.
     """
     _check_terms(K)
     if mode == "exact":
-        lower, upper = _exact_sum(a, n, K, s, c0, c1)
-        return NormEnclosure(lower, upper, K, mode)
+        lower, upper = _exact_sum(params.a, params.n, K, *shape(params.a))
+    elif mode == "float":
+        a = params.a_float
+        (lower,), (upper,) = _float_sums(np.array([a]), params.n, K, *shape(a))
+    else:
+        raise ValueError(f"unknown mode {mode!r}")
+    return NormEnclosure(lower, upper, K, mode)
+
+
+def _float_sums(
+    a: np.ndarray, n: int, K: int, s: int, c0, c1
+) -> Tuple[List[float], List[float]]:
+    """Float lower and upper ends at each coefficient in ``a``.
+
+    Row k of ``coeffs`` holds the coefficient c_k of every a, one column
+    per coefficient; rows 1..K+1 are one cumulative product down
+    [c1, ratio, ratio, ...], the same sequence of roundings as
+    multiplying by the ratio K times.  ``math.fsum`` rounds each column's
+    sum once, whatever the order of its terms.  The tail squares with
+    ``**``, which rounds through libm pow and differs from ``c * c`` in
+    about one case in a thousand, so it stays one Python expression per
+    coefficient.
+    """
     ratio = a / 2.0
-    coeffs = [c0]
-    value = c1
-    for _ in range(K + 1):
-        coeffs.append(value)
-        value *= ratio
-    partial = math.fsum(coeffs[k] * coeffs[k] / (n * k + s) for k in range(K + 1))
-    tail = coeffs[K + 1] ** 2 / ((1.0 - ratio * ratio) * (n * (K + 1) + s))
-    return NormEnclosure(partial, partial + tail, K, mode)
+    coeffs = np.empty((K + 2, a.size))
+    coeffs[0] = c0
+    coeffs[1] = c1
+    coeffs[2:] = ratio
+    np.multiply.accumulate(coeffs[1:], axis=0, out=coeffs[1:])
+    head = coeffs[:-1]
+    terms = head * head / np.arange(s, n * (K + 1) + s, n, dtype=float)[:, None]
+    lower = [math.fsum(column) for column in terms.T.tolist()]
+    last = n * (K + 1) + s
+    upper = [
+        partial + c ** 2 / ((1.0 - r * r) * last)
+        for partial, c, r in zip(lower, coeffs[-1].tolist(), ratio.tolist())
+    ]
+    return lower, upper
 
 
 def _exact_sum(

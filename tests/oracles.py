@@ -14,11 +14,15 @@ tolerance used in the tests.
 ``exact_norm_sq`` is the exact counterpart for the norm enclosures: it
 adds the K + 1 squared coefficients one ``Fraction`` at a time, each
 with its Bergman weight, and adds the closed form tail at the end.
+``float_norm_sq_loop`` is the float counterpart: one coefficient at a
+time by the ratio a/2 recurrence, the rounding sequence that the array
+pass of the series engine must reproduce bit for bit.
 Nothing here shares code with the series engine.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import List, Tuple
 
@@ -86,6 +90,29 @@ def exact_norm_sq(a: Fraction, n: int, K: int, kind: str) -> Tuple[Fraction, Fra
     nxt = _exact_coefficient(a, kind, K + 1)
     q = a / 2
     return lower, lower + nxt * nxt / ((1 - q * q) * (n * (K + 1) + s))
+
+
+def float_norm_sq_loop(a: float, n: int, K: int, kind: str) -> Tuple[float, float]:
+    """Float enclosure (lower, upper) of ||f||^2 or ||g||^2 by a scalar loop.
+
+    Each coefficient is the previous one times a/2, the squared terms
+    are summed by ``math.fsum`` and the tail is the closed form bound.
+    """
+    if kind not in ("f", "g"):
+        raise ValueError(f"kind must be 'f' or 'g', got {kind!r}")
+    if kind == "f":
+        s, c0, c1 = 1, a / 2, (a * a + 2) / 4
+    else:
+        s, c0, c1 = 2, 0.5, 3 * a / 4
+    ratio = a / 2.0
+    coeffs = [c0]
+    value = c1
+    for _ in range(K + 1):
+        coeffs.append(value)
+        value *= ratio
+    partial = math.fsum(coeffs[k] * coeffs[k] / (n * k + s) for k in range(K + 1))
+    tail = coeffs[K + 1] ** 2 / ((1.0 - ratio * ratio) * (n * (K + 1) + s))
+    return partial, partial + tail
 
 
 def relative_gap(value, target) -> float:

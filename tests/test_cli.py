@@ -32,6 +32,9 @@ GOLDEN_FLOAT_VERIFY_SHA256 = "45796c8c7c0a3c1c5a55a9b2ae571369a336d9de69c684b81f
 GOLDEN_FLOAT_NORMS_SHA256 = "08d56cd63ad28830c74fdf00dbe398b7ad86c6ae8b7108a8ddd2e96358ca79d9"
 GOLDEN_SEARCH_SHA256 = "5b97646f82cf9518474eb95f53fb4fa04fdb9663fa26356856a013f076e1c644"
 GOLDEN_SCAN_SHA256 = "6db71d3be384f1e0231d636fcedca4f66cb550b830dad9b132c85617168bbd30"
+# plot-data --kind delta at its defaults (256 points on [0.6, 0.7], K = 64),
+# as 256 separate delta_of_a calls printed it.
+GOLDEN_PLOT_DELTA_SHA256 = "f3efcc3637d99ebfd260e505ad586ff5e4477ac71bf69015f0f078436b8b6a80"
 
 
 def run_cli(capsys, *argv):
@@ -224,8 +227,9 @@ class TestGoldenOutput:
             (["norms", "--a", "0.6666757", "--n", "10", "--json"], GOLDEN_FLOAT_NORMS_SHA256),
             (["search", "--n", "10", "--json"], GOLDEN_SEARCH_SHA256),
             (["scan", "--n-min", "4", "--n-max", "12", "--json"], GOLDEN_SCAN_SHA256),
+            (["plot-data", *REFERENCE_ARGS, "--kind", "delta"], GOLDEN_PLOT_DELTA_SHA256),
         ],
-        ids=["float-norms", "search", "scan"],
+        ids=["float-norms", "search", "scan", "plot-delta"],
     )
     def test_stdout(self, capsys, argv, golden):
         code, out, _ = run_cli(capsys, *argv)

@@ -1,10 +1,12 @@
 from __future__ import annotations
 
+import hashlib
+import struct
 from fractions import Fraction
 
 import pytest
 
-from korenblum import best_bound, critical_a, delta_of_a, scan, search
+from korenblum import best_bound, critical_a, delta_of_a, scan, search, series
 from korenblum.domination import NoInteriorRoot
 from korenblum.family import fraction_to_decimal
 from korenblum.search import (
@@ -20,6 +22,36 @@ from korenblum.search import (
 # Sign change of delta(a) at n = 10, frozen from exact-arithmetic bisection.
 FROZEN_A_STAR = 0.6666706833862361
 FROZEN_ROOT = 0.6779049274218489
+
+# sha256 of coarse_scan(n, K).deltas packed as little-endian doubles, as
+# 99 separate delta_of_a calls computed them.  At K = 8 the tail bound
+# is visible in the enclosures (about 1e-7 wide at a = 0.99).
+COARSE_DELTAS_SHA256 = {
+    (2, 64): "bb216918467acc644a3074bb156e8a52f57981a001674e6d55d2cd5cecdb81df",
+    (3, 64): "4c57eb4992be9930bb6ade8b0fc2f6b3b30addbeb482f37ef03af534aea95764",
+    (4, 64): "6eda4f67b6807a57ca71cb63348c231ba194153eb4486ce32da4d63e9b5b2383",
+    (5, 64): "00d85ccc88ec12337bf0a0b1ee5c6ad8d6582e47c9ad6981d6fe526fa4ea5547",
+    (6, 64): "3ec5210451e5e98c052848fc2a62630edf2f4ed709e1aa35b40f74917b9dd67b",
+    (7, 64): "fe41405f2dd2732539e467ab017267905f48a302d9f9fd321b9d8f88d8afed6c",
+    (8, 64): "d4fecf4d534119e7d6b5b564423052868856f4a609136c4c4617c55bb2ffb5a5",
+    (9, 64): "3525ec3d4f861d8d144e59083505a26f2676aa791d8e4f5ada71b06526b06116",
+    (10, 64): "69804e3e7bd38910981bd7dd2fc2a300696559c5250ab83a97f343fcbe481e36",
+    (11, 64): "92675495f41a973278b0c3f6349915b7715aaead7912d827a183c110eb4c3332",
+    (12, 64): "2c3e13d0b2d1321ef6b04f6aff2b5437cb8c0c019272f6388d2a0dec41ced85f",
+    (13, 64): "5d8a83255f17e250fb6c4ecd1ece3ba229a614dd2303ee53c39f4b09c7732755",
+    (14, 64): "fc27c3c67023f8b51884848c6ee961ee08154c4b139bb19e8721501060111c76",
+    (15, 64): "8f2e2d3d45eaf0fa7ea3facdd3ebc8f2af35e305de97c4d73492ce2efb90a989",
+    (16, 64): "0acc3a877eaec703c570b712cb3344a7c92379bdd64e8889bb9e9df7328898cd",
+    (17, 64): "7bfcb30281e8a81cd8c4b2476e2f8db966e3f5fe1a495d75994ea8ab35bfdf7f",
+    (18, 64): "1364c3ae413221f490d99281e40b6bd8bba127fe6892690c2d2310578df35fc9",
+    (19, 64): "0c739926896fd9acb75176c94e451d4cc0bcbcd2678e9bc8a8c7b994f2cbb4c1",
+    (20, 64): "e83fdc7d9dbfed38744e86b3afcd8125fdebc89d22d33a191f8310ea3a8e7c4a",
+    (21, 64): "35648c18383eafcc6b8a98a271dd86f36898fb34feaca75a6049ebe31936a15f",
+    (22, 64): "a2d62d63cc4fd9fa104c0ca88bc46f6e75613085aa12803b25ca6989302ade4b",
+    (23, 64): "d329b45141130297d5fbd6c450f524b2c1f6ae68bd8e9429e6949c940ffb4c25",
+    (24, 64): "d7e012a709921b25909a3e82f043b84260583b431c008042bf04d19dd26a9653",
+    (10, 8): "1c75abedf41abe68f08786e8dd227cf9cbe119e25905c65911108c3c5a407b15",
+}
 
 
 class TestDeltaOfA:
@@ -66,6 +98,29 @@ class TestCoarseScan:
         monkeypatch.setattr(search, "COARSE_GRID", (0.5, 0.6, 0.7, 0.8))
         result = coarse_scan(10)
         assert result.sign_changes == ((0.6, 0.7),)
+
+    @pytest.mark.parametrize("n, K", sorted(COARSE_DELTAS_SHA256))
+    def test_deltas_bit_identical(self, n, K):
+        deltas = coarse_scan(n, K=K).deltas
+        packed = struct.pack(f"<{len(deltas)}d", *deltas)
+        assert hashlib.sha256(packed).hexdigest() == COARSE_DELTAS_SHA256[n, K]
+
+    def test_tail_visible_at_k8(self):
+        d = delta_of_a(10, 0.99, K=8)
+        assert d.delta_upper - d.delta_lower > 1e-7
+
+    def test_no_per_coefficient_calls(self, monkeypatch):
+        calls = []
+        for module, name in ((search, "delta_of_a"), (series, "norm_sq_f"), (series, "norm_sq_g")):
+            original = getattr(module, name)
+
+            def counted(*args, _original=original, _name=name, **kwargs):
+                calls.append(_name)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
+        coarse_scan(10)
+        assert calls == []
 
 
 class TestCriticalA:

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -14,9 +15,11 @@ from korenblum import (
     norm_sq_g,
     power_series_norm_sq,
     reference_params,
+    series,
 )
+from korenblum.series import float_norms_sq
 
-from .oracles import TaylorOracle, exact_norm_sq, relative_gap
+from .oracles import TaylorOracle, exact_norm_sq, float_norm_sq_loop, relative_gap
 
 # Exact values at the reference pair, frozen from independent runs:
 # the DFT oracle for the leading coefficients, quadrature agreement for
@@ -255,3 +258,54 @@ class TestFloatEnclosuresPinned:
         ng = norm_sq_g(p, K=K, mode="float")
         assert (nf.lower, nf.upper) == f_ends
         assert (ng.lower, ng.upper) == g_ends
+
+
+class TestFloatArrayPass:
+    """One array pass equals the scalar float enclosures, element by element."""
+
+    @given(
+        a=st.lists(coefficients | st.just(Fraction(0)), min_size=1, max_size=12),
+        n=st.integers(min_value=2, max_value=24),
+        K=st.integers(min_value=1, max_value=64),
+    )
+    def test_elements_equal_scalar_calls(self, a, n, K):
+        nf, ng = float_norms_sq(np.array([float(x) for x in a]), n, K)
+        for i, x in enumerate(a):
+            p = Params(x, n)
+            f = norm_sq_f(p, K=K, mode="float")
+            g = norm_sq_g(p, K=K, mode="float")
+            assert (nf.lower[i], nf.upper[i]) == (f.lower, f.upper)
+            assert (ng.lower[i], ng.upper[i]) == (g.lower, g.upper)
+            assert (f.lower, f.upper) == float_norm_sq_loop(float(x), n, K, "f")
+            assert (g.lower, g.upper) == float_norm_sq_loop(float(x), n, K, "g")
+
+    # Enclosures at K = 1 from the scalar loop, at coefficients where the
+    # tail's c ** 2 (libm pow) and c * c round differently and the
+    # difference reaches the upper end: of ||f||^2 at the first, of
+    # ||g||^2 at the second.
+    @pytest.mark.parametrize(
+        "a, n, f_ends, g_ends",
+        [
+            (0.9542261, 11, (0.271758146116984, 0.2785427204038663),
+             (0.1643986877369754, 0.17068845999272925)),
+            (0.8072475, 13, (0.19430159543369172, 0.19746919699030535),
+             (0.14943681973460937, 0.15198459015419147)),
+        ],
+    )
+    def test_tail_squares_by_pow(self, a, n, f_ends, g_ends):
+        nf, ng = float_norms_sq(np.array([0.5, a]), n, 1)
+        assert (nf.lower[1], nf.upper[1]) == f_ends
+        assert (ng.lower[1], ng.upper[1]) == g_ends
+
+    def test_blocks_join_in_order(self, monkeypatch):
+        a = [i / 37 for i in range(37)]
+        whole = float_norms_sq(a, 10, 6)
+        monkeypatch.setattr(series, "FLOAT_BLOCK_CELLS", 3 * (6 + 2))
+        blocks = float_norms_sq(a, 10, 6)
+        for one, many in zip(whole, blocks):
+            assert one.lower.tolist() == many.lower.tolist()
+            assert one.upper.tolist() == many.upper.tolist()
+
+    def test_rejects_bad_truncation(self):
+        with pytest.raises(ValueError):
+            float_norms_sq(np.array([0.5]), 10, 0)
