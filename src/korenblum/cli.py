@@ -17,37 +17,17 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from .certificate import encode_fraction, encode_scalar, run_verification
-from .domination import (
-    DominationViolated,
-    HypothesisViolated,
-    NoInteriorRoot,
-    critical_root,
-    ratio_envelope,
-)
+from .domination import DominationViolated, HypothesisViolated, critical_root, ratio_envelope
 from .family import Params, fraction_to_decimal
 from .quadrature import QuadratureGrid
-from .search import (
-    AmbiguousSign,
-    CertificationFailed,
-    InvalidBracket,
-    WANG_UPPER_BOUND,
-    best_bound,
-    scan,
-)
+from .search import InvalidBracket, WANG_UPPER_BOUND, best_bound, scan
 from .series import MAX_TERMS, enclose_difference, float_norms_sq, norm_sq_f, norm_sq_g
 # Not called here; kept so that ``cli.norm_difference`` stays a name that
 # bench/tracing.py can wrap.
 from .series import norm_difference  # noqa: F401
 
-COMPUTE_ERRORS = (
-    NoInteriorRoot,
-    DominationViolated,
-    HypothesisViolated,
-    CertificationFailed,
-    AmbiguousSign,
-    InvalidBracket,
-    ArithmeticError,
-)
+# ArithmeticError covers NoInteriorRoot, AmbiguousSign and CertificationFailed.
+COMPUTE_ERRORS = (DominationViolated, HypothesisViolated, InvalidBracket, ArithmeticError)
 
 
 def _coefficient(text: str) -> Fraction:

@@ -321,21 +321,20 @@ def verify_domination(
     dist = np.abs((idx + 0.5 * period) % period - 0.5 * period)
 
     row_max = np.empty(radial_samples)
-    row_argmax = np.empty(radial_samples, dtype=np.intp)
     offsets = np.empty(radial_samples)
     for start in range(0, radial_samples, GRID_BLOCK_ROWS):
         rows = slice(start, start + GRID_BLOCK_ROWS)
         # |1 + a z^n| >= 1 - a > 0 on the disk, so the quotient is finite.
         ratio = eval_abs_ratio(params, radii[rows, None] * circle)
         row_max[rows] = ratio.max(axis=1)
-        row_argmax[rows] = ratio.argmax(axis=1)
         near = ratio >= row_max[rows, None] * (1.0 - 1e-13)
         offsets[rows] = np.where(near, dist, np.inf).min(axis=1)
 
     grid_max = float(row_max.max())
     if grid_max > 1.0 + tol:
         i = int(row_max.argmax())
-        j = int(row_argmax[i])
+        # Only the message needs the angle, so re-evaluate the failing row.
+        j = int(eval_abs_ratio(params, radii[i] * circle).argmax())
         raise DominationViolated(
             f"|f|/|g| = {grid_max!r} at r = {radii[i]:.12f}, "
             f"theta = {theta[j]:.12f} exceeds 1 + {tol:g}"

@@ -309,7 +309,6 @@ def scan(n_values: Iterable[int], safety: float = DEFAULT_SAFETY) -> ScanResult:
             HypothesisViolated,
             CertificationFailed,
             AmbiguousSign,
-            InvalidBracket,
             ValueError,
         ) as exc:
             rows.append(ScanRow(n=n, candidate=None, error=f"{type(exc).__name__}: {exc}"))

@@ -17,6 +17,8 @@ with its Bergman weight, and adds the closed form tail at the end.
 ``float_norm_sq_loop`` is the float counterpart: one coefficient at a
 time by the ratio a/2 recurrence, the rounding sequence that the array
 pass of the series engine must reproduce bit for bit.
+``mp_norm_sq`` sums the same closed-form coefficients in mpmath to full
+working precision, for checks of the quadrature against the true norm.
 Nothing here shares code with the series engine.
 """
 
@@ -90,6 +92,20 @@ def exact_norm_sq(a: Fraction, n: int, K: int, kind: str) -> Tuple[Fraction, Fra
     nxt = _exact_coefficient(a, kind, K + 1)
     q = a / 2
     return lower, lower + nxt * nxt / ((1 - q * q) * (n * (K + 1) + s))
+
+
+def mp_norm_sq(a: Fraction, n: int, kind: str, dps: int = 40):
+    """||f||^2 or ||g||^2 as a ``dps``-digit mpmath real.
+
+    The terms fall at least like 4^-k, so 2 dps terms leave a truncation
+    error far below the working precision.
+    """
+    s = 1 if kind == "f" else 2
+    with mp.workdps(dps):
+        return mp.fsum(
+            mp_fraction(_exact_coefficient(a, kind, k)) ** 2 / (n * k + s)
+            for k in range(2 * dps)
+        )
 
 
 def float_norm_sq_loop(a: float, n: int, K: int, kind: str) -> Tuple[float, float]:

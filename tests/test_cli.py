@@ -23,12 +23,15 @@ REFERENCE_ARGS = ["--a", "0.6666714", "--n", "10"]
 # not change these bytes.
 GOLDEN_NORMS_SHA256 = "09d1dae9ae8ebb5bd142e749a760751b98be526449fff0f0a1dab38f895525af"
 # The verify certificate with wall_time_s removed, re-serialised with
-# json.dumps(indent=2) as Certificate.to_json does.
-GOLDEN_VERIFY_SHA256 = "452b09bdbdea7f1ca914729bb80e17047039be7fd1db2bfc26500bc490dc8ad8"
+# json.dumps(indent=2) as Certificate.to_json does.  Both verify hashes
+# were re-pinned when the angular quadrature moved to the trapezoid rule;
+# only the six quadrature fields of cross_check changed, the quadrature
+# norms by at most 6e-17.
+GOLDEN_VERIFY_SHA256 = "7c7309bf7913da35a17b6f4841e6072081a7f9921337e0feb5e824472767d867"
 # Float-mode certificate (wall_time_s removed, as above) and float norms
 # at the same pair, plus search and a short scan, taken before the
 # serialisers were rebuilt from the dataclass fields.
-GOLDEN_FLOAT_VERIFY_SHA256 = "45796c8c7c0a3c1c5a55a9b2ae571369a336d9de69c684b81f0d9c2090e3e833"
+GOLDEN_FLOAT_VERIFY_SHA256 = "33a637ebbab9a7b18bbe0f5c4c8448b301a7578d8cbd9afd1f5e6c4598e8c1be"
 GOLDEN_FLOAT_NORMS_SHA256 = "08d56cd63ad28830c74fdf00dbe398b7ad86c6ae8b7108a8ddd2e96358ca79d9"
 GOLDEN_SEARCH_SHA256 = "5b97646f82cf9518474eb95f53fb4fa04fdb9663fa26356856a013f076e1c644"
 GOLDEN_SCAN_SHA256 = "6db71d3be384f1e0231d636fcedca4f66cb550b830dad9b132c85617168bbd30"
