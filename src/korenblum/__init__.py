@@ -10,7 +10,7 @@ kappa < c.  This package builds such pairs from the family
 
 computes the critical inner radius c where the domination starts, and
 certifies the norm gap in exact rational arithmetic.  At the reference
-parameters a = 0.6666714, n = 10 the certified radius is c < 0.677905,
+parameters a = 0.6666714, n = 10 the radius is c < 0.677905,
 below the previously best bound 0.67795.
 """
 

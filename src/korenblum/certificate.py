@@ -4,7 +4,7 @@ A certificate records the full chain of evidence behind one parameter
 pair: the critical radius with its residual, the norm gap enclosure
 (exact rationals serialized as integer strings so nothing is lost), the
 sampled domination report and the quadrature cross-check.  Sampled
-checks are labelled as such; only the exact-mode gap enclosure is a
+checks are labelled as such; only the gap, always enclosed exactly, is a
 proof-grade statement, and ``certified`` is set from it alone.
 """
 
@@ -115,7 +115,6 @@ class Certificate:
 def run_verification(
     params: Params,
     terms: int = 64,
-    exact: bool = False,
     grid: Optional[QuadratureGrid] = None,
     domination_tol: float = 1e-12,
 ) -> Certificate:
@@ -160,9 +159,7 @@ def run_verification(
             failed = "domination"
 
     if failed is None:
-        delta = norm_difference(
-            params, K=terms, mode="exact" if exact else "float", adaptive=exact
-        )
+        delta = norm_difference(params, K=terms, mode="exact", adaptive=True)
         gap_dict = _norm_gap_dict(delta)
         ok = delta.certifies
         checks.append({"name": "norm_gap", "passed": ok})

@@ -28,6 +28,11 @@ from .series import norm_difference  # noqa: F401
 
 # ArithmeticError covers NoInteriorRoot, AmbiguousSign and CertificationFailed.
 COMPUTE_ERRORS = (DominationViolated, HypothesisViolated, InvalidBracket, ArithmeticError)
+# The cross-check holds float64 temporaries of one value per grid cell, and
+# solves the radial Gauss-Legendre rule as an eigenproblem (~5 s at 4096).
+MAX_GRID_CELLS = 1 << 22
+MAX_RADIAL_NODES = 4096
+MAX_POINTS = 100_000  # plot-data writes each row from a Python loop
 
 
 def _coefficient(text: str) -> Fraction:
@@ -40,41 +45,42 @@ def _coefficient(text: str) -> Fraction:
     return value
 
 
-def _frequency(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"cannot parse frequency {text!r}")
-    if value < 2:
-        raise argparse.ArgumentTypeError("frequency n must be at least 2")
-    return value
+def _bounded_int(noun: str, lo: int, hi: Optional[int] = None):
+    """Argument parser of an integer in lo..hi, or at least lo if hi is None."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"cannot parse {noun} {text!r}")
+        if value < lo:
+            raise argparse.ArgumentTypeError(f"{noun} must be at least {lo}")
+        if hi is not None and value > hi:
+            raise argparse.ArgumentTypeError(f"{noun} must be at most {hi}")
+        return value
+
+    return parse
 
 
-def _count(text: str, noun: str = "count") -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"cannot parse {noun} {text!r}")
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"{noun} must be at least 1")
-    return value
-
-
-def _terms(text: str) -> int:
-    # Exact enclosures grow superlinearly in K: refuse at once what would
-    # otherwise run for minutes.
-    value = _count(text, "term count")
-    if value > MAX_TERMS:
-        raise argparse.ArgumentTypeError(f"term count must be at most {MAX_TERMS}")
-    return value
+_frequency = _bounded_int("frequency n", 2)
+# Exact enclosures grow superlinearly in K: refuse at once what would
+# otherwise run for minutes.
+_terms = _bounded_int("term count", 1, MAX_TERMS)
+_points = _bounded_int("point count", 2, MAX_POINTS)
 
 
 def _grid(text: str) -> QuadratureGrid:
     try:
         radial, _, angular = text.lower().partition("x")
-        return QuadratureGrid(radial_nodes=int(radial), angular_nodes=int(angular))
+        radial, angular = int(radial), int(angular)
+        grid = QuadratureGrid(radial_nodes=radial, angular_nodes=angular)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"bad grid {text!r} (expected RxA, e.g. 128x256): {exc}")
+    if radial > MAX_RADIAL_NODES or radial * angular > MAX_GRID_CELLS:
+        raise argparse.ArgumentTypeError(
+            f"grid must have at most {MAX_RADIAL_NODES} radial nodes and {MAX_GRID_CELLS} cells"
+        )
+    return grid
 
 
 def _positive_float(text: str) -> float:
@@ -115,7 +121,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_params(p_verify)
     p_verify.add_argument("--terms", type=_terms, default=64)
     p_verify.add_argument("--exact", action="store_true",
-                          help="certify the norm gap in exact rational arithmetic")
+                          help="accepted for existing command lines; the gap is always exact")
     p_verify.add_argument("--grid", type=_grid, default=None, metavar="RxA",
                           help="quadrature grid, e.g. 128x256")
     p_verify.add_argument("--tol", type=_positive_float, default=1e-12,
@@ -155,7 +161,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_plot = sub.add_parser("plot-data", help="CSV data for plots")
     add_params(p_plot)
     p_plot.add_argument("--kind", choices=("envelope", "delta"), default="envelope")
-    p_plot.add_argument("--points", type=_count, default=256)
+    p_plot.add_argument("--points", type=_points, default=256)
     p_plot.add_argument("--a-min", type=_coefficient, default=Fraction("0.6"))
     p_plot.add_argument("--a-max", type=_coefficient, default=Fraction("0.7"))
     p_plot.add_argument("--terms", type=_terms, default=64)
@@ -176,13 +182,7 @@ def _enclosure_dict(enc) -> dict:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     params = Params(args.a, args.n)
-    cert = run_verification(
-        params,
-        terms=args.terms,
-        exact=args.exact,
-        grid=args.grid,
-        domination_tol=args.tol,
-    )
+    cert = run_verification(params, terms=args.terms, grid=args.grid, domination_tol=args.tol)
     if args.json or args.out:
         text = cert.to_json()
         _emit(text, args.out)
@@ -198,7 +198,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
             print(line)
         if cert.critical_radius:
             print(f"critical radius c = {cert.critical_radius['value']:.12f}")
-        if cert.norm_gap and cert.norm_gap["mode"] == "exact":
+        if cert.norm_gap:
             lo = cert.norm_gap["lower"]["float"]
             print(f"exact norm gap lower bound = {lo:.6e}")
         print("PASS" if cert.passed else f"FAIL: {cert.failed_check}")
@@ -243,7 +243,8 @@ def cmd_norms(args: argparse.Namespace) -> int:
         print(f"||f||^2 in [{float(nf.lower):.15f}, {float(nf.upper):.15f}]")
         print(f"||g||^2 in [{float(ng.lower):.15f}, {float(ng.upper):.15f}]")
         print(f"delta   in [{float(delta.delta_lower):.6e}, {float(delta.delta_upper):.6e}]")
-        print(f"gap certified positive: {'yes' if delta.certifies else 'no'}")
+        print(f"gap {'certified' if args.exact else 'estimated'} positive: "
+              f"{'yes' if delta.delta_lower > 0 else 'no'}")
     return 0
 
 
@@ -339,9 +340,8 @@ def cmd_plot_data(args: argparse.Namespace) -> int:
             print(f"error: {exc}", file=sys.stderr)
             return 1
         writer.writerow(["r", "h"])
-        points = max(args.points, 2)
-        for i in range(points):
-            r = c + (1.0 - c) * i / (points - 1)
+        for i in range(args.points):
+            r = c + (1.0 - c) * i / (args.points - 1)
             writer.writerow([repr(r), repr(float(ratio_envelope(params, r)))])
     else:
         a_lo, a_hi = float(args.a_min), float(args.a_max)
@@ -349,8 +349,7 @@ def cmd_plot_data(args: argparse.Namespace) -> int:
             print("error: --a-max must exceed --a-min", file=sys.stderr)
             return 2
         writer.writerow(["a", "delta_lower", "delta_upper"])
-        points = max(args.points, 2)
-        a_values = [a_lo + (a_hi - a_lo) * i / (points - 1) for i in range(points)]
+        a_values = [a_lo + (a_hi - a_lo) * i / (args.points - 1) for i in range(args.points)]
         d = enclose_difference(*float_norms_sq(a_values, args.n, args.terms))
         for row in zip(a_values, d.delta_lower.tolist(), d.delta_upper.tolist()):
             writer.writerow([repr(x) for x in row])

@@ -76,7 +76,7 @@ def delta_of_a(
     return norm_difference(Params(as_fraction(a), n), K=K, mode=mode)
 
 
-def _certified_sign(n: int, a: float, K: int) -> Tuple[int, DifferenceResult]:
+def _float_sign(n: int, a: float, K: int) -> Tuple[int, DifferenceResult]:
     """Sign of delta(a) read from a float enclosure, escalating K as needed.
 
     The enclosure is not rounded outward, so the sign is an estimate,
@@ -159,8 +159,8 @@ def critical_a(
     a_lo, a_hi = float(bracket[0]), float(bracket[1])
     if not 0.0 < a_lo < a_hi < 1.0:
         raise ValueError(f"bracket must satisfy 0 < lo < hi < 1, got {bracket}")
-    s_lo, _ = _certified_sign(n, a_lo, K)
-    s_hi, _ = _certified_sign(n, a_hi, K)
+    s_lo, _ = _float_sign(n, a_lo, K)
+    s_hi, _ = _float_sign(n, a_hi, K)
     if s_lo == s_hi:
         raise InvalidBracket(
             f"float estimates of delta have sign {s_lo:+d} at both ends of {bracket} "
@@ -168,7 +168,7 @@ def critical_a(
         )
     while a_hi - a_lo > BRACKET_TOL:
         mid = 0.5 * (a_lo + a_hi)
-        s_mid, _ = _certified_sign(n, mid, K)
+        s_mid, _ = _float_sign(n, mid, K)
         if s_mid == s_lo:
             a_lo = mid
         else:
@@ -244,7 +244,7 @@ def best_bound(
 
     params = Params(a_cert, n)
     delta = norm_difference(params, K=K, mode="exact", adaptive=True)
-    if delta.delta_lower <= 0:
+    if not delta.certifies:
         raise CertificationFailed(
             f"exact norm gap at {params.describe()} is not positive: "
             f"delta_lower = {float(delta.delta_lower):.3e}"

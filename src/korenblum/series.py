@@ -163,8 +163,8 @@ class DifferenceResult:
 
     @property
     def certifies(self) -> bool:
-        """True when the whole enclosure is positive, i.e. ||f|| > ||g||."""
-        return self.delta_lower > 0
+        """True for a positive exact enclosure; a float one is not rounded outward."""
+        return self.mode == "exact" and self.delta_lower > 0
 
 
 def enclose_difference(nf: NormEnclosure, ng: NormEnclosure) -> DifferenceResult:

@@ -6,6 +6,7 @@ import io
 import json
 import sys
 import time
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -28,11 +29,11 @@ GOLDEN_NORMS_SHA256 = "09d1dae9ae8ebb5bd142e749a760751b98be526449fff0f0a1dab38f8
 # only the six quadrature fields of cross_check changed, the quadrature
 # norms by at most 6e-17.
 GOLDEN_VERIFY_SHA256 = "7c7309bf7913da35a17b6f4841e6072081a7f9921337e0feb5e824472767d867"
-# Float-mode certificate (wall_time_s removed, as above) and float norms
-# at the same pair, plus search and a short scan, taken before the
-# serialisers were rebuilt from the dataclass fields.
-GOLDEN_FLOAT_VERIFY_SHA256 = "33a637ebbab9a7b18bbe0f5c4c8448b301a7578d8cbd9afd1f5e6c4598e8c1be"
-GOLDEN_FLOAT_NORMS_SHA256 = "08d56cd63ad28830c74fdf00dbe398b7ad86c6ae8b7108a8ddd2e96358ca79d9"
+# Float norms at the same pair, re-pinned when a float gap stopped
+# counting as certified: only "certified": true became false.
+GOLDEN_FLOAT_NORMS_SHA256 = "84ad7423fc25328ef7a33000d840bacfb4adb94d6a69b93c54b3eb051e2a7817"
+# Search and a short scan, taken before the serialisers were rebuilt from
+# the dataclass fields.
 GOLDEN_SEARCH_SHA256 = "5b97646f82cf9518474eb95f53fb4fa04fdb9663fa26356856a013f076e1c644"
 GOLDEN_SCAN_SHA256 = "6db71d3be384f1e0231d636fcedca4f66cb550b830dad9b132c85617168bbd30"
 # plot-data --kind delta at its defaults (256 points on [0.6, 0.7], K = 64),
@@ -122,6 +123,29 @@ class TestUsageErrors:
         assert excinfo.value.code == 2
         assert f"at most {korenblum.series.MAX_TERMS}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", *REFERENCE_ARGS, "--grid", "100000x100000"],
+            ["verify", *REFERENCE_ARGS, "--grid", "8192x16"],
+            ["plot-data", *REFERENCE_ARGS, "--points", "100000000"],
+            ["plot-data", *REFERENCE_ARGS, "--points", "1"],
+        ],
+    )
+    def test_sizes_out_of_range_fail_at_parse(self, argv):
+        tracemalloc.start()
+        start = time.perf_counter()
+        try:
+            with pytest.raises(SystemExit) as excinfo:
+                korenblum.cli.build_parser().parse_args(argv)
+            seconds = time.perf_counter() - start
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert excinfo.value.code == 2
+        assert seconds < 1.0
+        assert peak < 1 << 20
+
 
 class TestVerify:
     def test_passes_at_reference(self, capsys):
@@ -161,7 +185,8 @@ class TestNorms:
     def test_human_readable(self, capsys):
         code, out, _ = run_cli(capsys, "norms", *REFERENCE_ARGS)
         assert code == 0
-        assert "||f||^2" in out and "certified positive: yes" in out
+        assert "||f||^2" in out and "estimated positive: yes" in out
+        assert "certified" not in out
 
     def test_exact_json_round_trips_rationals(self, capsys):
         code, out, _ = run_cli(capsys, "norms", *REFERENCE_ARGS, "--exact", "--json")
@@ -206,23 +231,20 @@ class TestGoldenOutput:
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_NORMS_SHA256
 
-    def test_exact_verify_certificate(self, capsys):
-        code, out, _ = run_cli(
-            capsys, "verify", "--a", "0.6666757", "--n", "10", "--exact", "--json",
-        )
+    @staticmethod
+    def _verify_sha256(capsys, *flags):
+        code, out, _ = run_cli(capsys, "verify", "--a", "0.6666757", "--n", "10", *flags)
         assert code == 0
         cert = json.loads(out)
         del cert["wall_time_s"]
-        text = json.dumps(cert, indent=2)
-        assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_VERIFY_SHA256
+        return hashlib.sha256(json.dumps(cert, indent=2).encode()).hexdigest()
 
-    def test_float_verify_certificate(self, capsys):
-        code, out, _ = run_cli(capsys, "verify", "--a", "0.6666757", "--n", "10", "--json")
-        assert code == 0
-        cert = json.loads(out)
-        del cert["wall_time_s"]
-        text = json.dumps(cert, indent=2)
-        assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_FLOAT_VERIFY_SHA256
+    def test_exact_verify_certificate(self, capsys):
+        assert self._verify_sha256(capsys, "--exact", "--json") == GOLDEN_VERIFY_SHA256
+
+    def test_verify_without_exact_flag_is_exact(self, capsys):
+        # --exact is a no-op: the gap is always enclosed exactly.
+        assert self._verify_sha256(capsys, "--json") == GOLDEN_VERIFY_SHA256
 
     @pytest.mark.parametrize(
         "argv, golden",
@@ -309,21 +331,16 @@ class TestPlotData:
 
 class TestCertificateObject:
     def test_round_trip(self):
-        cert = run_verification(reference_params(), exact=True)
+        cert = run_verification(reference_params())
         clone = Certificate.from_json(cert.to_json())
         assert clone == cert
 
     def test_exact_gap_embedded(self):
-        cert = run_verification(reference_params(), exact=True)
+        cert = run_verification(reference_params())
         assert cert.passed
         lower = cert.delta_lower_fraction()
         assert lower is not None and lower > 0
         assert cert.norm_gap["certified"] is True
-
-    def test_float_mode_has_no_fraction(self):
-        cert = run_verification(reference_params(), exact=False)
-        assert cert.delta_lower_fraction() is None
-        assert isinstance(cert.norm_gap["lower"], float)
 
     def test_fraction_encoding_round_trip(self):
         x = Fraction(-22, 7)
@@ -342,6 +359,21 @@ class TestCertificateObject:
             assert decode_fraction(encode_fraction(x)) == x
         finally:
             sys.set_int_max_str_digits(saved)
+
+    @pytest.mark.xfail(
+        strict=True,
+        raises=ValueError,
+        reason="the exact gap at n = 15, K = 256 has integers past the 4300-digit limit",
+    )
+    def test_verify_encodes_a_gap_past_digit_limit(self, capsys):
+        saved = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)
+        try:
+            code, _, _ = run_cli(capsys, "verify", "--a", "0.6815637", "--n", "15",
+                                 "--terms", "256")
+        finally:
+            sys.set_int_max_str_digits(saved)
+        assert code == 0
 
     def test_failure_is_named_and_ordered(self):
         from korenblum import Params

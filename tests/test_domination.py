@@ -174,13 +174,13 @@ class TestCriticalRoot:
         assert SCAN_HI < c < 1.0
         assert c == pytest.approx(0.99972924, abs=1e-8)
         assert abs(critical_polynomial(NEAR_MERGE, c)) < 1e-14
-        assert run_verification(NEAR_MERGE, exact=True).passed
+        assert run_verification(NEAR_MERGE).passed
 
     def test_root_within_1e_6_of_one(self):
         c = critical_root(NEARER_MERGE)
         assert c == pytest.approx(0.99999972922, abs=1e-10)
         assert abs(critical_polynomial(NEARER_MERGE, c)) < 1e-14
-        assert run_verification(NEARER_MERGE, exact=True).passed
+        assert run_verification(NEARER_MERGE).passed
 
     @pytest.mark.parametrize("n", [2, 3, 10, 20])
     def test_near_merge_roots_match_mpmath(self, n):

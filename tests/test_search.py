@@ -14,7 +14,7 @@ from korenblum.search import (
     AmbiguousSign,
     CertificationFailed,
     InvalidBracket,
-    _certified_sign,
+    _float_sign,
     _quantize_up,
     coarse_scan,
 )
@@ -65,26 +65,28 @@ class TestDeltaOfA:
         assert delta_of_a(10, "0.6666666667").delta_upper < 0
 
     def test_accepts_float_and_string(self):
-        assert delta_of_a(10, 0.7).certifies
-        assert delta_of_a(10, "0.7").certifies
+        assert delta_of_a(10, 0.7) == delta_of_a(10, "0.7")
+        assert delta_of_a(10, 0.7).delta_lower > 0
 
 
 class TestCertifiedSign:
+    """``_float_sign``: the sign of a float estimate, escalating K."""
+
     def test_resolves_both_sides(self):
-        assert _certified_sign(10, 0.6, 64)[0] == -1
-        assert _certified_sign(10, 0.7, 64)[0] == 1
+        assert _float_sign(10, 0.6, 64)[0] == -1
+        assert _float_sign(10, 0.7, 64)[0] == 1
 
     def test_escalates_truncation(self):
         # K = 1 straddles zero this close to the crossing; escalation
         # resolves it and reports the truncation that sufficed.
-        sign, d = _certified_sign(10, 0.667, 1)
+        sign, d = _float_sign(10, 0.667, 1)
         assert sign == 1
         assert d.truncation_index > 1
 
     def test_ambiguous_when_capped(self, monkeypatch):
         monkeypatch.setattr(search, "MAX_TERMS", 4)
         with pytest.raises(AmbiguousSign):
-            _certified_sign(10, FROZEN_A_STAR, 2)
+            _float_sign(10, FROZEN_A_STAR, 2)
 
 
 class TestCoarseScan:
@@ -171,6 +173,13 @@ class TestBestBound:
         assert candidate.certified
         assert candidate.c <= FROZEN_ROOT + 1e-9
         assert float(candidate.params.a) < 0.6666714
+
+    def test_small_safety_reproduces_reference(self):
+        # The default safety 5e-6 certifies a = 0.6666757; 7e-7 lands on the
+        # README's pair.
+        candidate = best_bound(10, safety=7e-7)
+        assert candidate.params.a == Fraction("0.6666714")
+        assert candidate.c == FROZEN_ROOT
 
     def test_forced_coefficient_reproduces_reference(self):
         candidate = best_bound(10, a="0.6666714")

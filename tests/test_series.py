@@ -168,6 +168,7 @@ class TestNormDifference:
         exact = norm_difference(reference, K=64, mode="exact")
         fast = norm_difference(reference, K=64, mode="float")
         assert fast.delta_lower == pytest.approx(float(exact.delta_lower), abs=1e-12)
+        assert exact.certifies and not fast.certifies
 
     def test_adaptive_escalates_until_relative_width(self, reference):
         d = norm_difference(reference, K=1, mode="exact", adaptive=True)
