@@ -4,8 +4,11 @@ A certificate records the full chain of evidence behind one parameter
 pair: the critical radius with its residual, the norm gap enclosure
 (exact rationals serialized as integer strings so nothing is lost), the
 sampled domination report and the quadrature cross-check.  Sampled
-checks are labelled as such; only the gap, always enclosed exactly, is a
-proof-grade statement, and ``certified`` is set from it alone.
+checks are labelled as such.  Two statements are proof-grade: the gap,
+always enclosed exactly, and the radius, which exact signs of p place at
+or above the interior root.  ``certified`` is still set from the gap
+alone, because the envelope lemma and the domination grid are not
+machine-checked.
 """
 
 from __future__ import annotations

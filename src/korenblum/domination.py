@@ -21,10 +21,23 @@ annulus c <= |z| <= 1 the quotient f/g is analytic (the only zero of g
 inside the disk is z = 0), |f/g| <= 1 on both boundary circles, and the
 maximum principle extends the domination |f| <= |g| to the interior.
 
-Nothing here is taken on faith: the envelope maximality, the boundary
-identities, the pole and zero locations and the pointwise domination
-are all sampled on grids and reported, with violations raised as
-exceptions rather than absorbed.
+Lemma: p has exactly one root in (0, 1) iff 0 < (n + 1) a < n - 1.
+The deflated q(r) = p(r) / (r - 1) has the coefficients (a, a - 1, ...,
+a - 1, a).  For 0 < a < 1 they change sign twice, so by Descartes' rule
+q has 0 or 2 positive roots counted with multiplicity; they are
+palindromic, so the roots pair as r and 1/r, and q has at most one root
+in (0, 1).  It has one when q(0) = a > 0 > q(1) = (n + 1) a - (n - 1).
+If q(1) = 0, then q'(1) = n q(1) / 2 = 0 and r = 1 is a double root that
+uses up both.  If q(1) > 0, the roots in (0, 1) are even in number and
+with their mirror images would exceed two.  Under the condition p < 0
+below the root and p > 0 between it and 1, so the sign of p at one
+rational point tells on which side of the root that point lies.
+
+critical_root reads those signs exactly, so its c lies at or above the
+true root.  The rest is not taken on faith either: the envelope
+maximality, the boundary identities, the pole and zero locations and
+the pointwise domination are all sampled on grids and reported, with
+violations raised as exceptions rather than absorbed.
 
 The domination grid is evaluated GRID_BLOCK_ROWS radii at a time and
 each block is reduced at once to its row maxima, their positions and
@@ -35,10 +48,9 @@ blocks sample exactly the values a single whole-grid evaluation of
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional, Tuple, Union
+from typing import Tuple, Union
 
 import numpy as np
 
@@ -49,14 +61,8 @@ from .family import eval_f, eval_g  # noqa: F401
 
 Radius = Union[Fraction, int, float]
 
+# Float residual |p(c)| that critical_root asserts of its exact answer.
 ROOT_TOL = 1e-14
-SCAN_CELLS = 1024
-# The bracketing scan deliberately stops short of both endpoints: r = 1
-# is always a root of p and r = 0 is outside the domain of h.
-SCAN_LO = 1e-3
-SCAN_HI = 1.0 - 1e-3
-# Closest approach to r = 1 of the fallback scan of q = p / (r - 1).
-SCAN_TOP_GAP = 1e-15
 # h(c) must lie this close to 1 for c to count as the critical radius.
 BOUNDARY_TOL = 1e-9
 # Radial rows per block of the domination grid: 4 rows of 1024 angles
@@ -68,7 +74,7 @@ GRID_BLOCK_ROWS = 4
 
 
 class NoInteriorRoot(ArithmeticError):
-    """The envelope equation h(r) = 1 has no root inside the scan range."""
+    """The envelope equation h(r) = 1 has no root in (0, 1)."""
 
 
 class DominationViolated(AssertionError):
@@ -106,130 +112,40 @@ def critical_polynomial(params: Params, r):
     return r + a * r ** (n + 1) - a - r ** n
 
 
-def critical_polynomial_derivative(params: Params, r):
-    n = params.n
-    a = params.a_float
-    return 1.0 + a * (n + 1) * r ** n - n * r ** (n - 1)
+def critical_root(params: Params) -> float:
+    """Smallest double c at or above the interior root of p, so h(c) <= 1.
 
-
-def bisect_sign_change(
-    fn: Callable[[float], float], lo: float, hi: float, steps: int
-) -> Tuple[float, float]:
-    """Halve a sign-change bracket ``steps`` times.
-
-    Requires fn(lo) and fn(hi) of opposite (nonzero) sign; each step
-    exactly halves the bracket width.
+    Raises NoInteriorRoot unless 0 < (n + 1) a < n - 1 (the lemma in the
+    module docstring), or when the root lies within one ulp of 1.
+    Otherwise bisects [0, 1] on double midpoints, reading every sign of
+    p exactly in integers, until the bracket holds two neighbouring
+    doubles; the answer is the upper one, where p >= 0 exactly.
     """
-    flo, fhi = fn(lo), fn(hi)
-    if flo == 0.0 or fhi == 0.0 or (flo > 0) == (fhi > 0):
-        raise ValueError("bisection requires a strict sign change")
-    for _ in range(steps):
-        mid = 0.5 * (lo + hi)
-        fmid = fn(mid)
-        if fmid == 0.0:
-            half = 0.25 * (hi - lo)
-            return mid - half, mid + half
-        if (fmid > 0) == (flo > 0):
-            lo, flo = mid, fmid
-        else:
-            hi, fhi = mid, fmid
-    return lo, hi
-
-
-def newton_polish(
-    fn: Callable[[float], float],
-    dfn: Callable[[float], float],
-    x: float,
-    tol: float,
-) -> Tuple[float, int]:
-    """Newton iteration from a good initial guess until |fn(x)| < tol."""
-    for iteration in range(25):
-        residual = fn(x)
-        if abs(residual) < tol:
-            return x, iteration
-        slope = dfn(x)
-        if slope == 0.0:
-            break
-        x = x - residual / slope
-    raise ArithmeticError(f"Newton polish did not reach |p| < {tol:g}")
-
-
-def deflated_polynomial(params: Params, r):
-    """q(r) = p(r) / (r - 1) = a sum_{k=0..n} r^k - sum_{k=1..n-1} r^k.
-
-    Dividing out the root r = 1 leaves the sign change of an interior
-    root next to 1 clear, where p itself is tiny on both sides.  q is
-    evaluated as a polynomial in t = 1 - r whose coefficients are formed
-    exactly from a = u/v and rounded once: near r = 1 the coefficients
-    in r cancel to rounding noise, which would show sign changes that q
-    does not have (at a = 1/2, n = 3, q = (1 - r)^2 (1 + r) / 2 > 0).
-    """
-    n, u, v = params.n, params.a.numerator, params.a.denominator
-    c = [u] + [u - v] * (n - 1) + [u]  # v times the coefficients of q in r
-    shifted = [
-        (-1) ** j * sum(c[k] * math.comb(k, j) for k in range(j, n + 1)) / v
-        for j in range(n, -1, -1)
-    ]
-    return np.polyval(shifted, 1.0 - r)
-
-
-def critical_root(params: Params, tol: float = ROOT_TOL) -> float:
-    """Interior root c of h(r) = 1, via scan + bisection + Newton polish.
-
-    Scans p on [SCAN_LO, SCAN_HI] with SCAN_CELLS cells for a sign
-    change and bisects the first bracket found.  Only when that scan
-    finds none, it scans the deflated polynomial q = p / (r - 1) on
-    SCAN_CELLS + 1 points from SCAN_HI to 1 - SCAN_TOP_GAP, spaced
-    geometrically in 1 - r so that a root within 1e-6 of r = 1 still
-    falls between two of them, and bisects q's first sign change
-    instead.  Either way it then polishes on p until the residual
-    satisfies |p(c)| < tol.
-    Raises NoInteriorRoot when neither scan finds a sign change (for
-    example n = 1, or a = 0, where h < 1 throughout the interior, or
-    a = 9/11 at n = 10, where the root has merged into r = 1).
-    """
-    c0 = _scan_and_bisect(
-        lambda r: critical_polynomial(params, r),
-        np.linspace(SCAN_LO, SCAN_HI, SCAN_CELLS + 1),
-        steps=20,
-    )
-    if c0 is None:
-        # Next to r = 1, p = (r - 1) q is below tol before Newton starts,
-        # so the bisection alone has to bring c0 to full precision.
-        c0 = _scan_and_bisect(
-            lambda r: deflated_polynomial(params, r),
-            1.0 - np.geomspace(1.0 - SCAN_HI, SCAN_TOP_GAP, SCAN_CELLS + 1),
-            steps=60,
-        )
-    if c0 is None:
+    n, a = params.n, params.a
+    if not 0 < (n + 1) * a < n - 1:
         raise NoInteriorRoot(
-            f"h(r) = 1 has no root in [{SCAN_LO}, 1) for {params.describe()}"
+            f"h(r) = 1 has no root in (0, 1) for {params.describe()}"
         )
-    p = lambda r: critical_polynomial(params, float(r))
-    dp = lambda r: critical_polynomial_derivative(params, float(r))
-    c, _ = newton_polish(p, dp, c0, tol)
-    return float(c)
-
-
-def _scan_and_bisect(fn: Callable, xs: np.ndarray, steps: int) -> Optional[float]:
-    """Newton start point from the first root of ``fn`` seen on ``xs``.
-
-    A sample where fn is exactly zero wins; otherwise the first sign
-    change between neighbours is bisected ``steps`` times and its
-    midpoint returned.  None when fn keeps one sign on all of ``xs``.
-    """
-    signs = np.sign(fn(xs))
-    hits = np.nonzero(signs == 0.0)[0]
-    if hits.size:
-        return float(xs[hits[0]])
-    changes = np.nonzero(signs[:-1] * signs[1:] < 0)[0]
-    if not changes.size:
-        return None
-    i = int(changes[0])
-    lo, hi = bisect_sign_change(
-        lambda r: fn(float(r)), float(xs[i]), float(xs[i + 1]), steps=steps
-    )
-    return 0.5 * (lo + hi)
+    u, v = a.numerator, a.denominator
+    lo, hi = 0.0, 1.0
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break
+        # p(r) = (r - a) - r^n (1 - a r) at r = m / 2^k, times v 2^(k (n+1)).
+        m, d = mid.as_integer_ratio()
+        k = d.bit_length() - 1
+        if (v * m - (u << k) << k * n) >= m ** n * ((v << k) - u * m):
+            hi = mid
+        else:
+            lo = mid
+    if hi == 1.0:
+        raise NoInteriorRoot(
+            f"the root of h(r) = 1 in (0, 1) lies within one ulp of 1 "
+            f"for {params.describe()}"
+        )
+    assert abs(critical_polynomial(params, hi)) < ROOT_TOL
+    return hi
 
 
 def pole_zero_radii(params: Params) -> Tuple[float, float]:

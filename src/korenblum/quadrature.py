@@ -52,6 +52,10 @@ Coords = Literal["original", "substituted"]
 Which = Literal["f", "g"]
 
 CONVERGENCE_TOL = 1e-8
+# A grid holds float64 temporaries of one value per cell, and its radial
+# Gauss-Legendre rule is solved as an eigenproblem (~5 s at 4096 nodes).
+MAX_GRID_CELLS = 1 << 22
+MAX_RADIAL_NODES = 4096
 
 
 class QuadratureNotConverged(RuntimeError):
@@ -70,6 +74,11 @@ class QuadratureGrid:
             raise ValueError("need at least 8 radial nodes")
         if self.angular_nodes < 16:
             raise ValueError("need at least 16 angular nodes")
+        cells = self.radial_nodes * self.angular_nodes
+        if self.radial_nodes > MAX_RADIAL_NODES or cells > MAX_GRID_CELLS:
+            raise ValueError(
+                f"grid must have at most {MAX_RADIAL_NODES} radial nodes and {MAX_GRID_CELLS} cells"
+            )
 
     def doubled(self) -> "QuadratureGrid":
         return QuadratureGrid(2 * self.radial_nodes, 2 * self.angular_nodes)
@@ -153,9 +162,11 @@ def norm_sq_quad(
         raise ValueError(f"unknown coordinates {coords!r}")
     if grid is None:
         grid = QuadratureGrid()
+    # Doubling first refuses a grid too large to double before any rule is solved.
+    finer = grid.doubled() if check_convergence else None
     value = _tensor_value(params, which, grid, coords)
-    if check_convergence:
-        refined = _tensor_value(params, which, grid.doubled(), coords)
+    if finer is not None:
+        refined = _tensor_value(params, which, finer, coords)
         if abs(refined - value) > CONVERGENCE_TOL:
             raise QuadratureNotConverged(
                 f"norm_sq_quad({which}, {coords}) moved by "

@@ -27,15 +27,17 @@ GOLDEN_NORMS_SHA256 = "09d1dae9ae8ebb5bd142e749a760751b98be526449fff0f0a1dab38f8
 # json.dumps(indent=2) as Certificate.to_json does.  Both verify hashes
 # were re-pinned when the angular quadrature moved to the trapezoid rule;
 # only the six quadrature fields of cross_check changed, the quadrature
-# norms by at most 6e-17.
-GOLDEN_VERIFY_SHA256 = "7c7309bf7913da35a17b6f4841e6072081a7f9921337e0feb5e824472767d867"
+# norms by at most 6e-17.  Re-pinned again when c became the root rounded
+# up to a double: only the c, residual and h(c) fields changed.
+GOLDEN_VERIFY_SHA256 = "9b21948d6fee43f0d3df7a8ed89849858fddbced3278df1ba39a454aeb2ad508"
 # Float norms at the same pair, re-pinned when a float gap stopped
 # counting as certified: only "certified": true became false.
 GOLDEN_FLOAT_NORMS_SHA256 = "84ad7423fc25328ef7a33000d840bacfb4adb94d6a69b93c54b3eb051e2a7817"
 # Search and a short scan, taken before the serialisers were rebuilt from
-# the dataclass fields.
-GOLDEN_SEARCH_SHA256 = "5b97646f82cf9518474eb95f53fb4fa04fdb9663fa26356856a013f076e1c644"
-GOLDEN_SCAN_SHA256 = "6db71d3be384f1e0231d636fcedca4f66cb550b830dad9b132c85617168bbd30"
+# the dataclass fields, and re-pinned when c became the root rounded up
+# to a double: only the "c" values changed.
+GOLDEN_SEARCH_SHA256 = "474daf4ab5a9044e73ca1de28acbf160ccad287ccb0febb3170abbea3e7bc1ad"
+GOLDEN_SCAN_SHA256 = "b28afb110396e901e5485505ceab858e9f28b7963d3c54dc55d65bda7e379b59"
 # plot-data --kind delta at its defaults (256 points on [0.6, 0.7], K = 64),
 # as 256 separate delta_of_a calls printed it.
 GOLDEN_PLOT_DELTA_SHA256 = "f3efcc3637d99ebfd260e505ad586ff5e4477ac71bf69015f0f078436b8b6a80"
@@ -78,7 +80,7 @@ class TestRoot:
         payload = json.loads(out)
         assert code == 0
         assert payload["a"] == "0.6666714"
-        assert payload["c"] == pytest.approx(0.6779049274218489, abs=1e-12)
+        assert payload["c"] == pytest.approx(0.677904927421849, abs=1e-12)
 
     def test_no_root_maps_to_failure_exit(self, capsys):
         code, _, err = run_cli(capsys, "root", "--a", "0.45", "--n", "2")
@@ -122,6 +124,24 @@ class TestUsageErrors:
         assert time.perf_counter() - start < 1.0
         assert excinfo.value.code == 2
         assert f"at most {korenblum.series.MAX_TERMS}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["root", "--a", "0.5", "--n", "1001"],
+            ["verify", "--a", "0.5", "--n", "1001"],
+            ["search", "--n", "1001"],
+            ["scan", "--n-max", "1001"],
+            ["scan", "--n-min", "1001", "--n-max", "1001"],
+        ],
+    )
+    def test_frequency_above_limit_fails_fast(self, capsys, argv):
+        start = time.perf_counter()
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert time.perf_counter() - start < 1.0
+        assert excinfo.value.code == 2
+        assert f"at most {korenblum.cli.MAX_FREQUENCY}" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "argv",
@@ -300,7 +320,7 @@ class TestPlotData:
         assert len(rows) == 64
         assert abs(float(rows[0]["h"]) - 1.0) < 1e-9
         assert abs(float(rows[-1]["h"]) - 1.0) < 1e-9
-        assert float(rows[0]["r"]) == pytest.approx(0.6779049274218489, abs=1e-12)
+        assert float(rows[0]["r"]) == pytest.approx(0.677904927421849, abs=1e-12)
         interior = [float(row["h"]) for row in rows[1:-1]]
         assert all(h <= 1.0 + 1e-12 for h in interior)
 

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import math
+import time
 import tracemalloc
 from fractions import Fraction
 
@@ -19,52 +21,45 @@ from korenblum import (
 )
 from korenblum.certificate import run_verification
 from korenblum.domination import (
-    SCAN_HI,
-    SCAN_LO,
     DominationViolated,
     HypothesisViolated,
     NoInteriorRoot,
-    bisect_sign_change,
     critical_polynomial,
-    critical_polynomial_derivative,
-    deflated_polynomial,
-    newton_polish,
 )
 from korenblum.family import eval_f, eval_g
 
 from .oracles import mp_fraction
 
-FROZEN_ROOT = 0.6779049274218489
+FROZEN_ROOT = 0.677904927421849
 
 # (n, a, c, grid_max_ratio, angular_peak_offset, verdict) on the default
 # 256x1024 grid for the 17 certified pairs of `korenblum scan --n-min 4
 # --n-max 20`, as the whole-grid evaluation computed them.  The blocked
 # grid must reproduce every bit.
 PINNED_DOMINATION = (
-    (4, "0.5898501", 0.8516706811286321, 1.0000000000000016, 0.0, "pass"),
-    (5, "0.6167154", 0.7320090554828018, 1.0000000000000016, 0.0, "pass"),
+    (4, "0.5898501", 0.8516706811286302, 1.0000000000000016, 0.0, "pass"),
+    (5, "0.6167154", 0.732009055482802, 1.0000000000000016, 0.0, "pass"),
     (6, "0.6340504", 0.6989956106765488, 1.000000000000003, 0.0, "pass"),
     (7, "0.6460616", 0.685796192364925, 1.000000000000002, 0.0, "pass"),
-    (8, "0.6548247", 0.680252189111467, 1.0000000000000024, 0.0, "pass"),
+    (8, "0.6548247", 0.6802521891114669, 1.0000000000000024, 0.0, "pass"),
     (9, "0.6614735", 0.678213172724522, 1.000000000000003, 0.0, "pass"),
-    (10, "0.6666757", 0.6779099280036488, 1.000000000000004, 0.0, "pass"),
+    (10, "0.6666757", 0.6779099280036489, 1.000000000000004, 0.0, "pass"),
     (11, "0.6708482", 0.6784909589206722, 1.0000000000000033, 0.0, "pass"),
     (12, "0.6742636", 0.679514665711971, 1.0000000000000069, 0.0, "pass"),
     (13, "0.6771072", 0.680741404602351, 1.0000000000000053, 0.0, "pass"),
-    (14, "0.6795093", 0.6820381956202886, 1.0000000000000049, 0.0, "pass"),
-    (15, "0.6815637", 0.6833306386240192, 1.0000000000000058, 0.0, "pass"),
-    (16, "0.6833396", 0.6845779458993118, 1.000000000000007, 0.0, "pass"),
+    (14, "0.6795093", 0.6820381956202887, 1.0000000000000049, 0.0, "pass"),
+    (15, "0.6815637", 0.6833306386240193, 1.0000000000000058, 0.0, "pass"),
+    (16, "0.6833396", 0.6845779458993116, 1.000000000000007, 0.0, "pass"),
     (17, "0.6848893", 0.6857591907904366, 1.000000000000007, 0.0, "pass"),
     (18, "0.6862529", 0.6868650287139317, 1.00000000000001, 0.0, "pass"),
-    (19, "0.6874616", 0.6878929093504782, 1.0000000000000078, 0.0, "pass"),
-    (20, "0.6885401", 0.6888443019008581, 1.000000000000012, 0.0, "pass"),
+    (19, "0.6874616", 0.6878929093504783, 1.0000000000000078, 0.0, "pass"),
+    (20, "0.6885401", 0.6888443019008582, 1.000000000000012, 0.0, "pass"),
 )
 
 # Just below a = 9/11, where the interior root of p merges into r = 1 at
-# n = 10, the root sits above SCAN_HI.
+# n = 10, the root sits above 0.999.
 NEAR_MERGE = Params(Fraction(9, 11) - Fraction(1, 10**7), 10)
-# Closer still: the root lies about 2.7e-7 below 1, between the last two
-# points of a linear scan of [SCAN_HI, 1).
+# Closer still: the root lies about 2.7e-7 below 1.
 NEARER_MERGE = Params(Fraction(9, 11) - Fraction(1, 10**13), 10)
 
 
@@ -89,6 +84,14 @@ def whole_grid(params, c, radial_samples, angular_samples):
 coefficients = st.integers(min_value=1, max_value=9_999_999).map(
     lambda m: Fraction(m, 10**7)
 )
+
+
+def assert_rounded_up(params, c):
+    """c is the smallest double at or above the root, in exact arithmetic."""
+    below = math.nextafter(c, 0.0)
+    assert critical_polynomial(params, Fraction(c)) >= 0 > critical_polynomial(
+        params, Fraction(below)
+    )
 
 
 class TestEnvelope:
@@ -144,8 +147,8 @@ class TestCriticalRoot:
             critical_root(Params(Fraction(0), 10))
 
     def test_monotone_in_a(self):
-        # above a ~ 0.85 the interior root merges into r = 1 and vanishes,
-        # so the grid stays below that
+        # at a = 9/11 ~ 0.818 the interior root merges into r = 1 and
+        # vanishes, so the grid stays below that
         roots = [critical_root(Params(Fraction(a), 10)) for a in ("0.667", "0.7", "0.75", "0.8")]
         assert roots == sorted(roots)
         assert all(0 < c < 1 for c in roots)
@@ -161,7 +164,7 @@ class TestCriticalRoot:
             c = critical_root(params)
         except NoInteriorRoot:
             assume(False)
-        assert SCAN_LO <= c < 1.0
+        assert 0 < c < 1
         assert abs(float(ratio_envelope(params, c)) - 1.0) < 1e-10
 
     def test_pinned_roots_of_certified_pairs(self):
@@ -169,9 +172,9 @@ class TestCriticalRoot:
             assert critical_root(Params(Fraction(a), n)) == c
 
     def test_root_above_scan_range(self):
-        assert float(critical_polynomial(NEAR_MERGE, SCAN_HI)) < 0
+        assert float(critical_polynomial(NEAR_MERGE, 0.999)) < 0
         c = critical_root(NEAR_MERGE)
-        assert SCAN_HI < c < 1.0
+        assert 0.999 < c < 1.0
         assert c == pytest.approx(0.99972924, abs=1e-8)
         assert abs(critical_polynomial(NEAR_MERGE, c)) < 1e-14
         assert run_verification(NEAR_MERGE).passed
@@ -185,8 +188,8 @@ class TestCriticalRoot:
     @pytest.mark.parametrize("n", [2, 3, 10, 20])
     def test_near_merge_roots_match_mpmath(self, n):
         # q = p / (r - 1) has a double root at r = 1 when a = (n-1)/(n+1).
-        # Just below that a the root lies next to 1, where |p| < ROOT_TOL
-        # holds before Newton starts, so c is as good as the bisection.
+        # Just below that a the root lies next to 1, where p is tiny on
+        # both sides of it, so only exact signs place c at or above it.
         for e in range(7, 17):
             a = Fraction(n - 1, n + 1) - Fraction(1, 10**e)
             c = critical_root(Params(a, n))
@@ -197,50 +200,54 @@ class TestCriticalRoot:
                 )
                 half = (1 - mp.mpf(c)) / 2
                 root = mp.findroot(q, (c - half, c + half), solver="anderson")
-                assert abs(c - root) < 2.5e-16, (n, e)
+                assert 0 <= c - root < 2.5e-16, (n, e)
 
     def test_root_merged_into_boundary(self):
         # a = 9/11 makes r = 1 a double root of q = p / (r - 1)
-        params = Params(Fraction(9, 11), 10)
-        assert deflated_polynomial(params, 1.0) == pytest.approx(0.0, abs=1e-14)
         with pytest.raises(NoInteriorRoot):
-            critical_root(params)
-        # a = 1/2 is exact in floats: q = (1 - r)^2 (1 + r) / 2 > 0 on
-        # [0, 1), and its value next to r = 1 must not drown in rounding
-        params = Params(Fraction(1, 2), 3)
-        t = np.geomspace(1e-3, 1e-15, 50)
-        assert np.all(deflated_polynomial(params, 1.0 - t) > 0)
+            critical_root(Params(Fraction(9, 11), 10))
+        # q = (1 - r)^2 (1 + r) / 2 > 0 on [0, 1)
         with pytest.raises(NoInteriorRoot):
-            critical_root(params)
+            critical_root(Params(Fraction(1, 2), 3))
 
-    def test_deflated_polynomial(self, reference):
-        for r in (0.3, 0.7, 0.999):
-            expected = critical_polynomial(reference, r) / (r - 1.0)
-            assert deflated_polynomial(reference, r) == pytest.approx(expected, rel=1e-9)
+    @given(a=coefficients, n=st.integers(min_value=2, max_value=40))
+    def test_root_rounded_up_to_a_double(self, a, n):
+        params = Params(a, n)
+        if (n + 1) * a >= n - 1:
+            with pytest.raises(NoInteriorRoot):
+                critical_root(params)
+            return
+        c = critical_root(params)
+        assert_rounded_up(params, c)
+
+    @pytest.mark.parametrize(
+        "n, a",
+        [
+            (1000, Fraction(1, 10**30)),
+            (500, Fraction("0.996")),
+            (1000, Fraction("0.998")),
+            (10, Fraction("0.0005")),
+        ],
+    )
+    def test_hard_roots_are_fast_and_rounded_up(self, n, a):
+        params = Params(a, n)
+        start = time.perf_counter()
+        c = critical_root(params)
+        assert time.perf_counter() - start < 1.0
+        assert_rounded_up(params, c)
+
+    def test_root_within_one_ulp_of_one(self):
+        # the root exists but lies about 1e-20 below 1, so no double is
+        # both above it and below 1
+        params = Params(Fraction(9, 11) - Fraction(1, 10**40), 10)
+        start = time.perf_counter()
+        with pytest.raises(NoInteriorRoot, match=r"\(0, 1\)"):
+            critical_root(params)
+        assert time.perf_counter() - start < 1.0
 
     def test_scan_fails_only_below_n_4(self):
         failed = {row.n for row in scan(range(2, 21)).rows if row.candidate is None}
         assert failed == {2, 3}
-
-
-class TestRootHelpers:
-    def test_bisection_halves_widths(self):
-        fn = lambda x: x - 1 / 3
-        lo, hi = bisect_sign_change(fn, 0.0, 1.0, steps=12)
-        assert hi - lo == pytest.approx(2.0**-12, abs=0.0)
-        assert lo <= 1 / 3 <= hi
-
-    def test_bisection_needs_sign_change(self):
-        with pytest.raises(ValueError):
-            bisect_sign_change(lambda x: x + 1.0, 0.0, 1.0, steps=4)
-
-    def test_newton_budget_from_bisection_output(self, reference):
-        p = lambda r: critical_polynomial(reference, float(r))
-        dp = lambda r: critical_polynomial_derivative(reference, float(r))
-        lo, hi = bisect_sign_change(p, 0.6, 0.7, steps=20)
-        c, iterations = newton_polish(p, dp, 0.5 * (lo + hi), tol=1e-14)
-        assert iterations <= 6
-        assert c == pytest.approx(FROZEN_ROOT, abs=1e-12)
 
 
 class TestPoleZeroRadii:

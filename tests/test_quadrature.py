@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -35,6 +36,20 @@ class TestGrid:
             QuadratureGrid(radial_nodes=4)
         with pytest.raises(ValueError):
             QuadratureGrid(angular_nodes=8)
+
+    @pytest.mark.parametrize("shape", [(8192, 16), (4096, 2048)])
+    def test_size_limits(self, shape):
+        with pytest.raises(ValueError, match="at most"):
+            QuadratureGrid(*shape)
+
+    def test_refuses_to_double_the_largest_grid_before_solving(self, reference):
+        # 4096x1024 is the largest grid allowed; its doubled grid is not,
+        # and that must fail before the 4096-node rule is solved (~5 s).
+        quadrature._legendre_rule.cache_clear()
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="at most"):
+            norm_sq_quad(reference, grid=QuadratureGrid(4096, 1024))
+        assert time.perf_counter() - start < 1.0
 
 
 class TestNodes:

@@ -21,7 +21,7 @@ from korenblum.search import (
 
 # Sign change of delta(a) at n = 10, frozen from exact-arithmetic bisection.
 FROZEN_A_STAR = 0.6666706833862361
-FROZEN_ROOT = 0.6779049274218489
+FROZEN_ROOT = 0.677904927421849
 
 # sha256 of coarse_scan(n, K).deltas packed as little-endian doubles, as
 # 99 separate delta_of_a calls computed them.  At K = 8 the tail bound
