@@ -52,7 +52,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Tuple, Union
 
-import numpy as np
+# numpy is imported inside the functions that use it, so exact-only commands never load it.
 
 from .family import Params, eval_abs_ratio
 # Not called here; kept so that ``domination.eval_f`` and
@@ -225,6 +225,8 @@ def verify_domination(
             f"h(c) = {h_at_c!r} is not within {BOUNDARY_TOL:g} of 1; "
             "is c the critical radius?"
         )
+
+    import numpy as np
 
     radii = np.linspace(c, 1.0, radial_samples)
     theta = np.linspace(0.0, 2.0 * np.pi, angular_samples, endpoint=False)

@@ -44,7 +44,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Literal
 
-import numpy as np
+# numpy is imported inside the functions that use it, so exact-only commands never load it.
 
 from .family import Params
 
@@ -92,6 +92,8 @@ def _legendre_rule(count: int):
     cross-check needs one count and a convergence-checked norm two, so a
     few entries suffice and odd grids cannot grow the cache unbounded.
     """
+    import numpy as np
+
     x, w = np.polynomial.legendre.leggauss(count)
     x.flags.writeable = False
     w.flags.writeable = False
@@ -120,6 +122,8 @@ def _tensor_value(params: Params, which: Which, grid: QuadratureGrid, coords: Co
     # The trapezoid weights in phi are all 2 pi / N, so the angular
     # integral is 2 pi times a row mean; each prefactor below is the
     # docstring's 1/pi, 1/(2 pi) or 1/(4 pi) with that 2 pi folded in.
+    import numpy as np
+
     u, wu = gauss_legendre_nodes(grid.radial_nodes)
     phi = (2.0 * np.pi / grid.angular_nodes) * np.arange(grid.angular_nodes)
     cos_phi = np.cos(phi)[None, :]

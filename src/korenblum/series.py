@@ -65,7 +65,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, List, Literal, Sequence, Tuple, Union
 
-import numpy as np
+# numpy is imported inside the functions that use it, so exact-only commands never load it.
 
 from .family import Params
 
@@ -200,6 +200,8 @@ def float_norms_sq(
     coefficients are used as given, without the ``Params`` check that
     0 <= a < 1.
     """
+    import numpy as np
+
     _check_terms(K)
     a = np.asarray(a, dtype=float)
     step = max(1, FLOAT_BLOCK_CELLS // (K + 2))
@@ -239,14 +241,14 @@ def _enclose_norm_sq(params: Params, K: int, mode: Mode, shape) -> NormEnclosure
         lower, upper = _exact_sum(params.a, params.n, K, *shape(params.a))
     elif mode == "float":
         a = params.a_float
-        (lower,), (upper,) = _float_sums(np.array([a]), params.n, K, *shape(a))
+        (lower,), (upper,) = _float_sums([a], params.n, K, *shape(a))
     else:
         raise ValueError(f"unknown mode {mode!r}")
     return NormEnclosure(lower, upper, K, mode)
 
 
 def _float_sums(
-    a: np.ndarray, n: int, K: int, s: int, c0, c1
+    a: Sequence[float], n: int, K: int, s: int, c0, c1
 ) -> Tuple[List[float], List[float]]:
     """Float lower and upper ends at each coefficient in ``a``.
 
@@ -259,6 +261,9 @@ def _float_sums(
     about one case in a thousand, so it stays one Python expression per
     coefficient.
     """
+    import numpy as np
+
+    a = np.asarray(a, dtype=float)
     ratio = a / 2.0
     coeffs = np.empty((K + 2, a.size))
     coeffs[0] = c0

@@ -352,6 +352,17 @@ class TestVerifyDomination:
             info.value
         )
 
+    @pytest.mark.xfail(
+        strict=True,
+        raises=DominationViolated,
+        reason="z^1000 rounds by ~1e-13 next to |1 + a z^n| >= 0.002, so the grid "
+        "ratio reads 1 + 4.8e-11 at r = 1, where h(1) = 1 exactly",
+    )
+    def test_no_false_violation_near_the_merge_at_n_1000(self):
+        params = Params(Fraction("0.998"), 1000)
+        report = verify_domination(params, critical_root(params))
+        assert report.verdict == "pass"
+
     def test_grid_memory(self, reference):
         c = critical_root(reference)
         tracemalloc.start()
