@@ -119,7 +119,6 @@ def run_verification(
     params: Params,
     terms: int = 64,
     grid: Optional[QuadratureGrid] = None,
-    domination_tol: float = 1e-12,
 ) -> Certificate:
     """Run the full verification chain and assemble a certificate.
 
@@ -151,7 +150,7 @@ def run_verification(
 
     if failed is None:
         try:
-            report = verify_domination(params, c, tol=domination_tol)
+            report = verify_domination(params, c)
             dom_dict = _domination_dict(report)
             ok = report.verdict == "pass"
             checks.append({"name": "domination", "passed": ok})

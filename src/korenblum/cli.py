@@ -26,6 +26,7 @@ from .series import MAX_TERMS, enclose_difference, float_norms_sq, norm_sq_f, no
 # bench/tracing.py can wrap.
 from .series import norm_difference  # noqa: F401
 
+# main maps these to exit 1; any other exception propagates out of main.
 # ArithmeticError covers NoInteriorRoot, AmbiguousSign and CertificationFailed.
 COMPUTE_ERRORS = (DominationViolated, HypothesisViolated, InvalidBracket, ArithmeticError)
 # critical_root reads signs of p exactly in integers of about 53 n bits, so
@@ -117,8 +118,6 @@ def build_parser() -> argparse.ArgumentParser:
                           help="accepted for existing command lines; the gap is always exact")
     p_verify.add_argument("--grid", type=_grid, default=None, metavar="RxA",
                           help="quadrature grid, e.g. 128x256")
-    p_verify.add_argument("--tol", type=_positive_float, default=1e-12,
-                          help="domination grid tolerance")
     p_verify.add_argument("--json", action="store_true")
     p_verify.add_argument("--out", default=None, help="write the certificate here")
     p_verify.set_defaults(func=cmd_verify)
@@ -138,7 +137,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_search = sub.add_parser("search", help="locate and certify the best a for one n")
     p_search.add_argument("--n", type=_frequency, required=True)
     p_search.add_argument("--safety", type=_positive_float, default=5e-6)
-    p_search.add_argument("--terms", type=_terms, default=64)
     p_search.add_argument("--json", action="store_true")
     p_search.set_defaults(func=cmd_search)
 
@@ -156,7 +154,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_plot.add_argument("--points", type=_points, default=256)
     p_plot.add_argument("--a-min", type=_coefficient, default=Fraction("0.6"))
     p_plot.add_argument("--a-max", type=_coefficient, default=Fraction("0.7"))
-    p_plot.add_argument("--terms", type=_terms, default=64)
     p_plot.add_argument("--out", default=None)
     p_plot.set_defaults(func=cmd_plot_data)
 
@@ -174,7 +171,7 @@ def _enclosure_dict(enc) -> dict:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     params = Params(args.a, args.n)
-    cert = run_verification(params, terms=args.terms, grid=args.grid, domination_tol=args.tol)
+    cert = run_verification(params, terms=args.terms, grid=args.grid)
     if args.json or args.out:
         text = cert.to_json()
         _emit(text, args.out)
@@ -199,11 +196,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def cmd_root(args: argparse.Namespace) -> int:
     params = Params(args.a, args.n)
-    try:
-        c = critical_root(params)
-    except COMPUTE_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    c = critical_root(params)
     if args.json:
         print(json.dumps({"a": fraction_to_decimal(params.a), "n": params.n, "c": c}))
     else:
@@ -254,11 +247,7 @@ def _candidate_dict(candidate) -> dict:
 
 
 def cmd_search(args: argparse.Namespace) -> int:
-    try:
-        candidate = best_bound(args.n, safety=args.safety, K=args.terms)
-    except COMPUTE_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    candidate = best_bound(args.n, safety=args.safety)
     if args.json:
         print(json.dumps(_candidate_dict(candidate)))
     else:
@@ -326,11 +315,7 @@ def cmd_plot_data(args: argparse.Namespace) -> int:
     buffer = io.StringIO()
     writer = csv.writer(buffer)
     if args.kind == "envelope":
-        try:
-            c = critical_root(params)
-        except COMPUTE_ERRORS as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
+        c = critical_root(params)
         writer.writerow(["r", "h"])
         for i in range(args.points):
             r = c + (1.0 - c) * i / (args.points - 1)
@@ -342,7 +327,7 @@ def cmd_plot_data(args: argparse.Namespace) -> int:
             return 2
         writer.writerow(["a", "delta_lower", "delta_upper"])
         a_values = [a_lo + (a_hi - a_lo) * i / (args.points - 1) for i in range(args.points)]
-        d = enclose_difference(*float_norms_sq(a_values, args.n, args.terms))
+        d = enclose_difference(*float_norms_sq(a_values, args.n))
         for row in zip(a_values, d.delta_lower.tolist(), d.delta_upper.tolist()):
             writer.writerow([repr(x) for x in row])
     _emit(buffer.getvalue().rstrip("\n"), args.out)
@@ -359,7 +344,11 @@ def _main_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _main_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except COMPUTE_ERRORS as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -65,6 +65,8 @@ Radius = Union[Fraction, int, float]
 ROOT_TOL = 1e-14
 # h(c) must lie this close to 1 for c to count as the critical radius.
 BOUNDARY_TOL = 1e-9
+# A domination grid sample fails when |f|/|g| exceeds 1 + GRID_TOL.
+GRID_TOL = 1e-12
 # Radial rows per block of the domination grid: 4 rows of 1024 angles
 # are 64 KiB per complex temporary, half glibc's default 128 KiB mmap
 # threshold.  With 8 rows the temporaries sit on that threshold, and
@@ -186,7 +188,6 @@ def verify_domination(
     c: float,
     radial_samples: int = 256,
     angular_samples: int = 1024,
-    tol: float = 1e-12,
     require_boundary_identity: bool = True,
 ) -> DominationReport:
     """Check the domination hypotheses on a polar grid of the annulus.
@@ -194,8 +195,8 @@ def verify_domination(
     Raises HypothesisViolated if a pole or zero radius fails to clear
     the unit circle or (with ``require_boundary_identity``) if h(c) is
     not within BOUNDARY_TOL of 1; raises DominationViolated if any
-    grid sample has |f|/|g| > 1 + tol.  The boundary identity check is
-    meant for c produced by critical_root; pass
+    grid sample has |f|/|g| > 1 + GRID_TOL.  The boundary identity check
+    is meant for c produced by critical_root; pass
     ``require_boundary_identity=False`` to audit a conservative inner
     radius that is not a root of h = 1.
 
@@ -249,13 +250,13 @@ def verify_domination(
         offsets[rows] = np.where(near, dist, np.inf).min(axis=1)
 
     grid_max = float(row_max.max())
-    if grid_max > 1.0 + tol:
+    if grid_max > 1.0 + GRID_TOL:
         i = int(row_max.argmax())
         # Only the message needs the angle, so re-evaluate the failing row.
         j = int(eval_abs_ratio(params, radii[i] * circle).argmax())
         raise DominationViolated(
             f"|f|/|g| = {grid_max!r} at r = {radii[i]:.12f}, "
-            f"theta = {theta[j]:.12f} exceeds 1 + {tol:g}"
+            f"theta = {theta[j]:.12f} exceeds 1 + {GRID_TOL:g}"
         )
     peak_offset = float(offsets.max())
     verdict = "pass" if peak_offset <= 1.0 + 1e-9 else "fail"
@@ -272,6 +273,6 @@ def verify_domination(
         angular_peak_offset=peak_offset,
         radial_samples=radial_samples,
         angular_samples=angular_samples,
-        tol=tol,
+        tol=GRID_TOL,
         verdict=verdict,
     )

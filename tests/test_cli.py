@@ -50,19 +50,16 @@ def run_cli(capsys, *argv):
 
 
 class TestSharedParser:
-    def test_successive_calls_print_what_separate_calls_print(self, capsys):
+    def test_successive_calls_print_what_separate_calls_print(self, capsys, monkeypatch):
         calls = [
             ["root", *REFERENCE_ARGS, "--json"],
             ["norms", *REFERENCE_ARGS, "--terms", "8", "--json"],
             ["root", "--a", "0.45", "--n", "2"],
             ["root", *REFERENCE_ARGS],
         ]
-        separate = []
-        for argv in calls:
-            args = korenblum.cli.build_parser().parse_args(argv)
-            code = args.func(args)
-            separate.append((code, *capsys.readouterr()))
         successive = [run_cli(capsys, *argv) for argv in calls]
+        monkeypatch.setattr(korenblum.cli, "_main_parser", korenblum.cli.build_parser)
+        separate = [run_cli(capsys, *argv) for argv in calls]
         assert successive == separate
 
     def test_build_parser_returns_a_fresh_parser(self):
@@ -101,6 +98,11 @@ class TestUsageErrors:
             ["norms", "--n", "10"],
             ["verify", "--a", "0.5", "--n", "10", "--grid", "banana"],
             ["nonsense"],
+            # Float estimates run at series.DEFAULT_TERMS and the domination
+            # grid at domination.GRID_TOL; neither is a flag.
+            ["search", "--n", "10", "--terms", "64"],
+            ["plot-data", *REFERENCE_ARGS, "--kind", "delta", "--terms", "64"],
+            ["verify", *REFERENCE_ARGS, "--tol", "1e-12"],
         ],
     )
     def test_exit_code_2(self, argv):
@@ -113,8 +115,6 @@ class TestUsageErrors:
         [
             ["verify", *REFERENCE_ARGS, "--exact"],
             ["norms", *REFERENCE_ARGS, "--exact"],
-            ["search", "--n", "10"],
-            ["plot-data", *REFERENCE_ARGS, "--kind", "delta"],
         ],
     )
     def test_terms_above_limit_fail_fast(self, capsys, argv):

@@ -10,6 +10,7 @@ from korenblum import best_bound, critical_a, delta_of_a, scan, search, series
 from korenblum.domination import NoInteriorRoot
 from korenblum.family import fraction_to_decimal
 from korenblum.search import (
+    COARSE_GRID,
     WANG_UPPER_BOUND,
     AmbiguousSign,
     CertificationFailed,
@@ -18,14 +19,17 @@ from korenblum.search import (
     _quantize_up,
     coarse_scan,
 )
+from korenblum.series import DifferenceResult, enclose_difference, float_norms_sq
 
 # Sign change of delta(a) at n = 10, frozen from exact-arithmetic bisection.
 FROZEN_A_STAR = 0.6666706833862361
 FROZEN_ROOT = 0.677904927421849
 
-# sha256 of coarse_scan(n, K).deltas packed as little-endian doubles, as
-# 99 separate delta_of_a calls computed them.  At K = 8 the tail bound
-# is visible in the enclosures (about 1e-7 wide at a = 0.99).
+# sha256 of the 99 float gap estimates on COARSE_GRID packed as
+# little-endian doubles, as 99 separate delta_of_a calls computed them:
+# coarse_scan(n).deltas at K = 64, and the midpoints of the float gap
+# enclosures at K = 8, where the tail bound is visible (about 1e-7 wide
+# at a = 0.99).
 COARSE_DELTAS_SHA256 = {
     (2, 64): "bb216918467acc644a3074bb156e8a52f57981a001674e6d55d2cd5cecdb81df",
     (3, 64): "4c57eb4992be9930bb6ade8b0fc2f6b3b30addbeb482f37ef03af534aea95764",
@@ -70,23 +74,23 @@ class TestDeltaOfA:
 
 
 class TestCertifiedSign:
-    """``_float_sign``: the sign of a float estimate, escalating K."""
+    """``_float_sign``: the sign of one float estimate of delta."""
 
     def test_resolves_both_sides(self):
-        assert _float_sign(10, 0.6, 64)[0] == -1
-        assert _float_sign(10, 0.7, 64)[0] == 1
+        assert _float_sign(10, 0.6) == -1
+        assert _float_sign(10, 0.7) == 1
 
-    def test_escalates_truncation(self):
-        # K = 1 straddles zero this close to the crossing; escalation
-        # resolves it and reports the truncation that sufficed.
-        sign, d = _float_sign(10, 0.667, 1)
-        assert sign == 1
-        assert d.truncation_index > 1
+    def test_exact_zero_is_ambiguous_at_once(self, monkeypatch):
+        calls = []
 
-    def test_ambiguous_when_capped(self, monkeypatch):
-        monkeypatch.setattr(search, "MAX_TERMS", 4)
+        def zero(n, a):
+            calls.append(a)
+            return DifferenceResult(0.0, 0.0, 64, "float")
+
+        monkeypatch.setattr(search, "delta_of_a", zero)
         with pytest.raises(AmbiguousSign):
-            _float_sign(10, FROZEN_A_STAR, 2)
+            _float_sign(10, FROZEN_A_STAR)
+        assert calls == [FROZEN_A_STAR]
 
 
 class TestCoarseScan:
@@ -103,7 +107,10 @@ class TestCoarseScan:
 
     @pytest.mark.parametrize("n, K", sorted(COARSE_DELTAS_SHA256))
     def test_deltas_bit_identical(self, n, K):
-        deltas = coarse_scan(n, K=K).deltas
+        if K == 64:
+            deltas = coarse_scan(n).deltas
+        else:
+            deltas = enclose_difference(*float_norms_sq(COARSE_GRID, n, K)).midpoint.tolist()
         packed = struct.pack(f"<{len(deltas)}d", *deltas)
         assert hashlib.sha256(packed).hexdigest() == COARSE_DELTAS_SHA256[n, K]
 
