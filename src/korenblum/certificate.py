@@ -14,6 +14,7 @@ machine-checked.
 from __future__ import annotations
 
 import json
+import sys
 import time
 from dataclasses import dataclass, fields
 from fractions import Fraction
@@ -31,18 +32,48 @@ from .domination import (
 )
 from .family import Params, fraction_to_decimal
 from .quadrature import QuadratureGrid, cross_check
-from .series import DifferenceResult, Scalar, norm_difference
+from .series import DifferenceResult, Scalar, _twos, norm_difference
 
 SCHEMA = "korenblum.certificate.v1"
+
+# 5^(2^j) for j = 0..13: enough to find up to 16383 trailing zeros.
+_FIVES = tuple(5 ** (1 << j) for j in range(14))
+# The int-to-str digit limit; Python 3.10 before 3.10.7 has none.
+_max_str_digits = getattr(sys, "get_int_max_str_digits", lambda: 0)
 
 
 def encode_fraction(x: Fraction) -> Dict[str, Any]:
     """Lossless JSON encoding of a rational, with a float rendering."""
     return {
         "numerator": str(x.numerator),
-        "denominator": str(x.denominator),
+        "denominator": _positive_str(x.denominator),
         "float": float(x),
     }
+
+
+def _positive_str(x: int) -> str:
+    """``str(x)`` for x >= 1, printing its trailing zeros without converting them.
+
+    The t zeros, t = min(v2, v5), come off as x // 10^t, with v5 found by
+    descent over 5^(2^j) and capped at v2; only the rest is converted.  A
+    result longer than the interpreter's digit limit is left to
+    ``str(x)``, which raises the interpreter's own ``ValueError``.
+    """
+    twos = _twos(x)
+    odd = x >> twos
+    zeros = 0
+    for j in reversed(range(len(_FIVES))):
+        if zeros + (1 << j) <= twos:
+            quotient, remainder = divmod(odd, _FIVES[j])
+            if not remainder:
+                odd, zeros = quotient, zeros + (1 << j)
+    if not zeros:
+        return str(x)
+    head = str(odd << (twos - zeros))
+    limit = _max_str_digits()
+    if limit and len(head) + zeros > limit:
+        return str(x)
+    return head + "0" * zeros
 
 
 def decode_fraction(d: Dict[str, Any]) -> Fraction:

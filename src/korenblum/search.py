@@ -74,7 +74,14 @@ def delta_of_a(
     K: int = DEFAULT_TERMS,
     mode: str = "float",
 ) -> DifferenceResult:
-    """Norm gap enclosure at coefficient a and frequency n."""
+    """Norm gap enclosure at coefficient a and frequency n.
+
+    Float mode reads only the double of a, so a float a in [0, 1) enters
+    as its exact binary value and skips the parse of its decimal repr.
+    Any other a goes through ``as_fraction``, range errors included.
+    """
+    if mode == "float" and isinstance(a, float) and 0 <= a < 1:
+        a = Fraction(a)
     return norm_difference(Params(as_fraction(a), n), K=K, mode=mode)
 
 

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import contextlib
 import csv
 import hashlib
 import io
@@ -10,11 +11,18 @@ import tracemalloc
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 import korenblum.cli
 import korenblum.series
 from korenblum import norm_difference, reference_params
-from korenblum.certificate import Certificate, decode_fraction, encode_fraction, run_verification
+from korenblum.certificate import (
+    Certificate,
+    _positive_str,
+    decode_fraction,
+    encode_fraction,
+    run_verification,
+)
 from korenblum.cli import main
 
 REFERENCE_ARGS = ["--a", "0.6666714", "--n", "10"]
@@ -23,6 +31,11 @@ REFERENCE_ARGS = ["--a", "0.6666714", "--n", "10"]
 # the term-by-term Fraction engine printed them.  A change of engine must
 # not change these bytes.
 GOLDEN_NORMS_SHA256 = "09d1dae9ae8ebb5bd142e749a760751b98be526449fff0f0a1dab38f895525af"
+# The same command at the n = 4 and n = 14 benchmark pairs, as printed
+# before the enclosures were reduced against their short cofactor and
+# the denominators' trailing zeros were printed without conversion.
+GOLDEN_NORMS_N4_SHA256 = "78e4bd89f7602fd89374a7a175d0bf95bc0f18d0f4694ab8f070ab27979f5b0d"
+GOLDEN_NORMS_N14_SHA256 = "3df3682f045cce0ecf67c231554bb375f84c9a497cfea3601ea8781469967f90"
 # The verify certificate with wall_time_s removed, re-serialised with
 # json.dumps(indent=2) as Certificate.to_json does.  Both verify hashes
 # were re-pinned when the angular quadrature moved to the trapezoid rule;
@@ -251,6 +264,18 @@ class TestGoldenOutput:
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_NORMS_SHA256
 
+    @pytest.mark.parametrize(
+        "n, a, golden",
+        [(4, "0.5898501", GOLDEN_NORMS_N4_SHA256), (14, "0.6795093", GOLDEN_NORMS_N14_SHA256)],
+        ids=["n4", "n14"],
+    )
+    def test_exact_norms_json_at_other_pairs(self, capsys, n, a, golden):
+        code, out, _ = run_cli(
+            capsys, "norms", "--a", a, "--n", str(n), "--exact", "--terms", "256", "--json",
+        )
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == golden
+
     @staticmethod
     def _verify_sha256(capsys, *flags):
         code, out, _ = run_cli(capsys, "verify", "--a", "0.6666757", "--n", "10", *flags)
@@ -349,6 +374,40 @@ class TestPlotData:
         assert "a-max" in err
 
 
+@contextlib.contextmanager
+def _int_max_str_digits(limit):
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(saved)
+
+
+class TestDenominatorDigits:
+    """``_positive_str`` prints what ``str`` prints."""
+
+    @given(
+        m=st.integers(min_value=1, max_value=10**60),
+        i=st.integers(min_value=0, max_value=6000),
+        j=st.integers(min_value=0, max_value=6000),
+    )
+    def test_powers_of_two_and_five(self, m, i, j):
+        x = m * 2**i * 5**j
+        with _int_max_str_digits(0):
+            assert _positive_str(x) == str(x)
+
+    @given(x=st.integers(min_value=1) | st.integers(min_value=1, max_value=10**3000))
+    def test_any_positive_integer(self, x):
+        with _int_max_str_digits(0):
+            assert _positive_str(x) == str(x)
+
+    def test_more_zeros_than_the_table_finds(self):
+        x = 3 * 10**20000
+        with _int_max_str_digits(0):
+            assert _positive_str(x) == str(x)
+
+
 class TestCertificateObject:
     def test_round_trip(self):
         cert = run_verification(reference_params())
@@ -394,6 +453,24 @@ class TestCertificateObject:
         finally:
             sys.set_int_max_str_digits(saved)
         assert code == 0
+
+    @pytest.mark.parametrize("digits, fails", [(4300, False), (4301, True), (5001, True)])
+    def test_digit_limit_applies_to_the_printed_length(self, digits, fails):
+        x = Fraction(1, 10 ** (digits - 1))
+        with _int_max_str_digits(4300):
+            if fails:
+                with pytest.raises(ValueError) as expected:
+                    str(x.denominator)
+                with pytest.raises(ValueError) as raised:
+                    encode_fraction(x)
+                assert str(raised.value) == str(expected.value)
+            else:
+                assert encode_fraction(x)["denominator"] == str(x.denominator)
+
+    def test_encoding_past_digit_limit_round_trips_without_limit(self):
+        with _int_max_str_digits(0):
+            for x in (Fraction(1, 10**5000), Fraction(-7, 2**20000 * 5**9000 * 3)):
+                assert decode_fraction(encode_fraction(x)) == x
 
     def test_failure_is_named_and_ordered(self):
         from korenblum import Params

@@ -72,6 +72,19 @@ class TestDeltaOfA:
         assert delta_of_a(10, 0.7) == delta_of_a(10, "0.7")
         assert delta_of_a(10, 0.7).delta_lower > 0
 
+    @pytest.mark.parametrize("a", [0.0, -0.0, 0.1, 0.6666757, 0.9999999999999999])
+    def test_float_in_float_mode_as_its_decimal(self, a):
+        assert delta_of_a(10, a) == delta_of_a(10, repr(a))
+
+    @pytest.mark.parametrize(
+        "a, message",
+        [(1.1, "got 11/10"), (-0.5, "got -1/2"), (1.0, "got 1"),
+         (float("nan"), "Invalid literal"), (float("inf"), "Invalid literal")],
+    )
+    def test_float_range_errors_as_from_its_decimal(self, a, message):
+        with pytest.raises(ValueError, match=message):
+            delta_of_a(10, a)
+
 
 class TestCertifiedSign:
     """``_float_sign``: the sign of one float estimate of delta."""

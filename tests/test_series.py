@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from korenblum import (
     Params,
@@ -219,6 +219,36 @@ class TestExactAgainstTermByTermOracle:
         p = Params(Fraction(a), n)
         assert _ends(norm_sq_f(p, K=256, mode="exact")) == _oracle_ends(p.a, n, 256, "f")
         assert _ends(norm_sq_g(p, K=256, mode="exact")) == _oracle_ends(p.a, n, 256, "g")
+
+
+class TestLowestTerms:
+    """``_lowest_terms`` returns Fraction(num, big * small)'s own pair.
+
+    A pair not in lowest terms would still print, but it would break
+    ``Fraction.__eq__`` and ``hash`` without a sign.
+    """
+
+    @given(
+        q=st.sampled_from([1, 3, 7, 10**7, 2**5 * 3**4 * 7]) | st.integers(1, 10**6),
+        exponent=st.integers(0, 40),
+        small=st.integers(1, 10**40),
+        twos=st.integers(0, 1500),
+        fives=st.integers(0, 700),
+        bases=st.integers(0, 60),
+        rest=st.integers(-(10**30), 10**30).filter(bool),
+    )
+    @example(q=1, exponent=0, small=5, twos=3, fives=1, bases=0, rest=1)  # a = 0, K = 1
+    @example(q=1, exponent=255, small=3, twos=600, fives=0, bases=0, rest=3)  # a = 0
+    @example(q=10**7, exponent=0, small=10, twos=0, fives=0, bases=2, rest=1)  # K = 1
+    def test_same_pair_as_fraction(self, q, exponent, small, twos, fives, bases, rest):
+        base = 4 * q * q
+        big = base**exponent
+        num = rest * 2**twos * 5**fives * base**bases
+        reduced = series._lowest_terms(num, big, base, small)
+        expected = Fraction(num, big * small)
+        assert type(reduced) is Fraction
+        assert (reduced.numerator, reduced.denominator) == (expected.numerator, expected.denominator)
+        assert reduced == expected and hash(reduced) == hash(expected)
 
 
 # Float enclosures ((lower, upper) of ||f||^2, then of ||g||^2) as the
