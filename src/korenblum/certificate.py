@@ -1,4 +1,4 @@
-"""Machine-checkable verification certificates.
+"""Verification certificates: proved and sampled evidence, labelled apart.
 
 A certificate records the full chain of evidence behind one parameter
 pair: the critical radius with its residual, the norm gap enclosure
@@ -7,8 +7,8 @@ sampled domination report and the quadrature cross-check.  Sampled
 checks are labelled as such.  Two statements are proof-grade: the gap,
 always enclosed exactly, and the radius, which exact signs of p place at
 or above the interior root.  ``certified`` is still set from the gap
-alone, because the envelope lemma and the domination grid are not
-machine-checked.
+alone, because the envelope lemma, the domination grid and the pole and
+zero clearance are sampled, not machine-checked.
 """
 
 from __future__ import annotations

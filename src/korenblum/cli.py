@@ -77,13 +77,13 @@ def _grid(text: str) -> QuadratureGrid:
         raise argparse.ArgumentTypeError(f"bad grid {text!r} (expected RxA, e.g. 128x256): {exc}")
 
 
-def _positive_float(text: str) -> float:
+def _safety(text: str) -> float:
     try:
         value = float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"cannot parse {text!r} as a number")
-    if value <= 0:
-        raise argparse.ArgumentTypeError("value must be positive")
+    if not 0 < value < 1:  # also refuses nan and inf
+        raise argparse.ArgumentTypeError("safety margin must lie strictly between 0 and 1")
     return value
 
 
@@ -136,14 +136,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_search = sub.add_parser("search", help="locate and certify the best a for one n")
     p_search.add_argument("--n", type=_frequency, required=True)
-    p_search.add_argument("--safety", type=_positive_float, default=5e-6)
+    p_search.add_argument("--safety", type=_safety, default=5e-6)
     p_search.add_argument("--json", action="store_true")
     p_search.set_defaults(func=cmd_search)
 
     p_scan = sub.add_parser("scan", help="run the search across a frequency range")
     p_scan.add_argument("--n-min", type=_frequency, default=2)
     p_scan.add_argument("--n-max", type=_frequency, default=20)
-    p_scan.add_argument("--safety", type=_positive_float, default=5e-6)
+    p_scan.add_argument("--safety", type=_safety, default=5e-6)
     p_scan.add_argument("--json", action="store_true")
     p_scan.add_argument("--out", default=None)
     p_scan.set_defaults(func=cmd_scan)

@@ -39,11 +39,11 @@ maximality, the boundary identities, the pole and zero locations and
 the pointwise domination are all sampled on grids and reported, with
 violations raised as exceptions rather than absorbed.
 
-The domination grid is evaluated GRID_BLOCK_ROWS radii at a time and
-each block is reduced at once to its row maxima, their positions and
-their angular offsets, so the whole grid is never held in memory.  The
-blocks sample exactly the values a single whole-grid evaluation of
-|eval_f| / |eval_g| gives, bit for bit, whatever the block height.
+On the angles theta_j = 2 pi j / N the domination grid forms z^n as
+r^n e^(i theta_k), k = n j mod N reduced exactly in integers, so z^n is
+accurate at every n.  It is evaluated GRID_BLOCK_ROWS radii at a time, each block reduced
+at once to its row maxima and their angular offsets, so the whole grid
+is never held in memory; the bits do not depend on the block height.
 """
 
 from __future__ import annotations
@@ -188,17 +188,13 @@ def verify_domination(
     c: float,
     radial_samples: int = 256,
     angular_samples: int = 1024,
-    require_boundary_identity: bool = True,
 ) -> DominationReport:
     """Check the domination hypotheses on a polar grid of the annulus.
 
     Raises HypothesisViolated if a pole or zero radius fails to clear
-    the unit circle or (with ``require_boundary_identity``) if h(c) is
-    not within BOUNDARY_TOL of 1; raises DominationViolated if any
-    grid sample has |f|/|g| > 1 + GRID_TOL.  The boundary identity check
-    is meant for c produced by critical_root; pass
-    ``require_boundary_identity=False`` to audit a conservative inner
-    radius that is not a root of h = 1.
+    the unit circle or if h(c) is not within BOUNDARY_TOL of 1, that is
+    if c is not the critical radius; raises DominationViolated if any
+    grid sample has |f|/|g| > 1 + GRID_TOL.
 
     The report also records how far each radius's angular maximum sits
     from the nearest angle with n*theta = 0 (mod 2 pi), measured in
@@ -221,7 +217,7 @@ def verify_domination(
     if not h_at_1_exact:
         raise HypothesisViolated("h(1) != 1 in exact arithmetic")
     h_at_c = float(ratio_envelope(params, float(c)))
-    if require_boundary_identity and abs(h_at_c - 1.0) > BOUNDARY_TOL:
+    if abs(h_at_c - 1.0) > BOUNDARY_TOL:
         raise HypothesisViolated(
             f"h(c) = {h_at_c!r} is not within {BOUNDARY_TOL:g} of 1; "
             "is c the critical radius?"
@@ -232,19 +228,20 @@ def verify_domination(
     radii = np.linspace(c, 1.0, radial_samples)
     theta = np.linspace(0.0, 2.0 * np.pi, angular_samples, endpoint=False)
     circle = np.exp(1j * theta)
-    # Angular maxima should sit where n*theta = 0 (mod 2 pi), i.e. at
-    # multiples of angular_samples / n grid steps.  Ties within a
-    # relative 1e-13 band count as maxima (flat rows at a = 0).
-    period = angular_samples / params.n
-    idx = np.arange(angular_samples, dtype=float)
-    dist = np.abs((idx + 0.5 * period) % period - 0.5 * period)
+    # z^n = r^n e^(i n theta_j) = r^n circle[k_j], with n j reduced mod N exactly.
+    k = params.n * np.arange(angular_samples) % angular_samples
+    rn, circle_n = radii ** params.n, circle[k]
+    # Angular maxima should sit where n*theta = 0 (mod 2 pi); dist is the
+    # distance from there in grid steps.  Ties within a relative 1e-13
+    # band count as maxima (flat rows at a = 0).
+    dist = np.minimum(k, angular_samples - k) / params.n
 
     row_max = np.empty(radial_samples)
     offsets = np.empty(radial_samples)
     for start in range(0, radial_samples, GRID_BLOCK_ROWS):
         rows = slice(start, start + GRID_BLOCK_ROWS)
         # |1 + a z^n| >= 1 - a > 0 on the disk, so the quotient is finite.
-        ratio = eval_abs_ratio(params, radii[rows, None] * circle)
+        ratio = eval_abs_ratio(params, radii[rows, None] * circle, rn[rows, None] * circle_n)
         row_max[rows] = ratio.max(axis=1)
         near = ratio >= row_max[rows, None] * (1.0 - 1e-13)
         offsets[rows] = np.where(near, dist, np.inf).min(axis=1)
@@ -253,7 +250,7 @@ def verify_domination(
     if grid_max > 1.0 + GRID_TOL:
         i = int(row_max.argmax())
         # Only the message needs the angle, so re-evaluate the failing row.
-        j = int(eval_abs_ratio(params, radii[i] * circle).argmax())
+        j = int(eval_abs_ratio(params, radii[i] * circle, rn[i] * circle_n).argmax())
         raise DominationViolated(
             f"|f|/|g| = {grid_max!r} at r = {radii[i]:.12f}, "
             f"theta = {theta[j]:.12f} exceeds 1 + {GRID_TOL:g}"

@@ -95,13 +95,12 @@ def eval_g(params: Params, z):
     return (1.0 + a * zn) * z / (2.0 - a * zn)
 
 
-def eval_abs_ratio(params: Params, z):
-    """|f(z)| / |g(z)|, with z^n and 2 - a z^n formed once.
+def eval_abs_ratio(params: Params, z, zn):
+    """|f(z)| / |g(z)| from z and a given zn = z^n, with 2 - a z^n formed once.
 
-    Bit for bit the same as abs(eval_f(params, z)) / abs(eval_g(params, z)).
+    With zn = z ** n, bit for bit abs(eval_f(params, z)) / abs(eval_g(params, z)).
     """
     a = params.a_float
-    zn = z ** params.n
     azn = a * zn
     den = 2.0 - azn
     return abs((a + zn) / den) / abs((1.0 + azn) * z / den)

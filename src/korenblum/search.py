@@ -217,8 +217,8 @@ def best_bound(
     """
     if n < 2:
         raise ValueError(f"frequency must be at least 2, got {n}")
-    if safety <= 0:
-        raise ValueError(f"safety margin must be positive, got {safety}")
+    if not 0 < safety < 1:
+        raise ValueError(f"safety margin must lie strictly between 0 and 1, got {safety}")
 
     a_star: Optional[float] = None
     if a is not None:

@@ -41,8 +41,10 @@ GOLDEN_NORMS_N14_SHA256 = "3df3682f045cce0ecf67c231554bb375f84c9a497cfea3601ea87
 # were re-pinned when the angular quadrature moved to the trapezoid rule;
 # only the six quadrature fields of cross_check changed, the quadrature
 # norms by at most 6e-17.  Re-pinned again when c became the root rounded
-# up to a double: only the c, residual and h(c) fields changed.
-GOLDEN_VERIFY_SHA256 = "9b21948d6fee43f0d3df7a8ed89849858fddbced3278df1ba39a454aeb2ad508"
+# up to a double: only the c, residual and h(c) fields changed.  Re-pinned
+# when the domination grid formed z^n from the exactly reduced angle:
+# only grid_max_ratio changed, from 1 + 4.0e-15 to 1 + 6.7e-16.
+GOLDEN_VERIFY_SHA256 = "efdd09bebf9c32ce09cca713ea32dfb5333e27a80e1cf353784fdc448af9e352"
 # Float norms at the same pair, re-pinned when a float gap stopped
 # counting as certified: only "certified": true became false.
 GOLDEN_FLOAT_NORMS_SHA256 = "84ad7423fc25328ef7a33000d840bacfb4adb94d6a69b93c54b3eb051e2a7817"
@@ -116,6 +118,12 @@ class TestUsageErrors:
             ["search", "--n", "10", "--terms", "64"],
             ["plot-data", *REFERENCE_ARGS, "--kind", "delta", "--terms", "64"],
             ["verify", *REFERENCE_ARGS, "--tol", "1e-12"],
+            ["search", "--n", "10", "--safety", "nan"],
+            ["search", "--n", "10", "--safety", "inf"],
+            ["search", "--n", "10", "--safety", "1"],
+            ["search", "--n", "10", "--safety", "1e300"],
+            ["scan", "--n-max", "4", "--safety", "nan"],
+            ["scan", "--n-max", "4", "--safety", "-1e-6"],
         ],
     )
     def test_exit_code_2(self, argv):
@@ -212,6 +220,22 @@ class TestVerify:
         code, out, _ = run_cli(capsys, "verify", *REFERENCE_ARGS, "--grid", "8x16")
         assert code == 1
         assert "FAIL: cross_check" in out
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--a", "0.9899", "--n", "200"],
+            # The default 128x256 quadrature misses ||f||^2 by 1.8e-8 here.
+            ["--a", "0.998", "--n", "1000", "--grid", "512x256"],
+        ],
+    )
+    def test_passes_near_the_merge_at_large_n(self, capsys, argv):
+        # 1 - a is ~1e-2 or less, where a complex power z^n would fail the
+        # domination grid falsely.
+        code, out, _ = run_cli(capsys, "verify", *argv)
+        assert code == 0
+        assert "domination: ok" in out
+        assert out.endswith("PASS\n")
 
 
 class TestNorms:

@@ -73,9 +73,10 @@ class TestEvaluation:
     def test_abs_ratio_matches_f_over_g(self, reference):
         z = np.linspace(0.6, 1.0, 64)[:, None] * np.exp(1j * np.linspace(0.0, 6.0, 300))
         expected = np.abs(eval_f(reference, z)) / np.abs(eval_g(reference, z))
-        assert np.array_equal(eval_abs_ratio(reference, z), expected)
-        assert eval_abs_ratio(reference, 0.8 + 0.1j) == abs(eval_f(reference, 0.8 + 0.1j)) / abs(
-            eval_g(reference, 0.8 + 0.1j)
+        assert np.array_equal(eval_abs_ratio(reference, z, z**10), expected)
+        w = 0.8 + 0.1j
+        assert eval_abs_ratio(reference, w, w**10) == abs(eval_f(reference, w)) / abs(
+            eval_g(reference, w)
         )
 
     def test_vectorized(self, reference):

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import hashlib
+import math
 import struct
 from fractions import Fraction
 
@@ -220,8 +221,11 @@ class TestBestBound:
     def test_validation(self):
         with pytest.raises(ValueError):
             best_bound(1)
-        with pytest.raises(ValueError):
-            best_bound(10, safety=0.0)
+
+    @pytest.mark.parametrize("safety", [0.0, -1e-6, 1.0, 1e300, math.inf, math.nan])
+    def test_safety_outside_unit_interval(self, safety):
+        with pytest.raises(ValueError, match="safety"):
+            best_bound(10, safety=safety)
 
 
 class TestScan:
