@@ -53,6 +53,17 @@ with no second gcd.  A ``Fraction`` is always in lowest terms, so this
 gives the numerators and denominators that adding the K + 1 terms as
 fractions gives; only the time differs.
 
+The gap subtracts an end of ||g||^2 from an end of ||f||^2; at the same
+a and K both norms have the same big.  Each end keeps how it was
+reduced: its denominator is (big / cut) * rest, with cut the part of
+big that cancelled (49 to 517 bits at the pair above) and rest what
+stayed of small (~1,550 bits).  Two ends subtract over
+big * lcm(rest_1, rest_2), and the difference is reduced the same way:
+2s by shifts, the primes of D by gcds against D, the rest by one gcd
+against the short lcm.  ``Fraction`` subtraction takes its gcds over
+the two ~13,900-bit denominators instead; the exact gap at that pair
+takes 0.55 ms this way against 1.27 ms that way.
+
 Float mode evaluates the same formulas in double precision for speed,
 for an array of coefficients a in one pass (``float_norms_sq``); a
 scalar call goes through the same pass as a one-element array.  Row k
@@ -70,9 +81,9 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, List, Literal, Sequence, Tuple, Union
+from typing import Iterable, List, Literal, NamedTuple, Optional, Sequence, Tuple, Union
 
 # numpy is imported inside the functions that use it, so exact-only commands never load it.
 
@@ -145,6 +156,8 @@ class NormEnclosure:
     upper: Scalar
     truncation_index: int
     mode: Mode
+    # How exact mode reduced the two ends, for ``enclose_difference``.
+    _split: Optional[_Split] = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def width(self) -> Scalar:
@@ -179,10 +192,19 @@ class DifferenceResult:
 
 
 def enclose_difference(nf: NormEnclosure, ng: NormEnclosure) -> DifferenceResult:
-    """Enclose ||f||^2 - ||g||^2 from enclosures of the two norms."""
-    return DifferenceResult(
-        nf.lower - ng.upper, nf.upper - ng.lower, nf.truncation_index, nf.mode
-    )
+    """Enclose ||f||^2 - ||g||^2 from enclosures of the two norms.
+
+    Exact enclosures built over the same ``big`` (at the same a and K)
+    subtract with no full-size gcd; see the module docstring.  Any other
+    pair subtracts as ``Fraction``s or floats.
+    """
+    sf, sg = nf._split, ng._split
+    if sf and sg and sf.big == sg.big:
+        lower = _subtract(nf.lower, sf.lower, ng.upper, sg.upper, sf.base, sf.big)
+        upper = _subtract(nf.upper, sf.upper, ng.lower, sg.lower, sf.base, sf.big)
+    else:
+        lower, upper = nf.lower - ng.upper, nf.upper - ng.lower
+    return DifferenceResult(lower, upper, nf.truncation_index, nf.mode)
 
 
 def _check_terms(K: int) -> None:
@@ -248,14 +270,17 @@ def _enclose_norm_sq(params: Params, K: int, mode: Mode, shape) -> NormEnclosure
     docstring.
     """
     _check_terms(K)
+    split = None
     if mode == "exact":
-        lower, upper = _exact_sum(params.a, params.n, K, *shape(params.a))
+        lower, upper, split = _exact_sum(params.a, params.n, K, *shape(params.a))
     elif mode == "float":
         a = params.a_float
         (lower,), (upper,) = _float_sums([a], params.n, K, *shape(a))
     else:
         raise ValueError(f"unknown mode {mode!r}")
-    return NormEnclosure(lower, upper, K, mode)
+    enclosure = NormEnclosure(lower, upper, K, mode)
+    object.__setattr__(enclosure, "_split", split)  # a frozen field outside __init__
+    return enclosure
 
 
 def _float_sums(
@@ -294,7 +319,7 @@ def _float_sums(
 
 def _exact_sum(
     a: Fraction, n: int, K: int, s: int, c0: Fraction, c1: Fraction
-) -> Tuple[Fraction, Fraction]:
+) -> Tuple[Fraction, Fraction, _Split]:
     """Exact lower and upper ends of the enclosure, reduced without a full-size gcd."""
     P, D = a.numerator ** 2, 4 * a.denominator ** 2  # x = (a/2)^2 = P / D
     powers = {1: (P, D)}  # length L -> (P^L, D^L), for this call only
@@ -329,9 +354,9 @@ def _exact_sum(
     small = s * v0 * v0 * v1 * v1 * M  # the denominator is big * small
     # tail / c1^2 = x^K / ((1 - x) (n (K+1) + s)) = P_K M / (big M r)
     r = (D - P) * (n * (K + 1) + s)
-    lower = _lowest_terms(numerator, big, D, small)
-    upper = _lowest_terms(numerator * r + weight * P_K * M, big, D, small * r)
-    return lower, upper
+    lower, lower_split = _lowest_terms(numerator, big, D, small)
+    upper, upper_split = _lowest_terms(numerator * r + weight * P_K * M, big, D, small * r)
+    return lower, upper, _Split(D, big, lower_split, upper_split)
 
 
 def _twos(x: int) -> int:
@@ -339,8 +364,25 @@ def _twos(x: int) -> int:
     return (x & -x).bit_length() - 1
 
 
-def _lowest_terms(num: int, big: int, base: int, small: int) -> Fraction:
-    """``Fraction(num, big * small)`` for num != 0 and a power ``big`` of ``base``.
+class _Split(NamedTuple):
+    """How the two ends of an exact enclosure were put in lowest terms.
+
+    Both came from num / (big * small), with ``big`` a power of
+    ``base``.  Each end's pair ``(cut, rest)`` gives its denominator as
+    (big / cut) * rest: ``cut`` is the part of ``big`` that cancelled,
+    ``rest`` the part of ``small`` that stayed.
+    """
+
+    base: int
+    big: int
+    lower: Tuple[int, int]
+    upper: Tuple[int, int]
+
+
+def _lowest_terms(num: int, big: int, base: int, small: int) -> Tuple[Fraction, Tuple[int, int]]:
+    """``Fraction(num, big * small)`` and its ``(cut, rest)`` (see ``_Split``).
+
+    ``num`` is nonzero and ``big`` a power of ``base``.
 
     It takes no gcd of two full-size integers: ``big`` is long and
     ``small`` short.  The shared 2s come off by shifts.  The other primes
@@ -351,12 +393,31 @@ def _lowest_terms(num: int, big: int, base: int, small: int) -> Fraction:
     twos = min(_twos(num), _twos(big) + _twos(small))
     from_big = min(twos, _twos(big))
     num, big, small = num >> twos, big >> from_big, small >> (twos - from_big)
+    cut = 1 << from_big
     g = math.gcd(num, base, big)
     while g > 1:
-        num, big = num // g, big // g
+        num, big, cut = num // g, big // g, cut * g
         g = math.gcd(num, g, big)
     g = math.gcd(num, small)
-    return Fraction(_Coprime(num // g, big * (small // g)))
+    rest = small // g
+    return Fraction(_Coprime(num // g, big * rest)), (cut, rest)
+
+
+def _subtract(
+    x: Fraction, x_split: Tuple[int, int], y: Fraction, y_split: Tuple[int, int],
+    base: int, big: int,
+) -> Fraction:
+    """``x - y`` for two ends reduced from the same ``big``, a power of ``base``.
+
+    With x's denominator (big / cx) * rx and y's (big / cy) * ry, the
+    difference is t / (big * lcm(rx, ry)) and goes through ``_lowest_terms``.
+    """
+    (cx, rx), (cy, ry) = x_split, y_split
+    g = math.gcd(rx, ry)
+    t = x.numerator * cx * (ry // g) - y.numerator * cy * (rx // g)
+    if not t:
+        return Fraction(0)
+    return _lowest_terms(t, big, base, rx * (ry // g))[0]
 
 
 class _Coprime:

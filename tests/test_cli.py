@@ -18,6 +18,7 @@ import korenblum.series
 from korenblum import norm_difference, reference_params
 from korenblum.certificate import (
     Certificate,
+    _int_str,
     _positive_str,
     decode_fraction,
     encode_fraction,
@@ -430,6 +431,77 @@ class TestDenominatorDigits:
         x = 3 * 10**20000
         with _int_max_str_digits(0):
             assert _positive_str(x) == str(x)
+
+
+def _digits_and_sign(digits):
+    """Integers of exactly ``digits`` digits, of either sign."""
+    magnitudes = st.integers(min_value=10 ** (digits - 1), max_value=10**digits - 1)
+    return st.tuples(magnitudes, st.sampled_from([1, -1])).map(lambda t: t[0] * t[1])
+
+
+def _with_finite_float(x):
+    """x over a power of two that keeps its float finite; numerator x if x is odd."""
+    return Fraction(x, 1 << max(0, x.bit_length() - 900))
+
+
+@st.composite
+def _zero_runs(draw):
+    """Integers of at most 4300 digits with a run of zeros across 10^512, 10^1024 or 10^2048."""
+    split = draw(st.sampled_from([512, 1024, 2048]))
+    tail_digits = draw(st.integers(min_value=0, max_value=split - 1))
+    zeros = draw(st.integers(min_value=split - tail_digits + 1, max_value=4299 - tail_digits))
+    head_digits = draw(st.integers(min_value=1, max_value=4300 - zeros - tail_digits))
+    head = draw(st.integers(min_value=10 ** (head_digits - 1), max_value=10**head_digits - 1))
+    tail = draw(st.integers(min_value=0, max_value=10**tail_digits - 1))
+    return head * 10 ** (zeros + tail_digits) + tail
+
+
+# Around the leaf size and the split points 10^(2^j) of the printer.
+POWER_EXPONENTS = sorted({k + d for k in (768, 1024, 2048, 3072, 4096) for d in (-1, 0, 1)}
+                         | {1, 2, 17, 1000, 4299})
+
+
+class TestIntegerDigits:
+    """``_int_str``, the printer of numerators, prints what ``str`` prints."""
+
+    @given(x=st.integers(min_value=1, max_value=4300).flatmap(_digits_and_sign))
+    def test_up_to_the_digit_limit(self, x):
+        with _int_max_str_digits(4300):
+            assert _int_str(x) == str(x)
+            q = _with_finite_float(x)
+            assert encode_fraction(q)["numerator"] == str(q.numerator)
+
+    @given(x=_zero_runs())
+    def test_zeros_across_a_split_point(self, x):
+        with _int_max_str_digits(4300):
+            assert _int_str(x) == str(x)
+            assert _int_str(-x) == str(-x)
+
+    @pytest.mark.parametrize("k", POWER_EXPONENTS)
+    def test_powers_of_ten_plus_and_minus_one(self, k):
+        with _int_max_str_digits(4300):
+            for x in (10**k - 1, 10**k, 10**k + 1):
+                assert _int_str(x) == str(x)
+                assert _int_str(-x) == str(-x)
+
+    @pytest.mark.parametrize("digits, fails", [(4300, False), (4301, True), (5001, True)])
+    def test_digit_limit(self, digits, fails):
+        # Odd, so that each is the numerator of _with_finite_float(x).
+        for x in (10 ** (digits - 1) + 7, 3 * 10 ** (digits - 1) - 1, -(10**digits - 1)):
+            with _int_max_str_digits(4300):
+                if fails:
+                    with pytest.raises(ValueError) as expected:
+                        str(x)
+                    with pytest.raises(ValueError) as raised:
+                        encode_fraction(_with_finite_float(x))
+                    assert str(raised.value) == str(expected.value)
+                else:
+                    assert encode_fraction(_with_finite_float(x))["numerator"] == str(x)
+
+    def test_past_the_limit_without_limit(self):
+        with _int_max_str_digits(0):
+            for x in (10**5000 + 1, -(7**12000), 3**40000):
+                assert _int_str(x) == str(x)
 
 
 class TestCertificateObject:

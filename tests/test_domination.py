@@ -308,6 +308,27 @@ class TestVerifyDomination:
         assert report.verdict == "pass"
         assert report.grid_max_ratio <= 1.0 + 1e-12
 
+    @pytest.mark.parametrize("n", [4, 10, 17])
+    @pytest.mark.parametrize("angular_samples", [1024, 301])
+    @pytest.mark.parametrize("j", [1, 2, 5, 103, 150])
+    def test_peak_offset_from_the_nearest_zero_of_n_theta(
+        self, monkeypatch, n, angular_samples, j
+    ):
+        # Every row of a stand-in ratio peaks at column j, at angle
+        # 2 pi j / N, where n theta = 2 pi k / N with k = n j mod N.
+        def peaked(params, z, zn):
+            ratio = np.full(z.shape, 0.5)
+            ratio[..., j] = 0.75
+            return ratio
+
+        monkeypatch.setattr(korenblum.domination, "eval_abs_ratio", peaked)
+        params = Params(Fraction(1, 2), n)
+        report = verify_domination(params, critical_root(params), 64, angular_samples)
+        k = n * j % angular_samples
+        assert report.angular_peak_offset == min(k, angular_samples - k) / n
+        assert report.grid_max_ratio == 0.75
+        assert report.verdict == ("pass" if report.angular_peak_offset <= 1.0 else "fail")
+
     def test_pinned_certified_pairs(self):
         for n, a, c, grid_max, offset, verdict in PINNED_DOMINATION:
             report = verify_domination(Params(Fraction(a), n), c)

@@ -222,7 +222,7 @@ class TestExactAgainstTermByTermOracle:
 
 
 class TestLowestTerms:
-    """``_lowest_terms`` returns Fraction(num, big * small)'s own pair.
+    """``_lowest_terms`` returns Fraction(num, big * small)'s own pair, and its split.
 
     A pair not in lowest terms would still print, but it would break
     ``Fraction.__eq__`` and ``hash`` without a sign.
@@ -244,11 +244,64 @@ class TestLowestTerms:
         base = 4 * q * q
         big = base**exponent
         num = rest * 2**twos * 5**fives * base**bases
-        reduced = series._lowest_terms(num, big, base, small)
+        reduced, (cut, rest) = series._lowest_terms(num, big, base, small)
         expected = Fraction(num, big * small)
         assert type(reduced) is Fraction
         assert (reduced.numerator, reduced.denominator) == (expected.numerator, expected.denominator)
         assert reduced == expected and hash(reduced) == hash(expected)
+        assert big % cut == 0 and small % rest == 0
+        assert reduced.denominator == big // cut * rest
+
+
+def _same_pair(got, expected):
+    assert type(got) is Fraction
+    assert (got.numerator, got.denominator) == (expected.numerator, expected.denominator)
+
+
+def _check_difference(nf, ng):
+    d = series.enclose_difference(nf, ng)
+    _same_pair(d.delta_lower, nf.lower - ng.upper)
+    _same_pair(d.delta_upper, nf.upper - ng.lower)
+    assert d.certifies == (d.delta_lower > 0)
+
+
+class TestExactDifference:
+    """The exact gap ends are the pairs that plain Fraction subtraction gives."""
+
+    @given(
+        m=st.integers(min_value=0, max_value=9_999_999),
+        n=st.integers(min_value=2, max_value=30),
+        K=st.sampled_from([1, 2, 3, 8, 64, 256]),
+    )
+    def test_decimal_coefficients(self, m, n, K):
+        p = Params(Fraction(m, 10**7), n)
+        _check_difference(norm_sq_f(p, K=K, mode="exact"), norm_sq_g(p, K=K, mode="exact"))
+
+    # D = 4 q^2 holds primes other than 2 and 5 (q = 3, 7), or only 2s (q = 2, 8).
+    @pytest.mark.parametrize("a", ["0", "2/3", "5/7", "1/3", "1/2", "3/8"])
+    @pytest.mark.parametrize("n", [2, 10, 30])
+    @pytest.mark.parametrize("K", [1, 2, 3, 8, 64, 256])
+    def test_other_denominators(self, a, n, K):
+        p = Params(Fraction(a), n)
+        _check_difference(norm_sq_f(p, K=K, mode="exact"), norm_sq_g(p, K=K, mode="exact"))
+
+    # Different K; the same D and K at different a; the same big = 16 from
+    # D = 4 (a = 0, K = 3) and D = 16 (a = 1/2, K = 2).
+    @pytest.mark.parametrize(
+        "f_at, g_at",
+        [(("0.6666714", 8), ("0.6666714", 9)), (("1/3", 8), ("2/3", 8)),
+         (("0", 3), ("1/2", 2)), (("1/2", 2), ("0", 3))],
+    )
+    def test_enclosures_of_different_pairs(self, f_at, g_at):
+        (a, K), (b, L) = f_at, g_at
+        _check_difference(norm_sq_f(Params(Fraction(a), 10), K=K, mode="exact"),
+                          norm_sq_g(Params(Fraction(b), 10), K=L, mode="exact"))
+
+    def test_enclosures_built_by_hand(self, reference):
+        nf = norm_sq_f(reference, K=8, mode="exact")
+        ng = norm_sq_g(reference, K=8, mode="exact")
+        _check_difference(series.NormEnclosure(nf.lower, nf.upper, 8, "exact"), ng)
+        _check_difference(nf, series.NormEnclosure(ng.lower, ng.upper, 8, "exact"))
 
 
 # Float enclosures ((lower, upper) of ||f||^2, then of ||g||^2) as the
