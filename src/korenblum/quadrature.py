@@ -34,6 +34,16 @@ N = 256 for every a < 1 (Trefethen and Weideman, SIAM Review 2014).  It
 needs no eigen-solve, so the only rule to solve is the radial
 Gauss-Legendre rule, once per node count, and it is cached.
 
+The integrand is evaluated a block of radii at a time into two tables
+allocated once per value, the kernel's numerator and denominator, each
+of at most ``series.FLOAT_BLOCK_CELLS`` doubles (64 KiB, below glibc's
+mmap threshold) unless one angular row is longer.  Every step writes
+into those tables, and each row's mean goes into one vector of radial
+means, so no temporary of the grid's size is made and the heap is not
+trimmed and regrown from one value to the next.  The steps are the
+formula's operations in the order written, so the value equals that of
+the whole table at once, bit for bit.
+
 ``cross_check`` takes its four quadrature values from ``norm_sq_quad``,
 so the certificate's numbers and the norm function share one code path.
 """
@@ -52,8 +62,10 @@ Coords = Literal["original", "substituted"]
 Which = Literal["f", "g"]
 
 CONVERGENCE_TOL = 1e-8
-# A grid holds float64 temporaries of one value per cell, and its radial
-# Gauss-Legendre rule is solved as an eigenproblem (~5 s at 4096 nodes).
+# The cells are evaluated a block of radii at a time, so the cap bounds
+# time, not memory: ~7 ms per million cells (2-core Xeon VM), and the
+# radial Gauss-Legendre rule is an eigen-solve (~5 s at 4096 nodes).  It
+# stays because the grid is outside input (--grid, library callers).
 MAX_GRID_CELLS = 1 << 22
 MAX_RADIAL_NODES = 4096
 
@@ -106,16 +118,31 @@ def gauss_legendre_nodes(count: int):
     return 0.5 * (x + 1.0), 0.5 * w
 
 
-def _kernel_f(a: float, rho, cos_phi):
-    num = a * a + 2.0 * a * rho * cos_phi + rho * rho
-    den = 4.0 - 4.0 * a * rho * cos_phi + (a * rho) ** 2
-    return num / den
+def _kernel(a: float, which: Which, rho, cos_phi, tables=None):
+    """Kf or Kg (module docstring) at radii ``rho`` (a column) and ``cos_phi`` (a row).
 
+    The value is written into the first of ``tables``, a pair of arrays of
+    the broadcast shape, and returned; the second is scratch for the
+    denominator.  Without ``tables`` both are allocated.  Each step is one
+    ufunc in the order of the formula as written, so the value does not
+    depend on which rows are evaluated together.
+    """
+    import numpy as np
 
-def _kernel_g(a: float, rho, cos_phi):
-    num = 1.0 + 2.0 * a * rho * cos_phi + (a * rho) ** 2
-    den = 4.0 - 4.0 * a * rho * cos_phi + (a * rho) ** 2
-    return num / den
+    if tables is None:
+        shape = np.broadcast_shapes(np.shape(rho), np.shape(cos_phi))
+        tables = (np.empty(shape), np.empty(shape))
+    num, den = tables
+    a_rho_sq = (a * rho) ** 2
+    # f: a^2 + 2 a rho t + rho^2;  g: 1 + 2 a rho t + a^2 rho^2
+    np.multiply((2.0 * a) * rho, cos_phi, out=num)
+    np.add(a * a if which == "f" else 1.0, num, out=num)
+    np.add(num, rho * rho if which == "f" else a_rho_sq, out=num)
+    # 4 - 4 a rho t + a^2 rho^2
+    np.multiply((4.0 * a) * rho, cos_phi, out=den)
+    np.subtract(4.0, den, out=den)
+    np.add(den, a_rho_sq, out=den)
+    return np.divide(num, den, out=num)
 
 
 def _tensor_value(params: Params, which: Which, grid: QuadratureGrid, coords: Coords) -> float:
@@ -124,27 +151,37 @@ def _tensor_value(params: Params, which: Which, grid: QuadratureGrid, coords: Co
     # docstring's 1/pi, 1/(2 pi) or 1/(4 pi) with that 2 pi folded in.
     import numpy as np
 
+    from .series import FLOAT_BLOCK_CELLS
+
     u, wu = gauss_legendre_nodes(grid.radial_nodes)
     phi = (2.0 * np.pi / grid.angular_nodes) * np.arange(grid.angular_nodes)
     cos_phi = np.cos(phi)[None, :]
     a = params.a_float
     n = params.n
+    weight = None
     if coords == "original":
-        r = u[:, None]
-        if which == "f":
-            values = _kernel_f(a, r ** n, cos_phi) * r
-        else:
-            values = _kernel_g(a, r ** n, cos_phi) * r ** 3
+        rho = u ** n
+        weight = u if which == "f" else u ** 3
         prefactor = 2.0
     elif which == "f":
-        rho = (u ** (n / 2.0))[:, None]
-        values = _kernel_f(a, rho, cos_phi)
+        rho = u ** (n / 2.0)
         prefactor = 1.0
     else:
-        rho = (u ** (n / 4.0))[:, None]
-        values = _kernel_g(a, rho, cos_phi)
+        rho = u ** (n / 4.0)
         prefactor = 0.5
-    return float(prefactor * np.dot(wu, values.mean(axis=1)))
+    rows = max(1, FLOAT_BLOCK_CELLS // grid.angular_nodes)
+    tables = (np.empty((rows, grid.angular_nodes)), np.empty((rows, grid.angular_nodes)))
+    means = np.empty(grid.radial_nodes)
+    for start in range(0, grid.radial_nodes, rows):
+        block = slice(start, start + rows)
+        rho_b = rho[block, None]
+        values = _kernel(a, which, rho_b, cos_phi, tuple(t[: len(rho_b)] for t in tables))
+        if weight is not None:
+            np.multiply(values, weight[block, None], out=values)
+        np.add.reduce(values, axis=1, out=means[block])
+    # the row means, divided as values.mean(axis=1) divides its sums
+    means /= grid.angular_nodes
+    return float(prefactor * np.dot(wu, means))
 
 
 def norm_sq_quad(

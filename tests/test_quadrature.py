@@ -2,10 +2,13 @@ from __future__ import annotations
 
 import dataclasses
 import time
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from korenblum import Params, norm_sq_quad, norm_sq_f, norm_sq_g
 from korenblum import quadrature
@@ -20,6 +23,65 @@ from korenblum.quadrature import (
 from .oracles import mp_norm_sq
 
 AGREEMENT_CASES = [("0.6666714", 10), ("0.1", 2), ("0.5", 10), ("0.9", 4)]
+
+
+def _whole_table_kernel_f(a, rho, cos_phi):
+    num = a * a + 2.0 * a * rho * cos_phi + rho * rho
+    den = 4.0 - 4.0 * a * rho * cos_phi + (a * rho) ** 2
+    return num / den
+
+
+def _whole_table_kernel_g(a, rho, cos_phi):
+    num = 1.0 + 2.0 * a * rho * cos_phi + (a * rho) ** 2
+    den = 4.0 - 4.0 * a * rho * cos_phi + (a * rho) ** 2
+    return num / den
+
+
+def whole_table_value(params, which, grid, coords):
+    """The tensor rule on the whole radial x angular table at once.
+
+    This is the formula in the order the block evaluation must keep, so
+    the two agree bit for bit.
+    """
+    u, wu = gauss_legendre_nodes(grid.radial_nodes)
+    phi = (2.0 * np.pi / grid.angular_nodes) * np.arange(grid.angular_nodes)
+    cos_phi = np.cos(phi)[None, :]
+    a, n = params.a_float, params.n
+    if coords == "original":
+        r = u[:, None]
+        if which == "f":
+            values = _whole_table_kernel_f(a, r ** n, cos_phi) * r
+        else:
+            values = _whole_table_kernel_g(a, r ** n, cos_phi) * r ** 3
+        prefactor = 2.0
+    elif which == "f":
+        values = _whole_table_kernel_f(a, (u ** (n / 2.0))[:, None], cos_phi)
+        prefactor = 1.0
+    else:
+        values = _whole_table_kernel_g(a, (u ** (n / 4.0))[:, None], cos_phi)
+        prefactor = 0.5
+    return float(prefactor * np.dot(wu, values.mean(axis=1)))
+
+
+def whole_table_norm_sq(params, which, grid, coords, check_convergence):
+    """``norm_sq_quad`` on whole tables; None where it must refuse."""
+    value = whole_table_value(params, which, grid, coords)
+    if check_convergence:
+        refined = whole_table_value(params, which, grid.doubled(), coords)
+        if abs(refined - value) > quadrature.CONVERGENCE_TOL:
+            return None
+        value = refined
+    return value
+
+
+def assert_matches_whole_table(params, which, grid, coords, check_convergence):
+    expected = whole_table_norm_sq(params, which, grid, coords, check_convergence)
+    if expected is None:
+        with pytest.raises(QuadratureNotConverged):
+            norm_sq_quad(params, which, grid, coords, check_convergence)
+        return
+    value = norm_sq_quad(params, which, grid, coords, check_convergence)
+    assert value.hex() == expected.hex(), (which, coords, grid, check_convergence)
 
 
 class TestGrid:
@@ -116,8 +178,18 @@ class TestIntegrands:
         cos_phi = np.cos(np.linspace(0.0, 2 * np.pi, 64))[None, :]
         for a, _ in AGREEMENT_CASES:
             a = float(Fraction(a))
-            assert np.all(quadrature._kernel_f(a, rho, cos_phi) >= 0.0)
-            assert np.all(quadrature._kernel_g(a, rho, cos_phi) >= 0.0)
+            assert np.all(quadrature._kernel(a, "f", rho, cos_phi) >= 0.0)
+            assert np.all(quadrature._kernel(a, "g", rho, cos_phi) >= 0.0)
+
+    @pytest.mark.parametrize("which", ["f", "g"])
+    def test_kernel_writes_into_given_tables(self, which):
+        rho = np.linspace(0.0, 1.0, 41)[:, None]
+        cos_phi = np.cos(np.linspace(0.0, 2 * np.pi, 64))[None, :]
+        tables = (np.full((41, 64), np.nan), np.full((41, 64), np.nan))
+        values = quadrature._kernel(0.6, which, rho, cos_phi, tables)
+        assert values is tables[0]
+        whole = _whole_table_kernel_f if which == "f" else _whole_table_kernel_g
+        assert np.array_equal(values, whole(0.6, rho, cos_phi))
 
     def test_angular_reduction(self, reference):
         # |f|^2 and |g|^2 / r^2 depend on the angle only through
@@ -128,13 +200,67 @@ class TestIntegrands:
         rho, cos_phi = r ** reference.n, np.cos(reference.n * theta)
         a = reference.a_float
         assert np.allclose(
-            quadrature._kernel_f(a, rho, cos_phi), np.abs(eval_f(reference, z)) ** 2,
+            quadrature._kernel(a, "f", rho, cos_phi), np.abs(eval_f(reference, z)) ** 2,
             rtol=1e-13, atol=0.0,
         )
         assert np.allclose(
-            quadrature._kernel_g(a, rho, cos_phi) * r ** 2, np.abs(eval_g(reference, z)) ** 2,
+            quadrature._kernel(a, "g", rho, cos_phi) * r ** 2, np.abs(eval_g(reference, z)) ** 2,
             rtol=1e-13, atol=0.0,
         )
+
+
+class TestBlocks:
+    """Block evaluation against the whole-table formula, bit for bit."""
+
+    @pytest.mark.parametrize("check_convergence", [False, True])
+    @pytest.mark.parametrize("coords", ["original", "substituted"])
+    @pytest.mark.parametrize("which", ["f", "g"])
+    @pytest.mark.parametrize(
+        "shape",
+        [
+            (128, 256),  # the default: whole blocks of 32 radii
+            (100, 256),  # a last block of 4 radii
+            (129, 512),  # a last block of one radius
+            (8, 16384),  # rows longer than a block: one radius per block
+        ],
+    )
+    def test_norm_sq_quad_is_the_whole_table_value(
+        self, reference, shape, which, coords, check_convergence
+    ):
+        grid = QuadratureGrid(*shape)
+        assert_matches_whole_table(reference, which, grid, coords, check_convergence)
+
+    @settings(max_examples=60)
+    @given(
+        m=st.integers(0, 10**7 - 1),
+        n=st.integers(2, 1000),
+        which=st.sampled_from(["f", "g"]),
+        coords=st.sampled_from(["original", "substituted"]),
+        check_convergence=st.booleans(),
+    )
+    def test_whole_table_value_at_random_params(self, m, n, which, coords, check_convergence):
+        params = Params(Fraction(m, 10**7), n)
+        assert_matches_whole_table(params, which, QuadratureGrid(), coords, check_convergence)
+
+    @pytest.mark.parametrize("coords", ["original", "substituted"])
+    @pytest.mark.parametrize("which", ["f", "g"])
+    def test_peak_memory_is_two_blocks(self, reference, which, coords):
+        # Two 64 KiB tables and the ufuncs' broadcast buffers; the whole
+        # table took several 256 KiB temporaries (842 KiB peak).
+        grid = QuadratureGrid(128, 256)
+        quadrature._tensor_value(reference, which, grid, coords)  # caches the rule
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            quadrature._tensor_value(reference, which, grid, coords)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert peak < 384 * 1024
 
 
 class TestNormValues:
