@@ -12,40 +12,50 @@ computes the critical inner radius c where the domination starts, and
 certifies the norm gap in exact rational arithmetic.  At the reference
 parameters a = 0.6666714, n = 10 the radius is c < 0.677905,
 below the previously best bound 0.67795.
+
+The names below load on first use (PEP 562): ``import korenblum``
+imports none of the submodules, and ``korenblum.scan`` imports
+``korenblum.search`` the first time it is read.  So a program that
+needs only the exact series never loads the domination grid, the
+quadrature or the search.
 """
+
+import importlib
 
 __version__ = "0.1.0"
 
-from .family import Params, reference_params
-from .series import (
-    f_coefficient,
-    g_coefficient,
-    norm_difference,
-    norm_sq_f,
-    norm_sq_g,
-    power_series_norm_sq,
-)
-from .quadrature import norm_sq_quad
-from .domination import critical_root, pole_zero_radii, ratio_envelope, verify_domination
-from .search import best_bound, critical_a, delta_of_a, scan
+# Each public name and the submodule that defines it.
+_SOURCES = {
+    "Params": "family",
+    "reference_params": "family",
+    "f_coefficient": "series",
+    "g_coefficient": "series",
+    "norm_difference": "series",
+    "norm_sq_f": "series",
+    "norm_sq_g": "series",
+    "power_series_norm_sq": "series",
+    "norm_sq_quad": "quadrature",
+    "critical_root": "domination",
+    "pole_zero_radii": "domination",
+    "ratio_envelope": "domination",
+    "verify_domination": "domination",
+    "best_bound": "search",
+    "critical_a": "search",
+    "delta_of_a": "search",
+    "scan": "search",
+}
 
-__all__ = [
-    "__version__",
-    "Params",
-    "reference_params",
-    "f_coefficient",
-    "g_coefficient",
-    "norm_difference",
-    "norm_sq_f",
-    "norm_sq_g",
-    "power_series_norm_sq",
-    "norm_sq_quad",
-    "critical_root",
-    "pole_zero_radii",
-    "ratio_envelope",
-    "verify_domination",
-    "best_bound",
-    "critical_a",
-    "delta_of_a",
-    "scan",
-]
+__all__ = ["__version__", *_SOURCES]
+
+
+def __getattr__(name: str):
+    source = _SOURCES.get(name)
+    if source is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{source}", __name__), name)
+    globals()[name] = value  # later reads skip this function
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *_SOURCES})

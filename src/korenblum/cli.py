@@ -2,37 +2,56 @@
 
 Exit codes: 0 success, 1 verification failure or computational error,
 2 usage error (bad flags or parameter values).
+
+The domination, quadrature and search modules are imported by the
+commands that use them, so ``norms``, ``--help`` and usage errors load
+none of them and ``root`` loads only the domination module.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import io
 import json
 import sys
 from fractions import Fraction
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence, Tuple, Type
 
 from .certificate import encode_fraction, encode_scalar, run_verification
-from .domination import DominationViolated, HypothesisViolated, critical_root, ratio_envelope
 from .family import Params, fraction_to_decimal
-from .quadrature import QuadratureGrid
-from .search import InvalidBracket, WANG_UPPER_BOUND, best_bound, scan
 from .series import MAX_TERMS, enclose_difference, float_norms_sq, norm_sq_f, norm_sq_g
 # Not called here; kept so that ``cli.norm_difference`` stays a name that
 # bench/tracing.py can wrap.
 from .series import norm_difference  # noqa: F401
 
-# main maps these to exit 1; any other exception propagates out of main.
-# ArithmeticError covers NoInteriorRoot, AmbiguousSign and CertificationFailed.
-COMPUTE_ERRORS = (DominationViolated, HypothesisViolated, InvalidBracket, ArithmeticError)
+if TYPE_CHECKING:
+    from .quadrature import QuadratureGrid
+    from .search import BoundCandidate
+
 # critical_root reads signs of p exactly in integers of about 53 n bits, so
 # its time grows superlinearly: ~0.02 s at n = 1000, ~0.5 s at n = 10^4.
 MAX_FREQUENCY = 1000
 MAX_POINTS = 100_000  # plot-data writes each row from a Python loop
+
+
+def _compute_errors() -> Tuple[Type[BaseException], ...]:
+    """The exceptions that main maps to exit 1; any other propagates out of main.
+
+    They are ArithmeticError (which covers NoInteriorRoot, AmbiguousSign
+    and CertificationFailed), DominationViolated, HypothesisViolated and
+    InvalidBracket.  The last three are looked up only in the modules
+    loaded so far: a module that was never imported raised none of them.
+    """
+    errors = [ArithmeticError]
+    domination = sys.modules.get(f"{__package__}.domination")
+    if domination is not None:
+        errors += (domination.DominationViolated, domination.HypothesisViolated)
+    search = sys.modules.get(f"{__package__}.search")
+    if search is not None:
+        errors.append(search.InvalidBracket)
+    return tuple(errors)
 
 
 def _coefficient(text: str) -> Fraction:
@@ -70,6 +89,8 @@ _points = _bounded_int("point count", 2, MAX_POINTS)
 
 
 def _grid(text: str) -> QuadratureGrid:
+    from .quadrature import QuadratureGrid
+
     try:
         radial, _, angular = text.lower().partition("x")
         return QuadratureGrid(radial_nodes=int(radial), angular_nodes=int(angular))
@@ -195,6 +216,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_root(args: argparse.Namespace) -> int:
+    from .domination import critical_root
+
     params = Params(args.a, args.n)
     c = critical_root(params)
     if args.json:
@@ -246,7 +269,17 @@ def _candidate_dict(candidate) -> dict:
     }
 
 
+def best_bound(n: int, safety: float) -> BoundCandidate:
+    """``search.best_bound``, imported on first call (and a name that
+    bench/tracing.py can wrap)."""
+    from .search import best_bound
+
+    return best_bound(n, safety=safety)
+
+
 def cmd_search(args: argparse.Namespace) -> int:
+    from .search import WANG_UPPER_BOUND
+
     candidate = best_bound(args.n, safety=args.safety)
     if args.json:
         print(json.dumps(_candidate_dict(candidate)))
@@ -265,6 +298,8 @@ def cmd_scan(args: argparse.Namespace) -> int:
     if args.n_max < args.n_min:
         print("error: --n-max must be at least --n-min", file=sys.stderr)
         return 2
+    from .search import scan
+
     result = scan(range(args.n_min, args.n_max + 1), safety=args.safety)
     if args.json or args.out:
         rows = []
@@ -311,10 +346,14 @@ def cmd_scan(args: argparse.Namespace) -> int:
 
 
 def cmd_plot_data(args: argparse.Namespace) -> int:
+    import csv
+
     params = Params(args.a, args.n)
     buffer = io.StringIO()
     writer = csv.writer(buffer)
     if args.kind == "envelope":
+        from .domination import critical_root, ratio_envelope
+
         c = critical_root(params)
         writer.writerow(["r", "h"])
         for i in range(args.points):
@@ -346,7 +385,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _main_parser().parse_args(argv)
     try:
         return args.func(args)
-    except COMPUTE_ERRORS as exc:
+    except _compute_errors() as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

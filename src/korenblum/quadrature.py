@@ -68,6 +68,12 @@ CONVERGENCE_TOL = 1e-8
 # stays because the grid is outside input (--grid, library callers).
 MAX_GRID_CELLS = 1 << 22
 MAX_RADIAL_NODES = 4096
+# Above this n, cross_check's default grid has 256 radial nodes, not 128:
+# the original-coordinate integrand gathers near r = 1 as n grows.  At
+# a = (n - 1)/(n + 1) - 1e-4, 128 nodes miss the series by 1.1e-13 at
+# n = 256, 1.3e-10 at n = 500 and 1.8e-8 at n = 1000 (over
+# CONVERGENCE_TOL); 256 nodes miss it by 2.4e-14 at n = 1000.
+FINE_CROSS_CHECK_N = 256
 
 
 class QuadratureNotConverged(RuntimeError):
@@ -244,9 +250,13 @@ def cross_check(
     The report fails (``passed`` False) if any pairwise discrepancy
     within the f values or within the g values exceeds CONVERGENCE_TOL.
     The grid is not doubled: the three-way agreement is the evidence.
+    Without ``grid`` it is 128x256, or 256x256 when n exceeds
+    FINE_CROSS_CHECK_N.
     """
     from .series import norm_sq_f, norm_sq_g
 
+    if grid is None:
+        grid = QuadratureGrid(radial_nodes=256 if params.n > FINE_CROSS_CHECK_N else 128)
     sf = norm_sq_f(params, K=K, mode="float")
     sg = norm_sq_g(params, K=K, mode="float")
     series_f = float(sf.midpoint)

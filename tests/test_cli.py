@@ -14,6 +14,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 import korenblum.cli
+import korenblum.domination
+import korenblum.search
 import korenblum.series
 from korenblum import norm_difference, reference_params
 from korenblum.certificate import (
@@ -99,6 +101,30 @@ class TestRoot:
         code, _, err = run_cli(capsys, "root", "--a", "0.45", "--n", "2")
         assert code == 1
         assert "error" in err
+
+
+class TestComputeErrors:
+    @pytest.mark.parametrize(
+        "error, mapped",
+        [
+            (korenblum.domination.DominationViolated, True),
+            (korenblum.domination.HypothesisViolated, True),
+            (korenblum.search.InvalidBracket, True),
+            (ZeroDivisionError, True),  # an ArithmeticError
+            (ValueError, False),  # the base of InvalidBracket
+            (RuntimeError, False),
+        ],
+    )
+    def test_main_maps_exactly_the_compute_errors_to_exit_1(self, capsys, monkeypatch, error, mapped):
+        def fail(a, n):
+            raise error("boom")
+
+        monkeypatch.setattr(korenblum.cli, "Params", fail)
+        if mapped:
+            assert run_cli(capsys, "root", *REFERENCE_ARGS) == (1, "", "error: boom\n")
+        else:
+            with pytest.raises(error, match="boom"):
+                main(["root", *REFERENCE_ARGS])
 
 
 class TestUsageErrors:
@@ -226,8 +252,10 @@ class TestVerify:
         "argv",
         [
             ["--a", "0.9899", "--n", "200"],
-            # The default 128x256 quadrature misses ||f||^2 by 1.8e-8 here.
             ["--a", "0.998", "--n", "1000", "--grid", "512x256"],
+            # A 128x256 quadrature misses ||f||^2 by 1.8e-8 here; the
+            # default grid has 256 radial nodes above n = 256.
+            ["--a", "0.998", "--n", "1000"],
         ],
     )
     def test_passes_near_the_merge_at_large_n(self, capsys, argv):

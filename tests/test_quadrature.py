@@ -347,3 +347,19 @@ class TestCrossCheck:
         report = cross_check(Params(Fraction(0), 4))
         assert report.passed
         assert report.max_discrepancy <= 1e-12
+
+    @pytest.mark.parametrize(
+        "a, n, radial",
+        [("0.6666714", 10, 128), ("0.9921179", 256, 128), ("0.9921481", 257, 256), ("0.998", 1000, 256)],
+    )
+    def test_default_grid_takes_its_radial_nodes_from_n(self, a, n, radial):
+        p = Params(Fraction(a), n)
+        assert cross_check(p) == cross_check(p, QuadratureGrid(radial, 256))
+
+    def test_explicit_grid_is_used_as_given(self):
+        p = Params(Fraction("0.998"), 1000)
+        grid = QuadratureGrid(128, 256)
+        report = cross_check(p, grid)
+        assert report.quad_f_original == norm_sq_quad(p, "f", grid, check_convergence=False)
+        # 128 radial nodes miss ||f||^2 in original coordinates by 1.8e-8 here
+        assert not report.passed
