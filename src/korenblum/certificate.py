@@ -19,7 +19,7 @@ import sys
 import time
 from dataclasses import dataclass, fields
 from fractions import Fraction
-from typing import TYPE_CHECKING, Any, Dict, List, Optional
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
 from . import __version__
 from .family import Params, fraction_to_decimal
@@ -44,20 +44,31 @@ _LOG10_2 = math.log10(2)
 _max_str_digits = getattr(sys, "get_int_max_str_digits", lambda: 0)
 
 
-def encode_fraction(x: Fraction) -> Dict[str, Any]:
+def encode_fraction(
+    x: Fraction, _decimal: Optional[Tuple[int, int]] = None
+) -> Dict[str, Any]:
     """Lossless JSON encoding of a rational, with a float rendering.
 
     The integers are printed as ``str()`` prints them, but a long one is
     split in halves over powers of ten first (``_int_str``), and a
     denominator's trailing zeros are not converted (``_positive_str``).
-    Anything that might pass the interpreter's int-to-str digit limit
-    goes to ``str()``, which raises the interpreter's own ``ValueError``.
+    ``_decimal`` is the denominator as ``(head, zeros)``, head * 10^zeros,
+    which ``series`` gives for each exact end it reduced (the
+    ``_decimals`` of an enclosure or a gap): then only ``head`` is
+    converted.  Without it the zeros are found by division.  Anything
+    that might pass the interpreter's int-to-str digit limit goes to
+    ``str()``, which raises the interpreter's own ``ValueError``.
     """
     return {
         "numerator": _int_str(x.numerator),
-        "denominator": _positive_str(x.denominator),
+        "denominator": _positive_str(x.denominator, _decimal),
         "float": float(x),
     }
+
+
+def _digit_bound(x: int) -> int:
+    """At least the number of decimal digits of x."""
+    return int(x.bit_length() * _LOG10_2) + 1
 
 
 def _int_str(x: int) -> str:
@@ -69,7 +80,7 @@ def _int_str(x: int) -> str:
     conversion (Brent and Zimmermann, *Modern Computer Arithmetic*,
     section 1.7).  At ~4,200 digits this takes about a fifth off.
     """
-    size = int(x.bit_length() * _LOG10_2) + 1  # at least the number of digits
+    size = _digit_bound(x)
     limit = _max_str_digits()
     if size <= _LEAF_DIGITS or size > _SPLIT_MAX or (limit and size > limit):
         return str(x)
@@ -82,7 +93,7 @@ def _digits(x: int, pad: int) -> str:
     The split point 10^(2^j) has 2^j between 3/8 and 3/4 of the length,
     so at the top, where ``pad`` is 0, the high part is never 0.
     """
-    size = int(x.bit_length() * _LOG10_2) + 1
+    size = _digit_bound(x)
     if size <= _LEAF_DIGITS:
         return str(x).zfill(pad)
     j = (3 * size // 4).bit_length() - 1
@@ -90,14 +101,30 @@ def _digits(x: int, pad: int) -> str:
     return _digits(high, pad - (1 << j)) + _digits(low, 1 << j)
 
 
-def _positive_str(x: int) -> str:
+def _positive_str(x: int, decimal: Optional[Tuple[int, int]] = None) -> str:
     """``str(x)`` for x >= 1, printing its trailing zeros without converting them.
 
-    The t zeros, t = min(v2, v5), come off as x // 10^t, with v5 found by
-    descent over 5^(2^j) and capped at v2; only the rest is converted, by
-    ``_int_str``.  A result longer than the interpreter's digit limit is
+    ``decimal`` is x as ``(head, zeros)``, head * 10^zeros, if the caller
+    has it.  Otherwise, or if x might be longer than the interpreter's
+    digit limit, the zeros, t = min(v2, v5), come off as x // 10^t, with
+    v5 found by descent over 5^(2^j) and capped at v2.  Only the head is
+    converted, by ``_int_str``.  A result longer than the digit limit is
     left to ``str(x)``, which raises the interpreter's own ``ValueError``.
     """
+    limit = _max_str_digits()
+    if decimal is None or (limit and _digit_bound(x) > limit):
+        decimal = _trailing_zeros(x)
+    head, zeros = decimal
+    if not zeros:
+        return _int_str(x)
+    text = _int_str(head)
+    if limit and len(text) + zeros > limit:
+        return str(x)
+    return text + "0" * zeros
+
+
+def _trailing_zeros(x: int) -> Tuple[int, int]:
+    """``(x // 10^t, t)`` for x >= 1, with t = min(v2, v5, 16383)."""
     twos = _twos(x)
     odd = x >> twos
     zeros = 0
@@ -106,23 +133,20 @@ def _positive_str(x: int) -> str:
             quotient, remainder = divmod(odd, _FIVES[j])
             if not remainder:
                 odd, zeros = quotient, zeros + (1 << j)
-    if not zeros:
-        return _int_str(x)
-    head = _int_str(odd << (twos - zeros))
-    limit = _max_str_digits()
-    if limit and len(head) + zeros > limit:
-        return str(x)
-    return head + "0" * zeros
+    return odd << (twos - zeros), zeros
 
 
 def decode_fraction(d: Dict[str, Any]) -> Fraction:
     return Fraction(int(d["numerator"]), int(d["denominator"]))
 
 
-def encode_scalar(x: Scalar) -> Any:
-    """JSON value of an enclosure end: a Fraction losslessly, a float as is."""
+def encode_scalar(x: Scalar, _decimal: Optional[Tuple[int, int]] = None) -> Any:
+    """JSON value of an enclosure end: a Fraction losslessly, a float as is.
+
+    ``_decimal`` is passed on to ``encode_fraction``.
+    """
     if isinstance(x, Fraction):
-        return encode_fraction(x)
+        return encode_fraction(x, _decimal)
     return float(x)
 
 
@@ -136,11 +160,12 @@ def _domination_dict(report: DominationReport) -> Dict[str, Any]:
 
 
 def _norm_gap_dict(delta: DifferenceResult) -> Dict[str, Any]:
+    lower, upper = delta._decimals
     return {
         "mode": delta.mode,
         "truncation_index": delta.truncation_index,
-        "lower": encode_scalar(delta.delta_lower),
-        "upper": encode_scalar(delta.delta_upper),
+        "lower": encode_scalar(delta.delta_lower, lower),
+        "upper": encode_scalar(delta.delta_upper, upper),
         "certified": bool(delta.certifies),
     }
 

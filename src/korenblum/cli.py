@@ -182,9 +182,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _enclosure_dict(enc) -> dict:
+    lower, upper = enc._decimals
     return {
-        "lower": encode_scalar(enc.lower),
-        "upper": encode_scalar(enc.upper),
+        "lower": encode_scalar(enc.lower, lower),
+        "upper": encode_scalar(enc.upper, upper),
         "truncation_index": enc.truncation_index,
         "mode": enc.mode,
     }
@@ -234,13 +235,14 @@ def cmd_norms(args: argparse.Namespace) -> int:
     ng = norm_sq_g(params, K=args.terms, mode=mode)
     delta = enclose_difference(nf, ng)
     if args.json:
+        lower, upper = delta._decimals
         print(json.dumps({
             "params": {"a": fraction_to_decimal(params.a), "n": params.n},
             "norm_sq_f": _enclosure_dict(nf),
             "norm_sq_g": _enclosure_dict(ng),
             "delta": {
-                "lower": encode_scalar(delta.delta_lower),
-                "upper": encode_scalar(delta.delta_upper),
+                "lower": encode_scalar(delta.delta_lower, lower),
+                "upper": encode_scalar(delta.delta_upper, upper),
                 "certified": delta.certifies,
                 "mode": mode,
                 "truncation_index": delta.truncation_index,

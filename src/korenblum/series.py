@@ -47,11 +47,13 @@ Each end is then put in lowest terms without a gcd of two full-size
 integers.  Its denominator is big * small with big = D^(K-1) and
 small = s v0^2 v1^2 m_1 ... m_K (times the tail's cofactor): 12,370 and
 ~2,550 bits for the gap at a = 0.6666757, n = 10, K = 256.  The shared
-2s come off by shifts, the other primes of D by gcds against D, and the
-rest of the gcd divides small.  The reduced pair becomes a ``Fraction``
-with no second gcd.  A ``Fraction`` is always in lowest terms, so this
-gives the numerators and denominators that adding the K + 1 terms as
-fractions gives; only the time differs.
+2s come off by shifts, the other primes of D by gcds against
+D^GCD_POWER (one or two rounds at the pair above, where up to ~11
+powers of D cancel), and the rest of the gcd divides small.  The
+reduced pair becomes a ``Fraction`` with no second gcd.  A ``Fraction``
+is always in lowest terms, so this gives the numerators and
+denominators that adding the K + 1 terms as fractions gives; only the
+time differs.
 
 The gap subtracts an end of ||g||^2 from an end of ||f||^2; at the same
 a and K both norms have the same big.  Each end keeps how it was
@@ -59,10 +61,19 @@ reduced: its denominator is (big / cut) * rest, with cut the part of
 big that cancelled (49 to 517 bits at the pair above) and rest what
 stayed of small (~1,550 bits).  Two ends subtract over
 big * lcm(rest_1, rest_2), and the difference is reduced the same way:
-2s by shifts, the primes of D by gcds against D, the rest by one gcd
-against the short lcm.  ``Fraction`` subtraction takes its gcds over
+2s by shifts, the primes of D by gcds against D^GCD_POWER, the rest by
+one gcd against the short lcm.  ``Fraction`` subtraction takes its gcds over
 the two ~13,900-bit denominators instead; the exact gap at that pair
 takes 0.55 ms this way against 1.27 ms that way.
+
+Every exact end also gets its denominator in decimal form,
+head * 10^zeros with zeros = min(v2, v5), for the encoder to print
+(``_decimals`` of the enclosure or the gap).  The exponents v2 and v5
+add up from those of D, cut and rest, and head is the rest of the
+factorization: the part of rest prime to 10, times the part of big / cut
+prime to 10 (1 unless q has a prime other than 2 and 5), times the 2s or
+5s left over.  Only short integers are divided.  At the pair above each
+denominator has ~3,600 trailing zeros and a head of ~1,950 bits.
 
 Float mode evaluates the same formulas in double precision for speed,
 for an array of coefficients a in one pass (``float_norms_sq``); a
@@ -91,6 +102,8 @@ from .family import Params
 
 Mode = Literal["float", "exact"]
 Scalar = Union[Fraction, float]
+# A denominator as (head, zeros): head * 10^zeros with head not a multiple of 10.
+_Decimal = Tuple[int, int]
 
 DEFAULT_TERMS = 64
 MAX_TERMS = 8192
@@ -104,6 +117,9 @@ ADAPTIVE_WIDTH = 1e-3
 FLOAT_BLOCK_CELLS = 1 << 13
 # Terms that one leaf of the exact splitting tree sums in a loop.
 SPLIT_LEAF = 8
+# Exact mode divides the primes of D = 4 q^2 out of a numerator up to
+# D^GCD_POWER at a time.
+GCD_POWER = 8
 
 
 def power_series_norm_sq(terms: Iterable[Tuple[int, Union[Fraction, int]]]) -> Fraction:
@@ -160,6 +176,11 @@ class NormEnclosure:
     _split: Optional[_Split] = field(default=None, init=False, repr=False, compare=False)
 
     @property
+    def _decimals(self) -> Tuple[Optional[_Decimal], Optional[_Decimal]]:
+        """Each end's denominator as ``(head, zeros)``, if exact mode reduced it."""
+        return self._split.decimals() if self._split else (None, None)
+
+    @property
     def width(self) -> Scalar:
         return self.upper - self.lower
 
@@ -176,6 +197,13 @@ class DifferenceResult:
     delta_upper: Scalar
     truncation_index: int
     mode: Mode
+    # How ``enclose_difference`` reduced the two ends, as in ``NormEnclosure``.
+    _split: Optional[_Split] = field(default=None, init=False, repr=False, compare=False)
+
+    @property
+    def _decimals(self) -> Tuple[Optional[_Decimal], Optional[_Decimal]]:
+        """Each end's denominator as ``(head, zeros)``, if reduced over ``big``."""
+        return self._split.decimals() if self._split else (None, None)
 
     @property
     def width(self) -> Scalar:
@@ -199,12 +227,16 @@ def enclose_difference(nf: NormEnclosure, ng: NormEnclosure) -> DifferenceResult
     pair subtracts as ``Fraction``s or floats.
     """
     sf, sg = nf._split, ng._split
+    split = None
     if sf and sg and sf.big == sg.big:
-        lower = _subtract(nf.lower, sf.lower, ng.upper, sg.upper, sf.base, sf.big)
-        upper = _subtract(nf.upper, sf.upper, ng.lower, sg.lower, sf.base, sf.big)
+        lower, lower_end = _subtract(nf.lower, sf.lower, ng.upper, sg.upper, sf.base, sf.big)
+        upper, upper_end = _subtract(nf.upper, sf.upper, ng.lower, sg.lower, sf.base, sf.big)
+        split = sf._replace(lower=lower_end, upper=upper_end)
     else:
         lower, upper = nf.lower - ng.upper, nf.upper - ng.lower
-    return DifferenceResult(lower, upper, nf.truncation_index, nf.mode)
+    result = DifferenceResult(lower, upper, nf.truncation_index, nf.mode)
+    object.__setattr__(result, "_split", split)  # a frozen field outside __init__
+    return result
 
 
 def _check_terms(K: int) -> None:
@@ -356,7 +388,7 @@ def _exact_sum(
     r = (D - P) * (n * (K + 1) + s)
     lower, lower_split = _lowest_terms(numerator, big, D, small)
     upper, upper_split = _lowest_terms(numerator * r + weight * P_K * M, big, D, small * r)
-    return lower, upper, _Split(D, big, lower_split, upper_split)
+    return lower, upper, _Split(D, K - 1, big, lower_split, upper_split)
 
 
 def _twos(x: int) -> int:
@@ -364,19 +396,72 @@ def _twos(x: int) -> int:
     return (x & -x).bit_length() - 1
 
 
-class _Split(NamedTuple):
-    """How the two ends of an exact enclosure were put in lowest terms.
+def _fives(x: int) -> Tuple[int, int]:
+    """Exponent of 5 in a nonzero integer, and the integer without those 5s.
 
-    Both came from num / (big * small), with ``big`` a power of
-    ``base``.  Each end's pair ``(cut, rest)`` gives its denominator as
-    (big / cut) * rest: ``cut`` is the part of ``big`` that cancelled,
-    ``rest`` the part of ``small`` that stayed.
+    The powers 5^(2^j) are tried upwards while they divide, then
+    downwards, so an exponent e takes about 2 log2(e) divisions.
+    """
+    count, powers = 0, [5]
+    while True:
+        quotient, remainder = divmod(x, powers[-1])
+        if remainder:
+            break
+        x, count = quotient, count + (1 << (len(powers) - 1))
+        powers.append(powers[-1] * powers[-1])
+    for j in reversed(range(len(powers) - 1)):
+        quotient, remainder = divmod(x, powers[j])
+        if not remainder:
+            x, count = quotient, count + (1 << j)
+    return count, x
+
+
+def _valuations(x: int) -> Tuple[int, int, int]:
+    """Exponents of 2 and 5 in a nonzero integer, and its part prime to 10."""
+    twos = _twos(x)
+    fives, rest = _fives(x >> twos)
+    return twos, fives, rest
+
+
+class _Split(NamedTuple):
+    """How the two ends of an exact enclosure or gap were put in lowest terms.
+
+    Both came from num / (big * small), with ``big`` = ``base`` **
+    ``exponent``.  Each end's pair ``(cut, rest)`` gives its denominator
+    as (big / cut) * rest: ``cut`` is the part of ``big`` that
+    cancelled, ``rest`` the part of ``small`` that stayed.  A gap end
+    that is 0 has no pair.
     """
 
     base: int
+    exponent: int
     big: int
-    lower: Tuple[int, int]
-    upper: Tuple[int, int]
+    lower: Optional[Tuple[int, int]]
+    upper: Optional[Tuple[int, int]]
+
+    def decimals(self) -> Tuple[Optional[_Decimal], Optional[_Decimal]]:
+        """Each end's ``_Decimal``, or None for an end without a pair."""
+        return self._decimal(self.lower), self._decimal(self.upper)
+
+    def _decimal(self, end: Optional[Tuple[int, int]]) -> Optional[_Decimal]:
+        """The ``_Decimal`` of the denominator (big / cut) * rest of ``end``.
+
+        Its exponents of 2 and 5, and so its trailing zeros, add up from
+        those of ``base``, ``cut`` and ``rest``; only these short
+        integers are divided.  The part of ``base`` prime to 10 is 1
+        when q has no other prime, as for every decimal a.
+        """
+        if end is None:
+            return None
+        cut, rest = end
+        b2, b5, b = _valuations(self.base)
+        c2, c5, c = _valuations(cut)
+        r2, r5, r = _valuations(rest)
+        twos = b2 * self.exponent - c2 + r2
+        fives = b5 * self.exponent - c5 + r5
+        zeros = min(twos, fives)
+        odd = r if b == 1 else b ** self.exponent // c * r
+        return odd * 5 ** (fives - zeros) << (twos - zeros), zeros
 
 
 def _lowest_terms(num: int, big: int, base: int, small: int) -> Tuple[Fraction, Tuple[int, int]]:
@@ -386,15 +471,16 @@ def _lowest_terms(num: int, big: int, base: int, small: int) -> Tuple[Fraction, 
 
     It takes no gcd of two full-size integers: ``big`` is long and
     ``small`` short.  The shared 2s come off by shifts.  The other primes
-    of ``base`` come off by gcds of ``num`` with ``base`` itself, which
-    is short, cut down to what ``big`` still holds.  What remains of the
-    gcd divides ``small``.
+    of ``base`` come off by gcds of ``num`` with base^GCD_POWER, which is
+    short, cut down to what ``big`` still holds; each round then tries
+    the last common factor again, until none is left.  What remains of
+    the gcd divides ``small``.
     """
     twos = min(_twos(num), _twos(big) + _twos(small))
     from_big = min(twos, _twos(big))
     num, big, small = num >> twos, big >> from_big, small >> (twos - from_big)
     cut = 1 << from_big
-    g = math.gcd(num, base, big)
+    g = math.gcd(num, base**GCD_POWER, big)
     while g > 1:
         num, big, cut = num // g, big // g, cut * g
         g = math.gcd(num, g, big)
@@ -406,8 +492,9 @@ def _lowest_terms(num: int, big: int, base: int, small: int) -> Tuple[Fraction, 
 def _subtract(
     x: Fraction, x_split: Tuple[int, int], y: Fraction, y_split: Tuple[int, int],
     base: int, big: int,
-) -> Fraction:
-    """``x - y`` for two ends reduced from the same ``big``, a power of ``base``.
+) -> Tuple[Fraction, Optional[Tuple[int, int]]]:
+    """``x - y`` and its ``(cut, rest)``, for two ends reduced from the
+    same ``big``, a power of ``base``; no pair if x = y.
 
     With x's denominator (big / cx) * rx and y's (big / cy) * ry, the
     difference is t / (big * lcm(rx, ry)) and goes through ``_lowest_terms``.
@@ -416,8 +503,8 @@ def _subtract(
     g = math.gcd(rx, ry)
     t = x.numerator * cx * (ry // g) - y.numerator * cy * (rx // g)
     if not t:
-        return Fraction(0)
-    return _lowest_terms(t, big, base, rx * (ry // g))[0]
+        return Fraction(0), None
+    return _lowest_terms(t, big, base, rx * (ry // g))
 
 
 class _Coprime:

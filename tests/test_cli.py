@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import dataclasses
 import hashlib
 import io
 import json
@@ -11,8 +12,9 @@ import tracemalloc
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
+import korenblum
 import korenblum.cli
 import korenblum.domination
 import korenblum.search
@@ -24,6 +26,7 @@ from korenblum.certificate import (
     _positive_str,
     decode_fraction,
     encode_fraction,
+    encode_scalar,
     run_verification,
 )
 from korenblum.cli import main
@@ -39,6 +42,15 @@ GOLDEN_NORMS_SHA256 = "09d1dae9ae8ebb5bd142e749a760751b98be526449fff0f0a1dab38f8
 # the denominators' trailing zeros were printed without conversion.
 GOLDEN_NORMS_N4_SHA256 = "78e4bd89f7602fd89374a7a175d0bf95bc0f18d0f4694ab8f070ab27979f5b0d"
 GOLDEN_NORMS_N14_SHA256 = "3df3682f045cce0ecf67c231554bb375f84c9a497cfea3601ea8781469967f90"
+# The same command where D = 4 q^2 is not 2^i 5^j times 1, as printed
+# before the denominators were printed from their known factorization:
+# D has the odd prime 3 (a = 2/3, n = 10) or 7 (a = 5/7, n = 7), or is a
+# power of 2 (a = 0.5, n = 4).  A 12-digit a (n = 20) has integers past
+# the 4300-digit limit, so it is pinned as printed without the limit.
+GOLDEN_NORMS_THIRDS_SHA256 = "fdaf7d81b2bb9ddee43597dca8bf7092d672c173e88ba1c4e05f771a3c162534"
+GOLDEN_NORMS_SEVENTHS_SHA256 = "c2f11aec1d2efef0b295e993eb37ad3819d7cf38d1c0d7dcf9d3e537afe20479"
+GOLDEN_NORMS_HALF_SHA256 = "c6fd03eb745ba0773c01f12796d0328a1549fc9305258a86f804f9716fad6f5d"
+GOLDEN_NORMS_LONG_SHA256 = "9221ef60c41c09f3af9034629dac96fb1819bf1b1b67cb0af50496d9ede0a98d"
 # The verify certificate with wall_time_s removed, re-serialised with
 # json.dumps(indent=2) as Certificate.to_json does.  Both verify hashes
 # were re-pinned when the angular quadrature moved to the trapezoid rule;
@@ -329,6 +341,20 @@ class TestGoldenOutput:
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == golden
 
+    @pytest.mark.parametrize(
+        "n, a, golden",
+        [(10, "2/3", GOLDEN_NORMS_THIRDS_SHA256), (7, "5/7", GOLDEN_NORMS_SEVENTHS_SHA256),
+         (4, "0.5", GOLDEN_NORMS_HALF_SHA256), (20, "0.123456789123", GOLDEN_NORMS_LONG_SHA256)],
+        ids=["thirds", "sevenths", "half", "long"],
+    )
+    def test_exact_norms_json_at_other_denominators(self, capsys, n, a, golden):
+        with _int_max_str_digits(0):
+            code, out, _ = run_cli(
+                capsys, "norms", "--a", a, "--n", str(n), "--exact", "--terms", "256", "--json",
+            )
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == golden
+
     @staticmethod
     def _verify_sha256(capsys, *flags):
         code, out, _ = run_cli(capsys, "verify", "--a", "0.6666757", "--n", "10", *flags)
@@ -459,6 +485,66 @@ class TestDenominatorDigits:
         x = 3 * 10**20000
         with _int_max_str_digits(0):
             assert _positive_str(x) == str(x)
+            assert _positive_str(x, (3, 20000)) == str(x)
+
+
+# a = m / 10^d or u / v with a small v, so D = 4 q^2 is 2^i 5^j, or has
+# other primes.
+decimal_coefficients = st.integers(1, 12).flatmap(
+    lambda d: st.integers(0, 10**d - 1).map(lambda m: Fraction(m, 10**d))
+)
+small_fractions = st.integers(1, 60).flatmap(
+    lambda v: st.integers(0, v - 1).map(lambda u: Fraction(u, v))
+)
+
+
+def _encodes_as_str(x, decimal=None):
+    encoded = encode_scalar(x, decimal)
+    assert (encoded["numerator"], encoded["denominator"]) == (
+        str(x.numerator), str(x.denominator)
+    )
+    assert encoded == encode_fraction(x)
+
+
+class TestExactEndEncoding:
+    """Every exact end prints as ``str()`` prints it, from its known
+    factorization or not."""
+
+    @given(
+        a=decimal_coefficients | small_fractions,
+        n=st.integers(2, 40),
+        K=st.sampled_from([1, 2, 3, 8, 64, 256]),
+    )
+    @example(a=Fraction("0.6666757"), n=10, K=256)
+    @example(a=Fraction("0.123456789123"), n=20, K=256)
+    @example(a=Fraction(2, 3), n=10, K=256)
+    @example(a=Fraction(1, 2), n=4, K=256)
+    @example(a=Fraction(0), n=2, K=1)
+    def test_ends_print_as_str(self, a, n, K):
+        p = korenblum.Params(a, n)
+        nf = korenblum.series.norm_sq_f(p, K, "exact")
+        ng = korenblum.series.norm_sq_g(p, K, "exact")
+        d = korenblum.series.enclose_difference(nf, ng)
+        ends = [(nf.lower, nf.upper, nf._decimals), (ng.lower, ng.upper, ng._decimals),
+                (d.delta_lower, d.delta_upper, d._decimals)]
+        with _int_max_str_digits(0):
+            for lower, upper, decimals in ends:
+                for x, decimal in zip((lower, upper), decimals):
+                    if decimal is not None:
+                        head, zeros = decimal
+                        assert head * 10**zeros == x.denominator and head % 10
+                    _encodes_as_str(x, decimal)
+            # Without the series' factorizations: built by hand, or a
+            # dataclasses.replace copy, which drops them.
+            by_hand = korenblum.series.NormEnclosure(nf.lower, nf.upper, K, "exact")
+            copy = dataclasses.replace(ng)
+            assert by_hand._decimals == copy._decimals == (None, None)
+            gap = korenblum.series.enclose_difference(by_hand, copy)
+            assert gap._decimals == (None, None)
+            assert (gap.delta_lower, gap.delta_upper) == (d.delta_lower, d.delta_upper)
+            for x in (by_hand.lower, by_hand.upper, copy.lower, copy.upper,
+                      gap.delta_lower, gap.delta_upper):
+                _encodes_as_str(x)
 
 
 def _digits_and_sign(digits):
@@ -578,18 +664,43 @@ class TestCertificateObject:
             sys.set_int_max_str_digits(saved)
         assert code == 0
 
-    @pytest.mark.parametrize("digits, fails", [(4300, False), (4301, True), (5001, True)])
-    def test_digit_limit_applies_to_the_printed_length(self, digits, fails):
+    @pytest.mark.parametrize(
+        "digits, fails, known",
+        [pytest.param(digits, fails, known, id=f"{digits}-{fails}" + ("-known" if known else ""))
+         for known in (False, True) for digits, fails in ((4300, False), (4301, True), (5001, True))],
+    )
+    def test_digit_limit_applies_to_the_printed_length(self, digits, fails, known):
+        # With ``known``, the denominator comes with its (head, zeros) pair.
         x = Fraction(1, 10 ** (digits - 1))
+        decimal = (1, digits - 1) if known else None
         with _int_max_str_digits(4300):
             if fails:
                 with pytest.raises(ValueError) as expected:
                     str(x.denominator)
                 with pytest.raises(ValueError) as raised:
-                    encode_fraction(x)
+                    encode_fraction(x, decimal)
                 assert str(raised.value) == str(expected.value)
             else:
-                assert encode_fraction(x)["denominator"] == str(x.denominator)
+                assert encode_fraction(x, decimal)["denominator"] == str(x.denominator)
+
+    # The gap benchmark pairs whose K = 256 ends pass the 4300-digit limit,
+    # and two that stay under it.
+    @pytest.mark.parametrize(
+        "n, a, fails",
+        [(15, "0.6815637", True), (16, "0.6833396", False), (17, "0.6848893", True),
+         (18, "0.6862529", True), (19, "0.6874616", False), (20, "0.6885401", True)],
+    )
+    def test_exact_norms_at_the_digit_limit(self, capsys, n, a, fails):
+        argv = ["norms", "--a", a, "--n", str(n), "--exact", "--terms", "256", "--json"]
+        with _int_max_str_digits(4300):
+            if fails:
+                with pytest.raises(ValueError, match=r"^Exceeds the limit \(4300"):
+                    main(argv)
+            else:
+                assert main(argv) == 0
+        out = capsys.readouterr().out
+        if not fails:
+            assert json.loads(out)["delta"]["certified"] is True
 
     def test_encoding_past_digit_limit_round_trips_without_limit(self):
         with _int_max_str_digits(0):

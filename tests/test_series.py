@@ -17,7 +17,7 @@ from korenblum import (
     reference_params,
     series,
 )
-from korenblum.series import DEFAULT_TERMS, float_norms_sq
+from korenblum.series import DEFAULT_TERMS, GCD_POWER, float_norms_sq
 
 from .oracles import TaylorOracle, exact_norm_sq, float_norm_sq_loop, relative_gap
 
@@ -229,7 +229,7 @@ class TestLowestTerms:
     """
 
     @given(
-        q=st.sampled_from([1, 3, 7, 10**7, 2**5 * 3**4 * 7]) | st.integers(1, 10**6),
+        q=st.sampled_from([1, 3, 7, 21, 10**7, 2**5 * 3**4 * 7]) | st.integers(1, 10**6),
         exponent=st.integers(0, 40),
         small=st.integers(1, 10**40),
         twos=st.integers(0, 1500),
@@ -240,6 +240,12 @@ class TestLowestTerms:
     @example(q=1, exponent=0, small=5, twos=3, fives=1, bases=0, rest=1)  # a = 0, K = 1
     @example(q=1, exponent=255, small=3, twos=600, fives=0, bases=0, rest=3)  # a = 0
     @example(q=10**7, exponent=0, small=10, twos=0, fives=0, bases=2, rest=1)  # K = 1
+    # big shares several times D^GCD_POWER with num, so the gcd loop runs
+    # more than one round: D with the odd primes 3 and 7 (q = 21), or 5.
+    @example(q=21, exponent=40, small=11, twos=0, fives=0, bases=3 * GCD_POWER + 1, rest=13)
+    @example(q=21, exponent=60, small=63, twos=5, fives=2, bases=5 * GCD_POWER, rest=-9)
+    @example(q=10**7, exponent=255, small=10**5, twos=40, fives=30, bases=4 * GCD_POWER, rest=3)
+    @example(q=3, exponent=100, small=1, twos=0, fives=0, bases=10 * GCD_POWER - 1, rest=3**5)
     def test_same_pair_as_fraction(self, q, exponent, small, twos, fives, bases, rest):
         base = 4 * q * q
         big = base**exponent
