@@ -23,7 +23,7 @@ from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
 from . import __version__
 from .family import Params, fraction_to_decimal
-from .series import DifferenceResult, Scalar, _twos, norm_difference
+from .series import DEFAULT_TERMS, Scalar, _twos, norm_difference
 
 if TYPE_CHECKING:
     from .domination import DominationReport
@@ -155,21 +155,6 @@ def _fields_dict(record, skip: str = "") -> Dict[str, Any]:
     return {f.name: getattr(record, f.name) for f in fields(record) if f.name != skip}
 
 
-def _domination_dict(report: DominationReport) -> Dict[str, Any]:
-    return {"sampled_only": True, **_fields_dict(report, skip="params")}
-
-
-def _norm_gap_dict(delta: DifferenceResult) -> Dict[str, Any]:
-    lower, upper = delta._decimals
-    return {
-        "mode": delta.mode,
-        "truncation_index": delta.truncation_index,
-        "lower": encode_scalar(delta.delta_lower, lower),
-        "upper": encode_scalar(delta.delta_upper, upper),
-        "certified": bool(delta.certifies),
-    }
-
-
 @dataclass(kw_only=True)
 class Certificate:
     """JSON-shaped verification record; all fields are plain data.
@@ -229,7 +214,7 @@ def verify_domination(params: Params, c: float) -> DominationReport:
 
 
 def cross_check(
-    params: Params, grid: Optional[QuadratureGrid] = None, K: int = 64
+    params: Params, grid: Optional[QuadratureGrid] = None, K: int = DEFAULT_TERMS
 ) -> CrossCheckReport:
     """``quadrature.cross_check``."""
     from .quadrature import cross_check
@@ -239,72 +224,79 @@ def cross_check(
 
 def run_verification(
     params: Params,
-    terms: int = 64,
+    terms: int = DEFAULT_TERMS,
     grid: Optional[QuadratureGrid] = None,
 ) -> Certificate:
     """Run the full verification chain and assemble a certificate.
 
     Checks run in a fixed order (critical root, domination, norm gap,
-    quadrature cross-check) and stop at the first failure, which is
-    recorded by name.
+    quadrature cross-check) and stop at the first failure: its name is
+    ``failed_check``, and the sections of the checks after it are None.
+    A check fails when its step reports so, or when it raises one of its
+    listed exceptions, whose message becomes the check's ``error``:
+    ArithmeticError for the root, DominationViolated or
+    HypothesisViolated for the domination grid.  Any other exception
+    propagates.  The command line exits 1 on a failed certificate.
     """
     from .domination import DominationViolated, HypothesisViolated, ROOT_TOL, critical_polynomial
 
     start = time.perf_counter()
+    # Each step returns its section and whether its check passed.  The
+    # steps call critical_root, verify_domination, norm_difference and
+    # cross_check through this module's names, read when they run.
+    sections: Dict[str, Dict[str, Any]] = {}
+
+    def root() -> Tuple[Dict[str, Any], bool]:
+        c = critical_root(params)
+        residual = abs(float(critical_polynomial(params, c)))
+        return {"value": c, "residual": residual, "tol": ROOT_TOL}, True
+
+    def domination() -> Tuple[Dict[str, Any], bool]:
+        report = verify_domination(params, sections["critical_root"]["value"])
+        section = {"sampled_only": True, **_fields_dict(report, skip="params")}
+        return section, report.verdict == "pass"
+
+    def norm_gap() -> Tuple[Dict[str, Any], bool]:
+        delta = norm_difference(params, K=terms, mode="exact", adaptive=True)
+        lower, upper = delta._decimals
+        section = {
+            "mode": delta.mode,
+            "truncation_index": delta.truncation_index,
+            "lower": encode_scalar(delta.delta_lower, lower),
+            "upper": encode_scalar(delta.delta_upper, upper),
+            "certified": bool(delta.certifies),
+        }
+        return section, delta.certifies
+
+    def quadrature() -> Tuple[Dict[str, Any], bool]:
+        report = cross_check(params, grid=grid, K=terms)
+        return _fields_dict(report), report.passed
+
     checks: List[Dict[str, Any]] = []
     failed: Optional[str] = None
-
-    c_dict = None
-    gap_dict = None
-    dom_dict = None
-    xc_dict = None
-
-    c = None
-    try:
-        c = critical_root(params)
-        c_dict = {
-            "value": c,
-            "residual": abs(float(critical_polynomial(params, c))),
-            "tol": ROOT_TOL,
-        }
-        checks.append({"name": "critical_root", "passed": True})
-    except ArithmeticError as exc:
-        checks.append({"name": "critical_root", "passed": False, "error": str(exc)})
-        failed = "critical_root"
-
-    if failed is None:
+    for name, step, errors in (
+        ("critical_root", root, ArithmeticError),
+        ("domination", domination, (DominationViolated, HypothesisViolated)),
+        ("norm_gap", norm_gap, ()),
+        ("cross_check", quadrature, ()),
+    ):
         try:
-            report = verify_domination(params, c)
-            dom_dict = _domination_dict(report)
-            ok = report.verdict == "pass"
-            checks.append({"name": "domination", "passed": ok})
-            if not ok:
-                failed = "domination"
-        except (DominationViolated, HypothesisViolated) as exc:
-            checks.append({"name": "domination", "passed": False, "error": str(exc)})
-            failed = "domination"
-
-    if failed is None:
-        delta = norm_difference(params, K=terms, mode="exact", adaptive=True)
-        gap_dict = _norm_gap_dict(delta)
-        ok = delta.certifies
-        checks.append({"name": "norm_gap", "passed": ok})
-        if not ok:
-            failed = "norm_gap"
-
-    if failed is None:
-        xc = cross_check(params, grid=grid, K=terms)
-        xc_dict = _fields_dict(xc)
-        checks.append({"name": "cross_check", "passed": xc.passed})
-        if not xc.passed:
-            failed = "cross_check"
+            sections[name], passed = step()
+        except errors as exc:
+            check = {"name": name, "passed": False, "error": str(exc)}
+        else:
+            check = {"name": name, "passed": passed}
+        checks.append(check)
+        if not check["passed"]:
+            failed = name
+            break
 
     return Certificate(
         params={"a": fraction_to_decimal(params.a), "n": params.n},
-        critical_radius=c_dict,
-        norm_gap=gap_dict,
-        domination=dom_dict,
-        cross_check=xc_dict,
+        critical_radius=sections.get("critical_root"),
+        norm_gap=sections.get("norm_gap"),
+        domination=sections.get("domination"),
+        cross_check=sections.get("cross_check"),
         checks=checks,
         passed=failed is None,
         failed_check=failed,

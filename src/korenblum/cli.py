@@ -21,7 +21,8 @@ from typing import TYPE_CHECKING, Optional, Sequence, Tuple, Type
 
 from .certificate import encode_fraction, encode_scalar, run_verification
 from .family import Params, fraction_to_decimal
-from .series import MAX_TERMS, enclose_difference, float_norms_sq, norm_sq_f, norm_sq_g
+from .series import (DEFAULT_TERMS, MAX_TERMS, enclose_difference, float_norms_sq,
+                     norm_sq_f, norm_sq_g)
 # Not called here; kept so that ``cli.norm_difference`` stays a name that
 # bench/tracing.py can wrap.
 from .series import norm_difference  # noqa: F401
@@ -134,7 +135,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run the full verification chain")
     add_params(p_verify)
-    p_verify.add_argument("--terms", type=_terms, default=64)
+    p_verify.add_argument("--terms", type=_terms, default=DEFAULT_TERMS,
+                          help="truncation index K; the exact gap doubles it until "
+                               "resolved (default %(default)s)")
     p_verify.add_argument("--exact", action="store_true",
                           help="accepted for existing command lines; the gap is always exact")
     p_verify.add_argument("--grid", type=_grid, default=None, metavar="RxA",
@@ -150,11 +153,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_norms = sub.add_parser("norms", help="norm enclosures and their gap")
     add_params(p_norms)
-    p_norms.add_argument("--terms", type=_terms, default=64)
+    p_norms.add_argument("--terms", type=_terms, default=DEFAULT_TERMS,
+                         help="truncation index K of the enclosures (default %(default)s)")
     p_norms.add_argument("--exact", action="store_true")
     p_norms.add_argument("--json", action="store_true")
     p_norms.set_defaults(func=cmd_norms)
 
+    # 5e-6 is search.DEFAULT_SAFETY, written out so that cli need not import search.
     p_search = sub.add_parser("search", help="locate and certify the best a for one n")
     p_search.add_argument("--n", type=_frequency, required=True)
     p_search.add_argument("--safety", type=_safety, default=5e-6)

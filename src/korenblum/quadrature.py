@@ -57,6 +57,7 @@ from typing import Literal
 # numpy is imported inside the functions that use it, so exact-only commands never load it.
 
 from .family import Params
+from .series import DEFAULT_TERMS
 
 Coords = Literal["original", "substituted"]
 Which = Literal["f", "g"]
@@ -243,7 +244,7 @@ class CrossCheckReport:
 def cross_check(
     params: Params,
     grid: QuadratureGrid | None = None,
-    K: int = 64,
+    K: int = DEFAULT_TERMS,
 ) -> CrossCheckReport:
     """Compare the series norms against both quadrature routes.
 

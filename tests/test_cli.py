@@ -4,6 +4,7 @@ import contextlib
 import csv
 import dataclasses
 import hashlib
+import inspect
 import io
 import json
 import sys
@@ -15,11 +16,13 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 import korenblum
+import korenblum.certificate
 import korenblum.cli
 import korenblum.domination
+import korenblum.quadrature
 import korenblum.search
 import korenblum.series
-from korenblum import norm_difference, reference_params
+from korenblum import Params, norm_difference, reference_params
 from korenblum.certificate import (
     Certificate,
     _int_str,
@@ -30,6 +33,7 @@ from korenblum.certificate import (
     run_verification,
 )
 from korenblum.cli import main
+from korenblum.quadrature import QuadratureGrid
 
 REFERENCE_ARGS = ["--a", "0.6666714", "--n", "10"]
 
@@ -137,6 +141,23 @@ class TestComputeErrors:
         else:
             with pytest.raises(error, match="boom"):
                 main(["root", *REFERENCE_ARGS])
+
+
+class TestDefaults:
+    def test_defaults_come_from_their_modules(self):
+        parser = korenblum.cli.build_parser()
+        for argv in (["verify", *REFERENCE_ARGS], ["norms", *REFERENCE_ARGS]):
+            assert parser.parse_args(argv).terms == korenblum.series.DEFAULT_TERMS
+        # cli keeps the literal: importing search would load it for every command.
+        for argv in (["search", "--n", "10"], ["scan"]):
+            assert parser.parse_args(argv).safety == korenblum.search.DEFAULT_SAFETY
+        for function, name in (
+            (run_verification, "terms"),
+            (korenblum.certificate.cross_check, "K"),
+            (korenblum.quadrature.cross_check, "K"),
+        ):
+            default = inspect.signature(function).parameters[name].default
+            assert default == korenblum.series.DEFAULT_TERMS
 
 
 class TestUsageErrors:
@@ -255,10 +276,18 @@ class TestVerify:
         cert = Certificate.from_json(path.read_text())
         assert cert.passed
 
-    def test_coarse_grid_fails_cross_check(self, capsys):
-        code, out, _ = run_cli(capsys, "verify", *REFERENCE_ARGS, "--grid", "8x16")
+    @pytest.mark.parametrize(
+        "argv, failed",
+        [
+            (["--a", "0.66", "--n", "10"], "norm_gap"),
+            (["--a", "0.6666757", "--n", "10", "--grid", "8x16"], "cross_check"),
+        ],
+        ids=["norm_gap", "cross_check"],
+    )
+    def test_failed_check_exits_1(self, capsys, argv, failed):
+        code, out, _ = run_cli(capsys, "verify", *argv)
         assert code == 1
-        assert "FAIL: cross_check" in out
+        assert out.splitlines()[-1] == f"FAIL: {failed}"
 
     @pytest.mark.parametrize(
         "argv",
@@ -618,6 +647,30 @@ class TestIntegerDigits:
                 assert _int_str(x) == str(x)
 
 
+# Each check of run_verification, in its order, and the section it writes.
+CHECK_SECTIONS = {
+    "critical_root": "critical_radius",
+    "domination": "domination",
+    "norm_gap": "norm_gap",
+    "cross_check": "cross_check",
+}
+
+
+def _raising(error):
+    """A stand-in for verify_domination that raises ``error("boom")``."""
+
+    def verify_domination(params, c):
+        raise error("boom")
+
+    return verify_domination
+
+
+def _failing_verdict(params, c):
+    """The real domination report, with its verdict set to "fail"."""
+    report = korenblum.domination.verify_domination(params, c)
+    return dataclasses.replace(report, verdict="fail")
+
+
 class TestCertificateObject:
     def test_round_trip(self):
         cert = run_verification(reference_params())
@@ -707,11 +760,47 @@ class TestCertificateObject:
             for x in (Fraction(1, 10**5000), Fraction(-7, 2**20000 * 5**9000 * 3)):
                 assert decode_fraction(encode_fraction(x)) == x
 
-    def test_failure_is_named_and_ordered(self):
-        from korenblum import Params
+    @pytest.mark.parametrize(
+        "a, n, grid, stub, failed, error, has_section",
+        [
+            ("0.45", 2, None, None, "critical_root", "has no root in (0, 1)", False),
+            ("0.6666714", 10, None, _raising(korenblum.domination.DominationViolated),
+             "domination", "boom", False),
+            ("0.6666714", 10, None, _raising(korenblum.domination.HypothesisViolated),
+             "domination", "boom", False),
+            ("0.6666714", 10, None, _failing_verdict, "domination", None, True),
+            # The root and the grid pass; the exact gap is negative.
+            ("0.66", 10, None, None, "norm_gap", None, True),
+            ("0.6666757", 10, QuadratureGrid(8, 16), None, "cross_check", None, True),
+        ],
+        ids=["critical_root", "domination-violated", "domination-hypothesis",
+             "domination-verdict", "norm_gap", "cross_check"],
+    )
+    def test_checks_stop_at_the_first_failure(
+        self, monkeypatch, a, n, grid, stub, failed, error, has_section
+    ):
+        if stub is not None:
+            monkeypatch.setattr(korenblum.certificate, "verify_domination", stub)
+        cert = run_verification(Params(a, n), grid=grid)
+        names = list(CHECK_SECTIONS)
+        ran = names[: names.index(failed) + 1]
+        assert [check["name"] for check in cert.checks] == ran
+        assert [check["passed"] for check in cert.checks] == [True] * (len(ran) - 1) + [False]
+        if error is None:
+            assert "error" not in cert.checks[-1]
+        else:
+            assert error in cert.checks[-1]["error"]
+        assert cert.failed_check == failed
+        assert cert.passed is False
+        # Each check that passed left its section; the failed one left its
+        # own only if it returned one; every later section is None.
+        filled = {CHECK_SECTIONS[name] for name in ran[:-1]}
+        if has_section:
+            filled.add(CHECK_SECTIONS[failed])
+        for section in CHECK_SECTIONS.values():
+            assert (getattr(cert, section) is not None) == (section in filled), section
 
-        cert = run_verification(Params("0.45", 2))
-        assert not cert.passed
-        assert cert.failed_check == "critical_root"
-        assert cert.checks[0]["passed"] is False
-        assert cert.norm_gap is None and cert.domination is None
+    def test_other_exceptions_propagate(self, monkeypatch):
+        monkeypatch.setattr(korenblum.certificate, "verify_domination", _raising(ValueError))
+        with pytest.raises(ValueError, match="boom"):
+            run_verification(reference_params())
