@@ -41,13 +41,21 @@ violations raised as exceptions rather than absorbed.
 
 On the angles theta_j = 2 pi j / N the domination grid forms z^n as
 r^n e^(i theta_k), k = n j mod N reduced exactly in integers, so z^n is
-accurate at every n.  It is evaluated GRID_BLOCK_ROWS radii at a time, each block reduced
-at once to its row maxima and their angular offsets, so the whole grid
-is never held in memory; the bits do not depend on the block height.
+accurate at every n.  It is evaluated GRID_BLOCK_ROWS radii at a time
+in one workspace allocated per call.  Each block's radii and r^n are
+copied into the z and z^n tables and multiplied there by the rows
+e^(i theta_j) and e^(i theta_k), tiled to the block's height, and
+family.eval_abs_ratio writes every step of |f|/|g| into the workspace,
+so no ufunc has a broadcast operand (numpy allocates iterator buffers
+for each).  A block is reduced at once to its row maxima and to their
+maxima over the columns with n theta = 0, so the whole grid is never
+held in memory; the bits do not depend on the block height.  f and g
+are evaluated at every sample.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Tuple, Union
@@ -61,18 +69,21 @@ from .family import eval_f, eval_g  # noqa: F401
 
 Radius = Union[Fraction, int, float]
 
-# Float residual |p(c)| that critical_root asserts of its exact answer.
+# Float residual |p(c)| that critical_root checks of its exact answer.
 ROOT_TOL = 1e-14
 # h(c) must lie this close to 1 for c to count as the critical radius.
 BOUNDARY_TOL = 1e-9
 # A domination grid sample fails when |f|/|g| exceeds 1 + GRID_TOL.
 GRID_TOL = 1e-12
-# Radial rows per block of the domination grid: 4 rows of 1024 angles
-# are 64 KiB per complex temporary, half glibc's default 128 KiB mmap
-# threshold.  With 8 rows the temporaries sit on that threshold, and
-# whether each block's ~0.7 MiB of them was page-faulted in afresh after
-# a heap trim depended on the heap layout: 0 to ~5000 faults per grid.
-GRID_BLOCK_ROWS = 4
+# Radial rows per block of the domination grid.  The workspace is
+# allocated once per call, so its pages are faulted in at most once per
+# call whatever the heap layout: 192-224 minor faults per 256x1024 grid
+# at 8 rows (seven 128 KiB complex tables, two 64 KiB real ones) and 192
+# at 7.  Blocks that allocated their own temporaries took 92 faults per
+# grid at 4 rows when grids ran back to back, but 1712 when each grid
+# followed a cross-check, as the heap was trimmed and regrown per block.
+# 7 and 8 rows run equally fast, and 8 divide 256 rows evenly.
+GRID_BLOCK_ROWS = 8
 
 
 class NoInteriorRoot(ArithmeticError):
@@ -121,7 +132,8 @@ def critical_root(params: Params) -> float:
     module docstring), or when the root lies within one ulp of 1.
     Otherwise bisects [0, 1] on double midpoints, reading every sign of
     p exactly in integers, until the bracket holds two neighbouring
-    doubles; the answer is the upper one, where p >= 0 exactly.
+    doubles; the answer is the upper one, where p >= 0 exactly.  Raises
+    ArithmeticError if the float residual |p(c)| is not below ROOT_TOL.
     """
     n, a = params.n, params.a
     if not 0 < (n + 1) * a < n - 1:
@@ -146,7 +158,12 @@ def critical_root(params: Params) -> float:
             f"the root of h(r) = 1 in (0, 1) lies within one ulp of 1 "
             f"for {params.describe()}"
         )
-    assert abs(critical_polynomial(params, hi)) < ROOT_TOL
+    residual = abs(critical_polynomial(params, hi))
+    if not residual < ROOT_TOL:
+        raise ArithmeticError(
+            f"|p(c)| = {residual!r} at c = {hi!r} is not below {ROOT_TOL:g} "
+            f"for {params.describe()}"
+        )
     return hi
 
 
@@ -231,31 +248,57 @@ def verify_domination(
     # z^n = r^n e^(i n theta_j) = r^n circle[k_j], with n j reduced mod N exactly.
     k = params.n * np.arange(angular_samples) % angular_samples
     rn, circle_n = radii ** params.n, circle[k]
-    # Angular maxima should sit where n*theta = 0 (mod 2 pi); dist is the
-    # distance from there in grid steps.  Ties within a relative 1e-13
-    # band count as maxima (flat rows at a = 0).
-    dist = np.minimum(k, angular_samples - k) / params.n
 
+    def row_ratio(i):
+        # One row alone; the same bits as in its block.
+        return eval_abs_ratio(params, radii[i] * circle, rn[i] * circle_n)
+
+    # One workspace for every block (module docstring): the tiled rows,
+    # z and z^n, and the five arrays that eval_abs_ratio writes into.
+    height = min(GRID_BLOCK_ROWS, radial_samples)
+    shape = (height, angular_samples)
+    circles, circles_n = np.tile(circle, (height, 1)), np.tile(circle_n, (height, 1))
+    z, zn = np.empty(shape, complex), np.empty(shape, complex)
+    workspace = tuple(np.empty(shape, dtype) for dtype in (complex, complex, complex, float, float))
+    # Columns with n*theta = 0 (mod 2 pi): every (N / gcd(n, N))-th.
+    zero_cols = slice(None, None, angular_samples // math.gcd(params.n, angular_samples))
     row_max = np.empty(radial_samples)
-    offsets = np.empty(radial_samples)
-    for start in range(0, radial_samples, GRID_BLOCK_ROWS):
-        rows = slice(start, start + GRID_BLOCK_ROWS)
+    zero_max = np.empty(radial_samples)
+    for start in range(0, radial_samples, height):
+        rows = slice(start, start + height)
+        if radial_samples - start < height:
+            last = radial_samples - start
+            circles, circles_n, z, zn = (t[:last] for t in (circles, circles_n, z, zn))
+            workspace = tuple(t[:last] for t in workspace)
+        np.copyto(z, radii[rows, None])
+        np.multiply(z, circles, out=z)
+        np.copyto(zn, rn[rows, None])
+        np.multiply(zn, circles_n, out=zn)
         # |1 + a z^n| >= 1 - a > 0 on the disk, so the quotient is finite.
-        ratio = eval_abs_ratio(params, radii[rows, None] * circle, rn[rows, None] * circle_n)
-        row_max[rows] = ratio.max(axis=1)
-        near = ratio >= row_max[rows, None] * (1.0 - 1e-13)
-        offsets[rows] = np.where(near, dist, np.inf).min(axis=1)
+        ratio = eval_abs_ratio(params, z, zn, workspace)
+        np.maximum.reduce(ratio, axis=1, out=row_max[rows])
+        np.maximum.reduce(ratio[:, zero_cols], axis=1, out=zero_max[rows])
 
     grid_max = float(row_max.max())
     if grid_max > 1.0 + GRID_TOL:
         i = int(row_max.argmax())
         # Only the message needs the angle, so re-evaluate the failing row.
-        j = int(eval_abs_ratio(params, radii[i] * circle, rn[i] * circle_n).argmax())
+        j = int(row_ratio(i).argmax())
         raise DominationViolated(
             f"|f|/|g| = {grid_max!r} at r = {radii[i]:.12f}, "
             f"theta = {theta[j]:.12f} exceeds 1 + {GRID_TOL:g}"
         )
-    peak_offset = float(offsets.max())
+    # Angular maxima should sit where n*theta = 0 (mod 2 pi); a row's offset
+    # is the distance from there, in grid steps, of its nearest sample
+    # within a relative 1e-13 of its maximum (ties: flat rows at a = 0).
+    # It is 0 when a sample at n*theta = 0 lies in that band; only other
+    # rows are re-evaluated, to find their nearest one.
+    band = row_max * (1.0 - 1e-13)
+    strays = np.flatnonzero(zero_max < band)
+    peak_offset = 0.0
+    if strays.size:
+        dist = np.minimum(k, angular_samples - k) / params.n
+        peak_offset = max(float(dist[row_ratio(i) >= band[i]].min()) for i in strays)
     verdict = "pass" if peak_offset <= 1.0 + 1e-9 else "fail"
 
     return DominationReport(

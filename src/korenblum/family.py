@@ -95,15 +95,35 @@ def eval_g(params: Params, z):
     return (1.0 + a * zn) * z / (2.0 - a * zn)
 
 
-def eval_abs_ratio(params: Params, z, zn):
+def eval_abs_ratio(params: Params, z, zn, workspace=None):
     """|f(z)| / |g(z)| from z and a given zn = z^n, with 2 - a z^n formed once.
 
     With zn = z ** n, bit for bit abs(eval_f(params, z)) / abs(eval_g(params, z)).
+
+    ``workspace`` is for numpy arrays z and zn of one shape: three complex
+    arrays (a z^n, 2 - a z^n, scratch) and two real ones of that shape.
+    Every step then writes into it, in the same order and with the same
+    operands as the expression, so the bits are the same, and the ratio
+    is returned in the first real array.  Without it the steps allocate.
     """
     a = params.a_float
-    azn = a * zn
-    den = 2.0 - azn
-    return abs((a + zn) / den) / abs((1.0 + azn) * z / den)
+    if workspace is None:
+        azn = a * zn
+        den = 2.0 - azn
+        return abs((a + zn) / den) / abs((1.0 + azn) * z / den)
+    import numpy as np
+
+    azn, den, scratch, ratio, abs_g = workspace
+    np.multiply(a, zn, out=azn)
+    np.subtract(2.0, azn, out=den)
+    np.add(a, zn, out=scratch)
+    np.divide(scratch, den, out=scratch)
+    np.abs(scratch, out=ratio)
+    np.add(1.0, azn, out=scratch)
+    np.multiply(scratch, z, out=scratch)
+    np.divide(scratch, den, out=scratch)
+    np.abs(scratch, out=abs_g)
+    return np.divide(ratio, abs_g, out=ratio)
 
 
 def fraction_to_decimal(x: Fraction) -> str:

@@ -34,13 +34,18 @@ N = 256 for every a < 1 (Trefethen and Weideman, SIAM Review 2014).  It
 needs no eigen-solve, so the only rule to solve is the radial
 Gauss-Legendre rule, once per node count, and it is cached.
 
-The integrand is evaluated a block of radii at a time into two tables
-allocated once per value, the kernel's numerator and denominator, each
-of at most ``series.FLOAT_BLOCK_CELLS`` doubles (64 KiB, below glibc's
-mmap threshold) unless one angular row is longer.  Every step writes
-into those tables, and each row's mean goes into one vector of radial
-means, so no temporary of the grid's size is made and the heap is not
-trimmed and regrown from one value to the next.  The steps are the
+The integrand is evaluated a block of radii at a time into three tables
+allocated once per value, the kernel's numerator and denominator and a
+table for the radial columns, each of at most ``series.FLOAT_BLOCK_CELLS``
+doubles (64 KiB, below glibc's mmap threshold) unless one angular row is
+longer; cos phi is tiled to the block's height once per value.  Every
+step writes into those tables, and each row's mean goes into one vector
+of radial means, so no temporary of the grid's size is made and the heap
+is not trimmed and regrown from one value to the next.  Each column
+(2 a rho, 4 a rho, (a rho)^2, rho^2, the weight) is copied into a table
+before the ufunc that reads it, so no ufunc has a broadcast operand:
+numpy 2.4 allocates 64 KiB of iterator buffers for each such operand,
+and they took about half of a block's time.  The steps are the
 formula's operations in the order written, so the value equals that of
 the whole table at once, bit for bit.
 
@@ -126,29 +131,38 @@ def gauss_legendre_nodes(count: int):
 
 
 def _kernel(a: float, which: Which, rho, cos_phi, tables=None):
-    """Kf or Kg (module docstring) at radii ``rho`` (a column) and ``cos_phi`` (a row).
+    """Kf or Kg (module docstring) at radii ``rho`` (a column) and ``cos_phi``.
 
-    The value is written into the first of ``tables``, a pair of arrays of
-    the broadcast shape, and returned; the second is scratch for the
-    denominator.  Without ``tables`` both are allocated.  Each step is one
-    ufunc in the order of the formula as written, so the value does not
-    depend on which rows are evaluated together.
+    ``cos_phi`` is a row, or that row tiled to the table's shape.  The value
+    is written into the first of ``tables``, three arrays of the broadcast
+    shape, and returned; the second is scratch for the denominator and the
+    third takes each column of ``rho`` terms before the ufunc that adds it.
+    Without ``tables`` all three are allocated.  With a tiled ``cos_phi``
+    no ufunc has a broadcast operand, for which numpy would allocate
+    iterator buffers.  Each step is one ufunc in the order of the formula
+    as written, so the value does not depend on which rows are evaluated
+    together.
     """
     import numpy as np
 
     if tables is None:
         shape = np.broadcast_shapes(np.shape(rho), np.shape(cos_phi))
-        tables = (np.empty(shape), np.empty(shape))
-    num, den = tables
+        tables = (np.empty(shape), np.empty(shape), np.empty(shape))
+    num, den, column = tables
     a_rho_sq = (a * rho) ** 2
-    # f: a^2 + 2 a rho t + rho^2;  g: 1 + 2 a rho t + a^2 rho^2
-    np.multiply((2.0 * a) * rho, cos_phi, out=num)
-    np.add(a * a if which == "f" else 1.0, num, out=num)
-    np.add(num, rho * rho if which == "f" else a_rho_sq, out=num)
+    np.copyto(column, a_rho_sq)
     # 4 - 4 a rho t + a^2 rho^2
-    np.multiply((4.0 * a) * rho, cos_phi, out=den)
+    np.copyto(den, (4.0 * a) * rho)
+    np.multiply(den, cos_phi, out=den)
     np.subtract(4.0, den, out=den)
-    np.add(den, a_rho_sq, out=den)
+    np.add(den, column, out=den)
+    # f: a^2 + 2 a rho t + rho^2;  g: 1 + 2 a rho t + a^2 rho^2
+    if which == "f":
+        np.copyto(column, rho * rho)
+    np.copyto(num, (2.0 * a) * rho)
+    np.multiply(num, cos_phi, out=num)
+    np.add(a * a if which == "f" else 1.0, num, out=num)
+    np.add(num, column, out=num)
     return np.divide(num, den, out=num)
 
 
@@ -162,7 +176,6 @@ def _tensor_value(params: Params, which: Which, grid: QuadratureGrid, coords: Co
 
     u, wu = gauss_legendre_nodes(grid.radial_nodes)
     phi = (2.0 * np.pi / grid.angular_nodes) * np.arange(grid.angular_nodes)
-    cos_phi = np.cos(phi)[None, :]
     a = params.a_float
     n = params.n
     weight = None
@@ -176,15 +189,21 @@ def _tensor_value(params: Params, which: Which, grid: QuadratureGrid, coords: Co
     else:
         rho = u ** (n / 4.0)
         prefactor = 0.5
-    rows = max(1, FLOAT_BLOCK_CELLS // grid.angular_nodes)
-    tables = (np.empty((rows, grid.angular_nodes)), np.empty((rows, grid.angular_nodes)))
+    rows = min(max(1, FLOAT_BLOCK_CELLS // grid.angular_nodes), grid.radial_nodes)
+    cos_phi = np.tile(np.cos(phi), (rows, 1))
+    tables = tuple(np.empty((rows, grid.angular_nodes)) for _ in range(3))
     means = np.empty(grid.radial_nodes)
     for start in range(0, grid.radial_nodes, rows):
         block = slice(start, start + rows)
         rho_b = rho[block, None]
-        values = _kernel(a, which, rho_b, cos_phi, tuple(t[: len(rho_b)] for t in tables))
+        if len(rho_b) < rows:
+            cos_phi = cos_phi[: len(rho_b)]
+            tables = tuple(t[: len(rho_b)] for t in tables)
+        values = _kernel(a, which, rho_b, cos_phi, tables)
         if weight is not None:
-            np.multiply(values, weight[block, None], out=values)
+            column = tables[2]
+            np.copyto(column, weight[block, None])
+            np.multiply(values, column, out=values)
         np.add.reduce(values, axis=1, out=means[block])
     # the row means, divided as values.mean(axis=1) divides its sums
     means /= grid.angular_nodes

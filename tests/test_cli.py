@@ -277,14 +277,18 @@ class TestVerify:
         assert cert.passed
 
     @pytest.mark.parametrize(
-        "argv, failed",
+        "argv, root_tol, failed",
         [
-            (["--a", "0.66", "--n", "10"], "norm_gap"),
-            (["--a", "0.6666757", "--n", "10", "--grid", "8x16"], "cross_check"),
+            # No double has a residual below 0, so the root check fails.
+            (["--a", "0.6666757", "--n", "10"], 0.0, "critical_root"),
+            (["--a", "0.66", "--n", "10"], None, "norm_gap"),
+            (["--a", "0.6666757", "--n", "10", "--grid", "8x16"], None, "cross_check"),
         ],
-        ids=["norm_gap", "cross_check"],
+        ids=["critical_root", "norm_gap", "cross_check"],
     )
-    def test_failed_check_exits_1(self, capsys, argv, failed):
+    def test_failed_check_exits_1(self, capsys, monkeypatch, argv, root_tol, failed):
+        if root_tol is not None:
+            monkeypatch.setattr(korenblum.domination, "ROOT_TOL", root_tol)
         code, out, _ = run_cli(capsys, "verify", *argv)
         assert code == 1
         assert out.splitlines()[-1] == f"FAIL: {failed}"
@@ -761,26 +765,32 @@ class TestCertificateObject:
                 assert decode_fraction(encode_fraction(x)) == x
 
     @pytest.mark.parametrize(
-        "a, n, grid, stub, failed, error, has_section",
+        "a, n, grid, patch, failed, error, has_section",
         [
             ("0.45", 2, None, None, "critical_root", "has no root in (0, 1)", False),
-            ("0.6666714", 10, None, _raising(korenblum.domination.DominationViolated),
+            # The residual check stays under python -O, unlike an assert.
+            ("0.6666714", 10, None, (korenblum.domination, "ROOT_TOL", 0.0),
+             "critical_root", "is not below 0", False),
+            ("0.6666714", 10, None, (korenblum.certificate, "verify_domination",
+                                     _raising(korenblum.domination.DominationViolated)),
              "domination", "boom", False),
-            ("0.6666714", 10, None, _raising(korenblum.domination.HypothesisViolated),
+            ("0.6666714", 10, None, (korenblum.certificate, "verify_domination",
+                                     _raising(korenblum.domination.HypothesisViolated)),
              "domination", "boom", False),
-            ("0.6666714", 10, None, _failing_verdict, "domination", None, True),
+            ("0.6666714", 10, None, (korenblum.certificate, "verify_domination", _failing_verdict),
+             "domination", None, True),
             # The root and the grid pass; the exact gap is negative.
             ("0.66", 10, None, None, "norm_gap", None, True),
             ("0.6666757", 10, QuadratureGrid(8, 16), None, "cross_check", None, True),
         ],
-        ids=["critical_root", "domination-violated", "domination-hypothesis",
-             "domination-verdict", "norm_gap", "cross_check"],
+        ids=["critical_root", "critical_root-residual", "domination-violated",
+             "domination-hypothesis", "domination-verdict", "norm_gap", "cross_check"],
     )
     def test_checks_stop_at_the_first_failure(
-        self, monkeypatch, a, n, grid, stub, failed, error, has_section
+        self, monkeypatch, a, n, grid, patch, failed, error, has_section
     ):
-        if stub is not None:
-            monkeypatch.setattr(korenblum.certificate, "verify_domination", stub)
+        if patch is not None:
+            monkeypatch.setattr(*patch)
         cert = run_verification(Params(a, n), grid=grid)
         names = list(CHECK_SECTIONS)
         ran = names[: names.index(failed) + 1]

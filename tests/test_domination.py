@@ -316,7 +316,7 @@ class TestVerifyDomination:
     ):
         # Every row of a stand-in ratio peaks at column j, at angle
         # 2 pi j / N, where n theta = 2 pi k / N with k = n j mod N.
-        def peaked(params, z, zn):
+        def peaked(params, z, zn, workspace=None):
             ratio = np.full(z.shape, 0.5)
             ratio[..., j] = 0.75
             return ratio
@@ -337,10 +337,17 @@ class TestVerifyDomination:
             )
 
     @pytest.mark.parametrize("shape", [(256, 1024), (100, 1024), (256, 300), (37, 301)])
-    @pytest.mark.parametrize("block_rows", sorted({1, 7, 8, korenblum.domination.GRID_BLOCK_ROWS}))
+    @pytest.mark.parametrize("block_rows", sorted({1, 4, 7, 8, korenblum.domination.GRID_BLOCK_ROWS}))
     def test_blocked_grid_matches_whole_grid(self, monkeypatch, shape, block_rows):
         monkeypatch.setattr(korenblum.domination, "GRID_BLOCK_ROWS", block_rows)
         monkeypatch.setattr(korenblum.domination, "BOUNDARY_TOL", math.inf)
+        cells = []
+
+        def counted(params, z, zn, workspace=None):
+            cells.append(z.size)
+            return eval_abs_ratio(params, z, zn, workspace)
+
+        monkeypatch.setattr(korenblum.domination, "eval_abs_ratio", counted)
         # At a = 0 every row is flat up to rounding, so only the tie band
         # keeps the row maxima at the angles with n*theta = 0.
         for n, a, c in ((4, "0.5898501", 0.8516706811286321),
@@ -348,26 +355,39 @@ class TestVerifyDomination:
                         (7, "0", 0.9)):
             params = Params(Fraction(a), n)
             _, _, ratio, offset = whole_grid(params, c, *shape)
+            cells.clear()
             report = verify_domination(params, c, *shape)
             assert report.grid_max_ratio == float(ratio.max())
             assert report.angular_peak_offset == offset
+            # f and g are evaluated at every sample, each once.
+            assert sum(cells) == shape[0] * shape[1]
 
+    @pytest.mark.parametrize("block_rows", [1, 7, 8])
     @pytest.mark.parametrize("radial_samples", [256, 100])
-    def test_block_ratios_match_whole_grid(self, radial_samples):
-        # The same expression as verify_domination's loop, block by block;
-        # 100 rows end in a partial block.
-        params = Params(Fraction("0.6885401"), 20)
-        c = critical_root(params)
+    @pytest.mark.parametrize("n, a", [(20, "0.6885401"), (7, "0")])
+    def test_block_ratios_match_whole_grid(self, n, a, radial_samples, block_rows):
+        # eval_abs_ratio in one workspace, block by block, with z and z^n
+        # made as verify_domination makes them; 100 rows end in a partial
+        # block except at height 1.  At a = 0 the rows are flat.
+        params = Params(Fraction(a), n)
+        c = 0.9 if params.a == 0 else critical_root(params)
         radii, theta, ratio, _ = whole_grid(params, c, radial_samples, 1024)
-        circle = np.exp(1j * theta)
-        step = korenblum.domination.GRID_BLOCK_ROWS
-        blocks = [
-            korenblum.domination.eval_abs_ratio(
-                params, radii[i:i + step, None] * circle,
-                reduced_power(params, radii[i:i + step], 1024),
-            )
-            for i in range(0, radial_samples, step)
-        ]
+        rn, circle = radii ** n, np.exp(1j * theta)
+        circle_n = circle[n * np.arange(1024) % 1024]
+        shape = (block_rows, 1024)
+        z, zn = np.empty(shape, complex), np.empty(shape, complex)
+        workspace = tuple(np.empty(shape, t) for t in (complex, complex, complex, float, float))
+        blocks = []
+        for i in range(0, radial_samples, block_rows):
+            rows = slice(i, i + block_rows)
+            m = len(radii[rows])
+            np.copyto(z[:m], radii[rows, None])
+            np.multiply(z[:m], circle, out=z[:m])
+            np.copyto(zn[:m], rn[rows, None])
+            np.multiply(zn[:m], circle_n, out=zn[:m])
+            block = eval_abs_ratio(params, z[:m], zn[:m], tuple(t[:m] for t in workspace))
+            assert block.base is workspace[3]
+            blocks.append(block.copy())
         assert np.array_equal(np.concatenate(blocks), ratio)
 
     @pytest.mark.parametrize(

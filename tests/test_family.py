@@ -74,6 +74,11 @@ class TestEvaluation:
         z = np.linspace(0.6, 1.0, 64)[:, None] * np.exp(1j * np.linspace(0.0, 6.0, 300))
         expected = np.abs(eval_f(reference, z)) / np.abs(eval_g(reference, z))
         assert np.array_equal(eval_abs_ratio(reference, z, z**10), expected)
+        # In a workspace: the same bits, returned in its first real array.
+        workspace = tuple(np.full(z.shape, np.nan, t) for t in (complex, complex, complex, float, float))
+        in_place = eval_abs_ratio(reference, z, z**10, workspace)
+        assert in_place is workspace[3]
+        assert np.array_equal(in_place, expected)
         w = 0.8 + 0.1j
         assert eval_abs_ratio(reference, w, w**10) == abs(eval_f(reference, w)) / abs(
             eval_g(reference, w)

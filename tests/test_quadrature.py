@@ -181,12 +181,14 @@ class TestIntegrands:
             assert np.all(quadrature._kernel(a, "f", rho, cos_phi) >= 0.0)
             assert np.all(quadrature._kernel(a, "g", rho, cos_phi) >= 0.0)
 
+    @pytest.mark.parametrize("tiled", [False, True])
     @pytest.mark.parametrize("which", ["f", "g"])
-    def test_kernel_writes_into_given_tables(self, which):
+    def test_kernel_writes_into_given_tables(self, which, tiled):
         rho = np.linspace(0.0, 1.0, 41)[:, None]
         cos_phi = np.cos(np.linspace(0.0, 2 * np.pi, 64))[None, :]
-        tables = (np.full((41, 64), np.nan), np.full((41, 64), np.nan))
-        values = quadrature._kernel(0.6, which, rho, cos_phi, tables)
+        row = np.tile(cos_phi, (41, 1)) if tiled else cos_phi
+        tables = tuple(np.full((41, 64), np.nan) for _ in range(3))
+        values = quadrature._kernel(0.6, which, rho, row, tables)
         assert values is tables[0]
         whole = _whole_table_kernel_f if which == "f" else _whole_table_kernel_g
         assert np.array_equal(values, whole(0.6, rho, cos_phi))
@@ -245,8 +247,10 @@ class TestBlocks:
     @pytest.mark.parametrize("coords", ["original", "substituted"])
     @pytest.mark.parametrize("which", ["f", "g"])
     def test_peak_memory_is_two_blocks(self, reference, which, coords):
-        # Two 64 KiB tables and the ufuncs' broadcast buffers; the whole
-        # table took several 256 KiB temporaries (842 KiB peak).
+        # Three 64 KiB tables and the tiled cos(phi), 264 KiB in all, with
+        # no ufunc's broadcast buffers (two tables and those buffers peaked
+        # at 268 KiB); the whole table took several 256 KiB temporaries
+        # (842 KiB peak).
         grid = QuadratureGrid(128, 256)
         quadrature._tensor_value(reference, which, grid, coords)  # caches the rule
         tracing = tracemalloc.is_tracing()
