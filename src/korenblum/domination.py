@@ -293,12 +293,15 @@ def verify_domination(
     # within a relative 1e-13 of its maximum (ties: flat rows at a = 0).
     # It is 0 when a sample at n*theta = 0 lies in that band; only other
     # rows are re-evaluated, to find their nearest one.
+    # A row with a NaN has no sample in its band, so its offset is inf.
     band = row_max * (1.0 - 1e-13)
-    strays = np.flatnonzero(zero_max < band)
+    strays = np.flatnonzero(~(zero_max >= band))
     peak_offset = 0.0
     if strays.size:
         dist = np.minimum(k, angular_samples - k) / params.n
-        peak_offset = max(float(dist[row_ratio(i) >= band[i]].min()) for i in strays)
+        peak_offset = max(
+            float(np.where(row_ratio(i) >= band[i], dist, np.inf).min()) for i in strays
+        )
     verdict = "pass" if peak_offset <= 1.0 + 1e-9 else "fail"
 
     return DominationReport(

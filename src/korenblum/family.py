@@ -100,19 +100,18 @@ def eval_abs_ratio(params: Params, z, zn, workspace=None):
 
     With zn = z ** n, bit for bit abs(eval_f(params, z)) / abs(eval_g(params, z)).
 
-    ``workspace`` is for numpy arrays z and zn of one shape: three complex
-    arrays (a z^n, 2 - a z^n, scratch) and two real ones of that shape.
-    Every step then writes into it, in the same order and with the same
-    operands as the expression, so the bits are the same, and the ratio
-    is returned in the first real array.  Without it the steps allocate.
+    Each step is one ufunc of |(a + z^n) / (2 - a z^n)| / |(1 + a z^n) z /
+    (2 - a z^n)| in that order, written into ``workspace``: five arrays of
+    the broadcast shape of z and zn, three complex ones (a z^n, 2 - a z^n,
+    scratch) and two real ones.  The ratio is returned in the fourth.
+    Without ``workspace`` the five arrays are allocated.
     """
-    a = params.a_float
-    if workspace is None:
-        azn = a * zn
-        den = 2.0 - azn
-        return abs((a + zn) / den) / abs((1.0 + azn) * z / den)
     import numpy as np
 
+    if workspace is None:
+        shape = np.broadcast_shapes(np.shape(z), np.shape(zn))
+        workspace = tuple(np.empty(shape, t) for t in (complex,) * 3 + (float,) * 2)
+    a = params.a_float
     azn, den, scratch, ratio, abs_g = workspace
     np.multiply(a, zn, out=azn)
     np.subtract(2.0, azn, out=den)

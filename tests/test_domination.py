@@ -329,6 +329,21 @@ class TestVerifyDomination:
         assert report.grid_max_ratio == 0.75
         assert report.verdict == ("pass" if report.angular_peak_offset <= 1.0 else "fail")
 
+    @pytest.mark.parametrize("j", [0, 5])
+    def test_nan_row_fails_the_offset_check(self, monkeypatch, j):
+        # A NaN passes the grid bound, so the offset check must fail it,
+        # whether or not the NaN sits at an angle with n theta = 0.
+        def with_nan(params, z, zn, workspace=None):
+            ratio = np.full(z.shape, 0.5)
+            ratio[..., j] = np.nan
+            return ratio
+
+        monkeypatch.setattr(korenblum.domination, "eval_abs_ratio", with_nan)
+        params = Params(Fraction(1, 2), 10)
+        report = verify_domination(params, critical_root(params), 64, 1024)
+        assert report.angular_peak_offset == math.inf
+        assert report.verdict == "fail"
+
     def test_pinned_certified_pairs(self):
         for n, a, c, grid_max, offset, verdict in PINNED_DOMINATION:
             report = verify_domination(Params(Fraction(a), n), c)
