@@ -22,8 +22,8 @@ from fractions import Fraction
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
 from . import __version__
-from .family import Params, fraction_to_decimal
-from .series import DEFAULT_TERMS, Scalar, _twos, norm_difference
+from .family import Params, _decimal_form, _fives, _twos, fraction_to_decimal
+from .series import DEFAULT_TERMS, Scalar, _Split, norm_difference
 
 if TYPE_CHECKING:
     from .domination import DominationReport
@@ -31,10 +31,8 @@ if TYPE_CHECKING:
 
 SCHEMA = "korenblum.certificate.v1"
 
-# 5^(2^j) for j = 0..13: enough to find up to 16383 trailing zeros.
-_FIVES = tuple(5 ** (1 << j) for j in range(14))
-# 10^(2^j) = 5^(2^j) 2^(2^j), the split points of ``_digits``.
-_TENS = tuple(five << (1 << j) for j, five in enumerate(_FIVES))
+# 10^(2^j) for j = 0..13, the split points of ``_digits``.
+_TENS = tuple(10 ** (1 << j) for j in range(14))
 # Integers of at most this many digits go to str() whole.  Integers of
 # more than _SPLIT_MAX digits go to str() too: _TENS has no larger split.
 _LEAF_DIGITS = 768
@@ -53,17 +51,31 @@ def encode_fraction(
     split in halves over powers of ten first (``_int_str``), and a
     denominator's trailing zeros are not converted (``_positive_str``).
     ``_decimal`` is the denominator as ``(head, zeros)``, head * 10^zeros,
-    which ``series`` gives for each exact end it reduced (the
-    ``_decimals`` of an enclosure or a gap): then only ``head`` is
-    converted.  Without it the zeros are found by division.  Anything
-    that might pass the interpreter's int-to-str digit limit goes to
-    ``str()``, which raises the interpreter's own ``ValueError``.
+    which ``encode_ends`` passes for each exact end that ``series``
+    reduced: then only ``head`` is converted.  Without it the zeros are
+    found by division.  Anything that might pass the interpreter's
+    int-to-str digit limit goes to ``str()``, which raises the
+    interpreter's own ``ValueError``.
     """
     return {
         "numerator": _int_str(x.numerator),
         "denominator": _positive_str(x.denominator, _decimal),
         "float": float(x),
     }
+
+
+def encode_ends(lower: Scalar, upper: Scalar, split: Optional[_Split]) -> Tuple[Any, Any]:
+    """JSON values of an enclosure's two ends: Fractions losslessly, floats as they are.
+
+    ``split`` is the ``_split`` of the enclosure or gap, or None; its
+    ``decimals()`` give ``encode_fraction`` each exact end's denominator.
+    The lower end is encoded first.
+    """
+    decimals = split.decimals() if split else (None, None)
+    return tuple(
+        encode_fraction(x, decimal) if isinstance(x, Fraction) else float(x)
+        for x, decimal in zip((lower, upper), decimals)
+    )
 
 
 def _digit_bound(x: int) -> int:
@@ -78,7 +90,7 @@ def _int_str(x: int) -> str:
     m about half the length, and printing both parts, costs less, since
     CPython's long division does less work per digit than its decimal
     conversion (Brent and Zimmermann, *Modern Computer Arithmetic*,
-    section 1.7).  At ~4,200 digits this takes about a fifth off.
+    section 1.7).
     """
     size = _digit_bound(x)
     limit = _max_str_digits()
@@ -105,49 +117,26 @@ def _positive_str(x: int, decimal: Optional[Tuple[int, int]] = None) -> str:
     """``str(x)`` for x >= 1, printing its trailing zeros without converting them.
 
     ``decimal`` is x as ``(head, zeros)``, head * 10^zeros, if the caller
-    has it.  Otherwise, or if x might be longer than the interpreter's
-    digit limit, the zeros, t = min(v2, v5), come off as x // 10^t, with
-    v5 found by descent over 5^(2^j) and capped at v2.  Only the head is
-    converted, by ``_int_str``.  A result longer than the digit limit is
-    left to ``str(x)``, which raises the interpreter's own ``ValueError``.
+    has it.  Otherwise the zeros, min(v2, v5), are found by division, with
+    the 5s counted only up to v2.  Only the head is converted, by
+    ``_int_str``.  A result longer than the digit limit is left to
+    ``str(x)``, which raises the interpreter's own ``ValueError``.
     """
-    limit = _max_str_digits()
-    if decimal is None or (limit and _digit_bound(x) > limit):
-        decimal = _trailing_zeros(x)
+    if decimal is None:
+        twos = _twos(x)
+        decimal = _decimal_form(twos, *_fives(x >> twos, twos))
     head, zeros = decimal
     if not zeros:
         return _int_str(x)
     text = _int_str(head)
+    limit = _max_str_digits()
     if limit and len(text) + zeros > limit:
         return str(x)
     return text + "0" * zeros
 
 
-def _trailing_zeros(x: int) -> Tuple[int, int]:
-    """``(x // 10^t, t)`` for x >= 1, with t = min(v2, v5, 16383)."""
-    twos = _twos(x)
-    odd = x >> twos
-    zeros = 0
-    for j in reversed(range(len(_FIVES))):
-        if zeros + (1 << j) <= twos:
-            quotient, remainder = divmod(odd, _FIVES[j])
-            if not remainder:
-                odd, zeros = quotient, zeros + (1 << j)
-    return odd << (twos - zeros), zeros
-
-
 def decode_fraction(d: Dict[str, Any]) -> Fraction:
     return Fraction(int(d["numerator"]), int(d["denominator"]))
-
-
-def encode_scalar(x: Scalar, _decimal: Optional[Tuple[int, int]] = None) -> Any:
-    """JSON value of an enclosure end: a Fraction losslessly, a float as is.
-
-    ``_decimal`` is passed on to ``encode_fraction``.
-    """
-    if isinstance(x, Fraction):
-        return encode_fraction(x, _decimal)
-    return float(x)
 
 
 def _fields_dict(record, skip: str = "") -> Dict[str, Any]:
@@ -258,12 +247,12 @@ def run_verification(
 
     def norm_gap() -> Tuple[Dict[str, Any], bool]:
         delta = norm_difference(params, K=terms, mode="exact", adaptive=True)
-        lower, upper = delta._decimals
+        lower, upper = encode_ends(delta.delta_lower, delta.delta_upper, delta._split)
         section = {
             "mode": delta.mode,
             "truncation_index": delta.truncation_index,
-            "lower": encode_scalar(delta.delta_lower, lower),
-            "upper": encode_scalar(delta.delta_upper, upper),
+            "lower": lower,
+            "upper": upper,
             "certified": bool(delta.certifies),
         }
         return section, delta.certifies

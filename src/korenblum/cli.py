@@ -19,7 +19,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import TYPE_CHECKING, Optional, Sequence, Tuple, Type
 
-from .certificate import encode_fraction, encode_scalar, run_verification
+from .certificate import encode_ends, encode_fraction, run_verification
 from .family import Params, fraction_to_decimal
 from .series import (DEFAULT_TERMS, MAX_TERMS, enclose_difference, float_norms_sq,
                      norm_sq_f, norm_sq_g)
@@ -187,10 +187,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _enclosure_dict(enc) -> dict:
-    lower, upper = enc._decimals
+    lower, upper = encode_ends(enc.lower, enc.upper, enc._split)
     return {
-        "lower": encode_scalar(enc.lower, lower),
-        "upper": encode_scalar(enc.upper, upper),
+        "lower": lower,
+        "upper": upper,
         "truncation_index": enc.truncation_index,
         "mode": enc.mode,
     }
@@ -240,14 +240,17 @@ def cmd_norms(args: argparse.Namespace) -> int:
     ng = norm_sq_g(params, K=args.terms, mode=mode)
     delta = enclose_difference(nf, ng)
     if args.json:
-        lower, upper = delta._decimals
+        # f, then g, then the gap: an end past the digit limit raises at the
+        # first such end in this order.
+        norm_f, norm_g = _enclosure_dict(nf), _enclosure_dict(ng)
+        lower, upper = encode_ends(delta.delta_lower, delta.delta_upper, delta._split)
         print(json.dumps({
             "params": {"a": fraction_to_decimal(params.a), "n": params.n},
-            "norm_sq_f": _enclosure_dict(nf),
-            "norm_sq_g": _enclosure_dict(ng),
+            "norm_sq_f": norm_f,
+            "norm_sq_g": norm_g,
             "delta": {
-                "lower": encode_scalar(delta.delta_lower, lower),
-                "upper": encode_scalar(delta.delta_upper, upper),
+                "lower": lower,
+                "upper": upper,
                 "certified": delta.certifies,
                 "mode": mode,
                 "truncation_index": delta.truncation_index,

@@ -130,24 +130,20 @@ def gauss_legendre_nodes(count: int):
     return 0.5 * (x + 1.0), 0.5 * w
 
 
-def _kernel(a: float, which: Which, rho, cos_phi, tables=None):
+def _kernel(a: float, which: Which, rho, cos_phi, tables):
     """Kf or Kg (module docstring) at radii ``rho`` (a column) and ``cos_phi``.
 
     ``cos_phi`` is a row, or that row tiled to the table's shape.  The value
     is written into the first of ``tables``, three arrays of the broadcast
     shape, and returned; the second is scratch for the denominator and the
     third takes each column of ``rho`` terms before the ufunc that adds it.
-    Without ``tables`` all three are allocated.  With a tiled ``cos_phi``
-    no ufunc has a broadcast operand, for which numpy would allocate
-    iterator buffers.  Each step is one ufunc in the order of the formula
-    as written, so the value does not depend on which rows are evaluated
-    together.
+    With a tiled ``cos_phi`` no ufunc has a broadcast operand, for which
+    numpy would allocate iterator buffers.  Each step is one ufunc in the
+    order of the formula as written, so the value does not depend on which
+    rows are evaluated together.
     """
     import numpy as np
 
-    if tables is None:
-        shape = np.broadcast_shapes(np.shape(rho), np.shape(cos_phi))
-        tables = (np.empty(shape), np.empty(shape), np.empty(shape))
     num, den, column = tables
     a_rho_sq = (a * rho) ** 2
     np.copyto(column, a_rho_sq)

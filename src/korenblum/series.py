@@ -62,18 +62,18 @@ big that cancelled (49 to 517 bits at the pair above) and rest what
 stayed of small (~1,550 bits).  Two ends subtract over
 big * lcm(rest_1, rest_2), and the difference is reduced the same way:
 2s by shifts, the primes of D by gcds against D^GCD_POWER, the rest by
-one gcd against the short lcm.  ``Fraction`` subtraction takes its gcds over
-the two ~13,900-bit denominators instead; the exact gap at that pair
-takes 0.55 ms this way against 1.27 ms that way.
+one gcd against the short lcm.  ``Fraction`` subtraction would take its
+gcds over the two ~13,900-bit denominators instead.
 
 Every exact end also gets its denominator in decimal form,
 head * 10^zeros with zeros = min(v2, v5), for the encoder to print
-(``_decimals`` of the enclosure or the gap).  The exponents v2 and v5
-add up from those of D, cut and rest, and head is the rest of the
-factorization: the part of rest prime to 10, times the part of big / cut
-prime to 10 (1 unless q has a prime other than 2 and 5), times the 2s or
-5s left over.  Only short integers are divided.  At the pair above each
-denominator has ~3,600 trailing zeros and a head of ~1,950 bits.
+(``_split.decimals()``, which ``certificate.encode_ends`` reads).  The
+exponents v2 and v5 add up from those of D, cut and rest, and head is
+the rest of the factorization: the part of rest prime to 10, times the
+part of big / cut prime to 10 (1 unless q has a prime other than 2 and
+5), times the 2s or 5s left over.  Only short integers are divided.  At
+the pair above each denominator has ~3,600 trailing zeros and a head of
+~1,950 bits.
 
 Float mode evaluates the same formulas in double precision for speed,
 for an array of coefficients a in one pass (``float_norms_sq``); a
@@ -98,7 +98,7 @@ from typing import Iterable, List, Literal, NamedTuple, Optional, Sequence, Tupl
 
 # numpy is imported inside the functions that use it, so exact-only commands never load it.
 
-from .family import Params
+from .family import Params, _decimal_form, _twos, _valuations
 
 Mode = Literal["float", "exact"]
 Scalar = Union[Fraction, float]
@@ -176,11 +176,6 @@ class NormEnclosure:
     _split: Optional[_Split] = field(default=None, init=False, repr=False, compare=False)
 
     @property
-    def _decimals(self) -> Tuple[Optional[_Decimal], Optional[_Decimal]]:
-        """Each end's denominator as ``(head, zeros)``, if exact mode reduced it."""
-        return self._split.decimals() if self._split else (None, None)
-
-    @property
     def width(self) -> Scalar:
         return self.upper - self.lower
 
@@ -199,11 +194,6 @@ class DifferenceResult:
     mode: Mode
     # How ``enclose_difference`` reduced the two ends, as in ``NormEnclosure``.
     _split: Optional[_Split] = field(default=None, init=False, repr=False, compare=False)
-
-    @property
-    def _decimals(self) -> Tuple[Optional[_Decimal], Optional[_Decimal]]:
-        """Each end's denominator as ``(head, zeros)``, if reduced over ``big``."""
-        return self._split.decimals() if self._split else (None, None)
 
     @property
     def width(self) -> Scalar:
@@ -391,38 +381,6 @@ def _exact_sum(
     return lower, upper, _Split(D, K - 1, big, lower_split, upper_split)
 
 
-def _twos(x: int) -> int:
-    """Exponent of 2 in a nonzero integer."""
-    return (x & -x).bit_length() - 1
-
-
-def _fives(x: int) -> Tuple[int, int]:
-    """Exponent of 5 in a nonzero integer, and the integer without those 5s.
-
-    The powers 5^(2^j) are tried upwards while they divide, then
-    downwards, so an exponent e takes about 2 log2(e) divisions.
-    """
-    count, powers = 0, [5]
-    while True:
-        quotient, remainder = divmod(x, powers[-1])
-        if remainder:
-            break
-        x, count = quotient, count + (1 << (len(powers) - 1))
-        powers.append(powers[-1] * powers[-1])
-    for j in reversed(range(len(powers) - 1)):
-        quotient, remainder = divmod(x, powers[j])
-        if not remainder:
-            x, count = quotient, count + (1 << j)
-    return count, x
-
-
-def _valuations(x: int) -> Tuple[int, int, int]:
-    """Exponents of 2 and 5 in a nonzero integer, and its part prime to 10."""
-    twos = _twos(x)
-    fives, rest = _fives(x >> twos)
-    return twos, fives, rest
-
-
 class _Split(NamedTuple):
     """How the two ends of an exact enclosure or gap were put in lowest terms.
 
@@ -457,11 +415,8 @@ class _Split(NamedTuple):
         b2, b5, b = _valuations(self.base)
         c2, c5, c = _valuations(cut)
         r2, r5, r = _valuations(rest)
-        twos = b2 * self.exponent - c2 + r2
-        fives = b5 * self.exponent - c5 + r5
-        zeros = min(twos, fives)
         odd = r if b == 1 else b ** self.exponent // c * r
-        return odd * 5 ** (fives - zeros) << (twos - zeros), zeros
+        return _decimal_form(b2 * self.exponent - c2 + r2, b5 * self.exponent - c5 + r5, odd)
 
 
 def _lowest_terms(num: int, big: int, base: int, small: int) -> Tuple[Fraction, Tuple[int, int]]:

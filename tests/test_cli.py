@@ -28,11 +28,12 @@ from korenblum.certificate import (
     _int_str,
     _positive_str,
     decode_fraction,
+    encode_ends,
     encode_fraction,
-    encode_scalar,
     run_verification,
 )
 from korenblum.cli import main
+from korenblum.family import _valuations
 from korenblum.quadrature import QuadratureGrid
 
 REFERENCE_ARGS = ["--a", "0.6666714", "--n", "10"]
@@ -497,15 +498,24 @@ def _int_max_str_digits(limit):
 
 
 class TestDenominatorDigits:
-    """``_positive_str`` prints what ``str`` prints."""
+    """``_positive_str`` prints what ``str`` prints, and ``_valuations``
+    finds the 2s and 5s that it leaves out."""
 
     @given(
         m=st.integers(min_value=1, max_value=10**60),
-        i=st.integers(min_value=0, max_value=6000),
-        j=st.integers(min_value=0, max_value=6000),
+        i=st.integers(min_value=0, max_value=20_000),
+        j=st.integers(min_value=0, max_value=20_000),
     )
+    @example(m=3, i=20_000, j=20_000)
+    @example(m=2 * 5**7, i=0, j=20_000)
     def test_powers_of_two_and_five(self, m, i, j):
         x = m * 2**i * 5**j
+        twos, fives, rest = 0, 0, m
+        while rest % 2 == 0:
+            rest, twos = rest // 2, twos + 1
+        while rest % 5 == 0:
+            rest, fives = rest // 5, fives + 1
+        assert _valuations(x) == (i + twos, j + fives, rest)
         with _int_max_str_digits(0):
             assert _positive_str(x) == str(x)
 
@@ -514,7 +524,7 @@ class TestDenominatorDigits:
         with _int_max_str_digits(0):
             assert _positive_str(x) == str(x)
 
-    def test_more_zeros_than_the_table_finds(self):
+    def test_more_than_16383_zeros(self):
         x = 3 * 10**20000
         with _int_max_str_digits(0):
             assert _positive_str(x) == str(x)
@@ -531,8 +541,7 @@ small_fractions = st.integers(1, 60).flatmap(
 )
 
 
-def _encodes_as_str(x, decimal=None):
-    encoded = encode_scalar(x, decimal)
+def _encodes_as_str(x, encoded):
     assert (encoded["numerator"], encoded["denominator"]) == (
         str(x.numerator), str(x.denominator)
     )
@@ -558,26 +567,28 @@ class TestExactEndEncoding:
         nf = korenblum.series.norm_sq_f(p, K, "exact")
         ng = korenblum.series.norm_sq_g(p, K, "exact")
         d = korenblum.series.enclose_difference(nf, ng)
-        ends = [(nf.lower, nf.upper, nf._decimals), (ng.lower, ng.upper, ng._decimals),
-                (d.delta_lower, d.delta_upper, d._decimals)]
+        ends = [(nf.lower, nf.upper, nf._split), (ng.lower, ng.upper, ng._split),
+                (d.delta_lower, d.delta_upper, d._split)]
         with _int_max_str_digits(0):
-            for lower, upper, decimals in ends:
-                for x, decimal in zip((lower, upper), decimals):
+            for lower, upper, split in ends:
+                for x, decimal in zip((lower, upper), split.decimals()):
                     if decimal is not None:
                         head, zeros = decimal
                         assert head * 10**zeros == x.denominator and head % 10
-                    _encodes_as_str(x, decimal)
+                for x, encoded in zip((lower, upper), encode_ends(lower, upper, split)):
+                    _encodes_as_str(x, encoded)
             # Without the series' factorizations: built by hand, or a
             # dataclasses.replace copy, which drops them.
             by_hand = korenblum.series.NormEnclosure(nf.lower, nf.upper, K, "exact")
             copy = dataclasses.replace(ng)
-            assert by_hand._decimals == copy._decimals == (None, None)
+            assert by_hand._split is copy._split is None
             gap = korenblum.series.enclose_difference(by_hand, copy)
-            assert gap._decimals == (None, None)
+            assert gap._split is None
             assert (gap.delta_lower, gap.delta_upper) == (d.delta_lower, d.delta_upper)
-            for x in (by_hand.lower, by_hand.upper, copy.lower, copy.upper,
-                      gap.delta_lower, gap.delta_upper):
-                _encodes_as_str(x)
+            for lower, upper in ((by_hand.lower, by_hand.upper), (copy.lower, copy.upper),
+                                 (gap.delta_lower, gap.delta_upper)):
+                for x, encoded in zip((lower, upper), encode_ends(lower, upper, None)):
+                    _encodes_as_str(x, encoded)
 
 
 def _digits_and_sign(digits):

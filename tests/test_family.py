@@ -100,6 +100,9 @@ class TestDecimalRendering:
             (Fraction(3, 1), "3"),
             (Fraction(-1, 8), "-0.125"),
             (Fraction(1, 3), "1/3"),
+            (Fraction(1, 2**40), "0.0000000000009094947017729282379150390625"),
+            (Fraction(7, 5**30), "0.000000000000000000007516192768"),
+            (Fraction(3, 2**3 * 5**9 * 7), "3/109375000"),
         ],
     )
     def test_render(self, x, text):

@@ -172,14 +172,20 @@ class TestRuleCache:
             assert getattr(cold, field.name) == getattr(warm, field.name), field.name
 
 
+def _kernel(a, which, rho, cos_phi):
+    """``quadrature._kernel`` into three tables of the broadcast shape."""
+    shape = np.broadcast_shapes(np.shape(rho), np.shape(cos_phi))
+    return quadrature._kernel(a, which, rho, cos_phi, tuple(np.empty(shape) for _ in range(3)))
+
+
 class TestIntegrands:
     def test_nonnegative_on_grid(self):
         rho = np.linspace(0.0, 1.0, 41)[:, None]
         cos_phi = np.cos(np.linspace(0.0, 2 * np.pi, 64))[None, :]
         for a, _ in AGREEMENT_CASES:
             a = float(Fraction(a))
-            assert np.all(quadrature._kernel(a, "f", rho, cos_phi) >= 0.0)
-            assert np.all(quadrature._kernel(a, "g", rho, cos_phi) >= 0.0)
+            assert np.all(_kernel(a, "f", rho, cos_phi) >= 0.0)
+            assert np.all(_kernel(a, "g", rho, cos_phi) >= 0.0)
 
     @pytest.mark.parametrize("tiled", [False, True])
     @pytest.mark.parametrize("which", ["f", "g"])
@@ -202,11 +208,11 @@ class TestIntegrands:
         rho, cos_phi = r ** reference.n, np.cos(reference.n * theta)
         a = reference.a_float
         assert np.allclose(
-            quadrature._kernel(a, "f", rho, cos_phi), np.abs(eval_f(reference, z)) ** 2,
+            _kernel(a, "f", rho, cos_phi), np.abs(eval_f(reference, z)) ** 2,
             rtol=1e-13, atol=0.0,
         )
         assert np.allclose(
-            quadrature._kernel(a, "g", rho, cos_phi) * r ** 2, np.abs(eval_g(reference, z)) ** 2,
+            _kernel(a, "g", rho, cos_phi) * r ** 2, np.abs(eval_g(reference, z)) ** 2,
             rtol=1e-13, atol=0.0,
         )
 
