@@ -272,7 +272,7 @@ def _candidate_dict(candidate) -> dict:
         "n": candidate.params.n,
         "c": candidate.c,
         "a_star": candidate.a_star,
-        "delta_lower": encode_fraction(candidate.delta_lower),
+        "delta_lower": encode_fraction(candidate.delta_lower, candidate._decimal),
         "certified": candidate.certified,
         "improves_wang": candidate.improves_wang,
         "domination_verdict": candidate.domination.verdict,

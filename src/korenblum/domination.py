@@ -41,16 +41,20 @@ violations raised as exceptions rather than absorbed.
 
 On the angles theta_j = 2 pi j / N the domination grid forms z^n as
 r^n e^(i theta_k), k = n j mod N reduced exactly in integers, so z^n is
-accurate at every n.  It is evaluated GRID_BLOCK_ROWS radii at a time
-in one workspace allocated per call.  Each block's radii and r^n are
-copied into the z and z^n tables and multiplied there by the rows
-e^(i theta_j) and e^(i theta_k), tiled to the block's height, and
-family.eval_abs_ratio writes every step of |f|/|g| into the workspace,
-so no ufunc has a broadcast operand (numpy allocates iterator buffers
-for each).  A block is reduced at once to its row maxima and to their
-maxima over the columns with n theta = 0, so the whole grid is never
-held in memory; the bits do not depend on the block height.  f and g
-are evaluated at every sample.
+accurate at every n.  k repeats with period P = N / gcd(n, N), so the
+z^n table is one period wide, and family.eval_abs_ratio runs the steps
+that read z^n alone once per distinct reduced angle and copies them to
+every repeat (P = N when gcd(n, N) = 1, and nothing is copied).  It is
+evaluated GRID_BLOCK_ROWS radii at a time in one workspace allocated
+per call.  Each block's radii and r^n are copied into the z and z^n
+tables and multiplied there by the rows e^(i theta_j) and
+e^(i theta_k), tiled to the block's height, and eval_abs_ratio writes
+every step of |f|/|g| into the workspace, so no ufunc has a broadcast
+operand (numpy allocates iterator buffers for each).  A block is
+reduced at once to its row maxima and to their maxima over the columns
+with n theta = 0, so the whole grid is never held in memory.  The bits
+depend neither on the block height nor on the period.  f and g are
+evaluated at every sample.
 """
 
 from __future__ import annotations
@@ -77,9 +81,9 @@ BOUNDARY_TOL = 1e-9
 GRID_TOL = 1e-12
 # Radial rows per block of the domination grid.  The workspace is
 # allocated once per call, so its pages are faulted in at most once per
-# call whatever the heap layout: 192-224 minor faults per 256x1024 grid
-# at 8 rows (seven 128 KiB complex tables, two 64 KiB real ones) and 192
-# at 7.  Blocks that allocated their own temporaries took 92 faults per
+# call whatever the heap layout: 191-224 minor faults per 256x1024 grid
+# at 8 rows (seven 128 KiB complex tables, less where z^n and its circle
+# rows are one period wide, and two 64 KiB real ones) and 192 at 7.  Blocks that allocated their own temporaries took 92 faults per
 # grid at 4 rows when grids ran back to back, but 1712 when each grid
 # followed a cross-check, as the heap was trimmed and regrown per block.
 # 7 and 8 rows run equally fast, and 8 divide 256 rows evenly.
@@ -245,9 +249,11 @@ def verify_domination(
     radii = np.linspace(c, 1.0, radial_samples)
     theta = np.linspace(0.0, 2.0 * np.pi, angular_samples, endpoint=False)
     circle = np.exp(1j * theta)
-    # z^n = r^n e^(i n theta_j) = r^n circle[k_j], with n j reduced mod N exactly.
+    # z^n = r^n e^(i n theta_j) = r^n circle[k_j], with n j reduced mod N
+    # exactly; k_j has period P = N / gcd(n, N), so z^n is tabled P wide.
     k = params.n * np.arange(angular_samples) % angular_samples
-    rn, circle_n = radii ** params.n, circle[k]
+    period = angular_samples // math.gcd(params.n, angular_samples)
+    rn, circle_n = radii ** params.n, circle[k[:period]]
 
     def row_ratio(i):
         # One row alone; the same bits as in its block.
@@ -258,10 +264,10 @@ def verify_domination(
     height = min(GRID_BLOCK_ROWS, radial_samples)
     shape = (height, angular_samples)
     circles, circles_n = np.tile(circle, (height, 1)), np.tile(circle_n, (height, 1))
-    z, zn = np.empty(shape, complex), np.empty(shape, complex)
+    z, zn = np.empty(shape, complex), np.empty((height, period), complex)
     workspace = tuple(np.empty(shape, dtype) for dtype in (complex, complex, complex, float, float))
-    # Columns with n*theta = 0 (mod 2 pi): every (N / gcd(n, N))-th.
-    zero_cols = slice(None, None, angular_samples // math.gcd(params.n, angular_samples))
+    # Columns with n*theta = 0 (mod 2 pi): every P-th.
+    zero_cols = slice(None, None, period)
     row_max = np.empty(radial_samples)
     zero_max = np.empty(radial_samples)
     for start in range(0, radial_samples, height):

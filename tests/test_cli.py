@@ -434,6 +434,19 @@ class TestSearchAndScan:
         assert payload["improves_wang"] is True
         assert decode_fraction(payload["delta_lower"]) > 0
 
+    def test_search_prints_the_gap_from_its_factorization(self, capsys, monkeypatch):
+        # best_bound keeps the gap's (head, zeros), so _positive_str never
+        # divides to find the denominator's trailing zeros.
+        calls = []
+        fives = korenblum.certificate._fives
+        monkeypatch.setattr(
+            korenblum.certificate, "_fives", lambda *args: calls.append(args) or fives(*args)
+        )
+        code, out, _ = run_cli(capsys, "search", "--n", "10", "--json")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_SEARCH_SHA256
+        assert calls == []
+
     def test_scan_json_records_failures(self, capsys):
         code, out, _ = run_cli(capsys, "scan", "--n-min", "2", "--n-max", "4", "--json")
         payload = json.loads(out)

@@ -365,9 +365,14 @@ class TestVerifyDomination:
         monkeypatch.setattr(korenblum.domination, "eval_abs_ratio", counted)
         # At a = 0 every row is flat up to rounding, so only the tie band
         # keeps the row maxima at the angles with n*theta = 0.
-        for n, a, c in ((4, "0.5898501", 0.8516706811286321),
-                        (13, "0.6771072", 0.680741404602351),
-                        (7, "0", 0.9)):
+        pairs = [(4, "0.5898501", 0.8516706811286321),
+                 (13, "0.6771072", 0.680741404602351),
+                 (7, "0", 0.9)]
+        if shape == (256, 300):
+            # gcd(n, 300) = 3, 5 and 15: z^n tabled 100, 60 and 20 wide.
+            pairs += [(3, "0.4", 0.5), (5, "0.6167154", 0.732009055482802),
+                      (15, "0.6815637", 0.6833306386240193)]
+        for n, a, c in pairs:
             params = Params(Fraction(a), n)
             _, _, ratio, offset = whole_grid(params, c, *shape)
             cells.clear()
@@ -379,18 +384,26 @@ class TestVerifyDomination:
 
     @pytest.mark.parametrize("block_rows", [1, 7, 8])
     @pytest.mark.parametrize("radial_samples", [256, 100])
-    @pytest.mark.parametrize("n, a", [(20, "0.6885401"), (7, "0")])
-    def test_block_ratios_match_whole_grid(self, n, a, radial_samples, block_rows):
+    # gcd(n, N): 4, 1, 2 and 16 at N = 1024, then 3, 5 and 15 at N = 300.
+    @pytest.mark.parametrize(
+        "n, a, angles",
+        [(20, "0.6885401", 1024), (7, "0", 1024), (10, "0.6666757", 1024), (16, "0.6833396", 1024),
+         (9, "0.6614735", 300), (5, "0.6167154", 300), (15, "0.6815637", 300)],
+    )
+    def test_block_ratios_match_whole_grid(self, n, a, angles, radial_samples, block_rows):
         # eval_abs_ratio in one workspace, block by block, with z and z^n
-        # made as verify_domination makes them; 100 rows end in a partial
-        # block except at height 1.  At a = 0 the rows are flat.
+        # made as verify_domination makes them, z^n one period P = N /
+        # gcd(n, N) wide, against the whole grid's full-width z^n; 100 rows
+        # end in a partial block except at height 1.  At a = 0 the rows
+        # are flat.
         params = Params(Fraction(a), n)
         c = 0.9 if params.a == 0 else critical_root(params)
-        radii, theta, ratio, _ = whole_grid(params, c, radial_samples, 1024)
+        radii, theta, ratio, _ = whole_grid(params, c, radial_samples, angles)
         rn, circle = radii ** n, np.exp(1j * theta)
-        circle_n = circle[n * np.arange(1024) % 1024]
-        shape = (block_rows, 1024)
-        z, zn = np.empty(shape, complex), np.empty(shape, complex)
+        period = angles // math.gcd(n, angles)
+        circle_n = circle[n * np.arange(period) % angles]
+        shape = (block_rows, angles)
+        z, zn = np.empty(shape, complex), np.empty((block_rows, period), complex)
         workspace = tuple(np.empty(shape, t) for t in (complex, complex, complex, float, float))
         blocks = []
         for i in range(0, radial_samples, block_rows):

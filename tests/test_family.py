@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -70,19 +71,38 @@ class TestEvaluation:
         by_row = np.array([eval_g(reference, row) for row in z])
         assert np.array_equal(whole, by_row)
 
-    def test_abs_ratio_matches_f_over_g(self, reference):
-        z = np.linspace(0.6, 1.0, 64)[:, None] * np.exp(1j * np.linspace(0.0, 6.0, 300))
-        expected = np.abs(eval_f(reference, z)) / np.abs(eval_g(reference, z))
-        assert np.array_equal(eval_abs_ratio(reference, z, z**10), expected)
+    # gcd(n, N) is 10 in the first case, then 1, 2, 4 and 16, then 3, 5 and 15.
+    @pytest.mark.parametrize(
+        "n, angles", [(10, 300), (7, 1024), (10, 1024), (12, 1024), (16, 1024), (9, 300), (5, 300), (15, 300)]
+    )
+    def test_abs_ratio_matches_f_over_g(self, reference, n, angles):
+        params = Params(reference.a, n)
+        z = np.linspace(0.6, 1.0, 64)[:, None] * np.exp(1j * np.linspace(0.0, 6.0, angles))
+        expected = np.abs(eval_f(params, z)) / np.abs(eval_g(params, z))
+        assert np.array_equal(eval_abs_ratio(params, z, z**n), expected)
         # In a workspace: the same bits, returned in its first real array.
         workspace = tuple(np.full(z.shape, np.nan, t) for t in (complex, complex, complex, float, float))
-        in_place = eval_abs_ratio(reference, z, z**10, workspace)
+        in_place = eval_abs_ratio(params, z, z**n, workspace)
         assert in_place is workspace[3]
         assert np.array_equal(in_place, expected)
+        # z^n one period P = N / gcd(n, N) wide: the bits of the full-width
+        # table that repeats it, with or without a workspace.
+        period = angles // math.gcd(n, angles)
+        table = (z**n)[:, :period]
+        full = eval_abs_ratio(params, z, np.tile(table, angles // period))
+        assert np.array_equal(eval_abs_ratio(params, z, table), full)
+        workspace = tuple(np.full(z.shape, np.nan, t) for t in (complex, complex, complex, float, float))
+        in_place = eval_abs_ratio(params, z, table, workspace)
+        assert in_place is workspace[3]
+        assert np.array_equal(in_place, full)
         w = 0.8 + 0.1j
         assert eval_abs_ratio(reference, w, w**10) == abs(eval_f(reference, w)) / abs(
             eval_g(reference, w)
         )
+
+    def test_abs_ratio_rejects_a_period_that_does_not_divide(self, reference):
+        with pytest.raises(ValueError, match="3 wide"):
+            eval_abs_ratio(reference, np.ones(10, complex), np.ones(3, complex))
 
     def test_vectorized(self, reference):
         z = np.linspace(0.1, 0.9, 7) * np.exp(1j * 0.3)
