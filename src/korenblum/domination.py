@@ -45,12 +45,23 @@ accurate at every n.  k repeats with period P = N / gcd(n, N), so the
 z^n table is one period wide, and family.eval_abs_ratio runs the steps
 that read z^n alone once per distinct reduced angle and copies them to
 every repeat (P = N when gcd(n, N) = 1, and nothing is copied).  It is
-evaluated GRID_BLOCK_ROWS radii at a time in one workspace allocated
-per call.  Each block's radii and r^n are copied into the z and z^n
-tables and multiplied there by the rows e^(i theta_j) and
-e^(i theta_k), tiled to the block's height, and eval_abs_ratio writes
-every step of |f|/|g| into the workspace, so no ufunc has a broadcast
-operand (numpy allocates iterator buffers for each).  A block is
+evaluated GRID_BLOCK_ROWS radii at a time in one set of buffers
+(_GridBuffers), about 1 MiB at N = 1024, that outlives the call.  The
+process keeps one spare set, of the shape (N, block height) of the last
+call to return; a call of that shape takes it while it runs and hands it
+back.  A call that finds none (the first, a new shape, or a call nested
+in or concurrent with the one that holds it) allocates its own, so no
+two calls share arrays, and every array is written before it is read,
+so no value passes from one call to the next.  The pages are therefore
+faulted in once per shape and not once per call: 0 minor faults per
+256x1024 grid after the first, where a workspace allocated per call took
+85-224 as the heap was trimmed between grids.
+
+Each block's radii and r^n are copied into the z and z^n tables and
+multiplied there by the rows e^(i theta_j) and e^(i theta_k), tiled to
+the block's height, and eval_abs_ratio writes every step of |f|/|g|
+into the workspace, so no ufunc has a broadcast operand (numpy
+allocates iterator buffers for each).  A block is
 reduced at once to its row maxima and to their maxima over the columns
 with n theta = 0, so the whole grid is never held in memory.  The bits
 depend neither on the block height nor on the period.  f and g are
@@ -60,6 +71,7 @@ evaluated at every sample.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Tuple, Union
@@ -79,14 +91,14 @@ ROOT_TOL = 1e-14
 BOUNDARY_TOL = 1e-9
 # A domination grid sample fails when |f|/|g| exceeds 1 + GRID_TOL.
 GRID_TOL = 1e-12
-# Radial rows per block of the domination grid.  The workspace is
-# allocated once per call, so its pages are faulted in at most once per
-# call whatever the heap layout: 191-224 minor faults per 256x1024 grid
-# at 8 rows (seven 128 KiB complex tables, less where z^n and its circle
-# rows are one period wide, and two 64 KiB real ones) and 192 at 7.  Blocks that allocated their own temporaries took 92 faults per
-# grid at 4 rows when grids ran back to back, but 1712 when each grid
-# followed a cross-check, as the heap was trimmed and regrown per block.
-# 7 and 8 rows run equally fast, and 8 divide 256 rows evenly.
+# Radial rows per block of the domination grid.  At 8 rows its buffers
+# are seven 128 KiB complex tables and two 64 KiB real ones, kept between
+# calls (module docstring), so they take no page faults after the first
+# call of a shape.  Allocated per call they took 85-224 minor faults per
+# 256x1024 grid, and blocks that allocated their own temporaries took 92
+# faults per grid at 4 rows when grids ran back to back, but 1712 when
+# each grid followed a cross-check, as the heap was trimmed and regrown
+# per block.  7 and 8 rows run equally fast, and 8 divide 256 rows evenly.
 GRID_BLOCK_ROWS = 8
 
 
@@ -244,28 +256,93 @@ def verify_domination(
             "is c the critical radius?"
         )
 
+    # The grid takes the spare buffers of its shape, or allocates its own
+    # when a nested or concurrent call holds them (module docstring).
+    key = (angular_samples, min(GRID_BLOCK_ROWS, radial_samples))
+    with _spare_lock:
+        buffers = _spare.pop(key, None)
+    if buffers is None:
+        buffers = _GridBuffers(*key)
+    try:
+        grid_max, peak_offset = _sample_grid(params, c, radial_samples, buffers)
+    finally:
+        with _spare_lock:
+            _spare.clear()
+            _spare[key] = buffers
+    verdict = "pass" if peak_offset <= 1.0 + 1e-9 else "fail"
+
+    return DominationReport(
+        params=params,
+        c=float(c),
+        h_at_c=h_at_c,
+        h_at_1=1.0,
+        h_at_1_exact=bool(h_at_1_exact),
+        pole_radius=pole_radius,
+        zero_radius=zero_radius,
+        grid_max_ratio=grid_max,
+        angular_peak_offset=peak_offset,
+        radial_samples=radial_samples,
+        angular_samples=angular_samples,
+        tol=GRID_TOL,
+        verdict=verdict,
+    )
+
+
+class _GridBuffers:
+    """The arrays of one grid of N angles, evaluated ``height`` radii at a time.
+
+    theta, the circle e^(i theta_j) and its rows tiled to the block
+    height depend only on N and are read-only.  z, z^n, the tiled rows
+    e^(i theta_k) and the five arrays that eval_abs_ratio writes into
+    are full blocks, and every call writes what it reads of them.
+    """
+
+    def __init__(self, angular_samples: int, height: int):
+        import numpy as np
+
+        shape = (height, angular_samples)
+        self.theta = np.linspace(0.0, 2.0 * np.pi, angular_samples, endpoint=False)
+        self.circle = np.exp(1j * self.theta)
+        self.circles = np.tile(self.circle, (height, 1))
+        for table in (self.theta, self.circle, self.circles):
+            table.flags.writeable = False
+        self.z, self.zn, self.circles_n = (np.empty(shape, complex) for _ in range(3))
+        self.workspace = tuple(np.empty(shape, t) for t in (complex,) * 3 + (float,) * 2)
+
+
+# The buffers of the last grid call to return, by (N, block height): at
+# most one set, which the next call of that shape takes while it runs.
+_spare = {}
+_spare_lock = threading.Lock()
+
+
+def _sample_grid(params: Params, c: float, radial_samples: int, buffers: _GridBuffers):
+    """Largest |f|/|g| on the grid and the angular peak offset.
+
+    Raises DominationViolated if the largest ratio exceeds 1 + GRID_TOL.
+    """
     import numpy as np
 
+    theta, circle, circles = buffers.theta, buffers.circle, buffers.circles
+    height, angular_samples = circles.shape
     radii = np.linspace(c, 1.0, radial_samples)
-    theta = np.linspace(0.0, 2.0 * np.pi, angular_samples, endpoint=False)
-    circle = np.exp(1j * theta)
     # z^n = r^n e^(i n theta_j) = r^n circle[k_j], with n j reduced mod N
-    # exactly; k_j has period P = N / gcd(n, N), so z^n is tabled P wide.
+    # exactly; k_j has period P = N / gcd(n, N), so z^n and its circle
+    # rows are tabled P wide, at the front of full-size buffers.
     k = params.n * np.arange(angular_samples) % angular_samples
     period = angular_samples // math.gcd(params.n, angular_samples)
-    rn, circle_n = radii ** params.n, circle[k[:period]]
+    rn = radii ** params.n
+    z, workspace = buffers.z, buffers.workspace
+    zn, circles_n = (t.reshape(-1)[:height * period].reshape(height, period)
+                     for t in (buffers.zn, buffers.circles_n))
+    circle_n = circles_n[0]
+    np.take(circle, k[:period], out=circle_n)
+    np.copyto(circles_n[1:], circle_n)
 
     def row_ratio(i):
         # One row alone; the same bits as in its block.
         return eval_abs_ratio(params, radii[i] * circle, rn[i] * circle_n)
 
-    # One workspace for every block (module docstring): the tiled rows,
-    # z and z^n, and the five arrays that eval_abs_ratio writes into.
-    height = min(GRID_BLOCK_ROWS, radial_samples)
-    shape = (height, angular_samples)
-    circles, circles_n = np.tile(circle, (height, 1)), np.tile(circle_n, (height, 1))
-    z, zn = np.empty(shape, complex), np.empty((height, period), complex)
-    workspace = tuple(np.empty(shape, dtype) for dtype in (complex, complex, complex, float, float))
     # Columns with n*theta = 0 (mod 2 pi): every P-th.
     zero_cols = slice(None, None, period)
     row_max = np.empty(radial_samples)
@@ -308,20 +385,4 @@ def verify_domination(
         peak_offset = max(
             float(np.where(row_ratio(i) >= band[i], dist, np.inf).min()) for i in strays
         )
-    verdict = "pass" if peak_offset <= 1.0 + 1e-9 else "fail"
-
-    return DominationReport(
-        params=params,
-        c=float(c),
-        h_at_c=h_at_c,
-        h_at_1=1.0,
-        h_at_1_exact=bool(h_at_1_exact),
-        pole_radius=pole_radius,
-        zero_radius=zero_radius,
-        grid_max_ratio=grid_max,
-        angular_peak_offset=peak_offset,
-        radial_samples=radial_samples,
-        angular_samples=angular_samples,
-        tol=GRID_TOL,
-        verdict=verdict,
-    )
+    return grid_max, peak_offset

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import math
+import sys
+import threading
 import time
 import tracemalloc
 from fractions import Fraction
@@ -455,14 +457,79 @@ class TestVerifyDomination:
             assert np.max(np.abs(ratio - direct)) <= 1e-13, n
 
     def test_grid_memory(self, reference):
+        # A call with no spare buffers allocates them (~1 MiB); a second call
+        # of the same shape takes them back and allocates only its short
+        # per-row arrays.
         c = critical_root(reference)
+        korenblum.domination._spare.clear()
         tracemalloc.start()
         try:
             verify_domination(reference, c, 256, 1024)
-            _, peak = tracemalloc.get_traced_memory()
+            _, first = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            before, _ = tracemalloc.get_traced_memory()
+            verify_domination(reference, c, 256, 1024)
+            _, second = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 4 * 2**20
+        assert first < 4 * 2**20
+        assert second - before < 64 * 2**10
+
+    def test_spare_buffers_carry_no_state(self):
+        # The 17 pairs, another shape, then the pairs in reverse: each report
+        # is the one a call gives with the spare buffers dropped.
+        calls = [(Params(Fraction(a), n), c, 256, 1024) for n, a, c, *_ in PINNED_DOMINATION]
+        n, a, c, *_ = PINNED_DOMINATION[11]
+        calls += [(Params(Fraction(a), n), c, 256, 300)] + calls[::-1]
+        for call in calls:
+            report = verify_domination(*call)
+            korenblum.domination._spare.clear()
+            assert report == verify_domination(*call)
+
+    def test_nested_call_allocates_its_own_buffers(self, monkeypatch):
+        outer, inner = (Params(Fraction(a), n) for n, a, *_ in PINNED_DOMINATION[6:8])
+        c_outer, c_inner = (critical_root(params) for params in (outer, inner))
+        expected = verify_domination(outer, c_outer), verify_domination(inner, c_inner)
+        nested = []
+
+        def nesting(params, z, zn, workspace=None):
+            # The inner grid runs between the outer one's z^n and its ratio.
+            if not nested:
+                nested.append(None)
+                nested[0] = verify_domination(inner, c_inner)
+            return eval_abs_ratio(params, z, zn, workspace)
+
+        monkeypatch.setattr(korenblum.domination, "eval_abs_ratio", nesting)
+        assert (verify_domination(outer, c_outer), nested[0]) == expected
+
+    def test_concurrent_calls_give_the_sequential_reports(self):
+        pairs = [(Params(Fraction(a), n), c) for n, a, c, *_ in PINNED_DOMINATION[::4]]
+        expected = [verify_domination(*pair) for pair in pairs]
+        reports = [[] for _ in pairs]
+
+        def grid(i):
+            for _ in range(3):
+                reports[i].append(verify_domination(*pairs[i]))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=grid, args=(i,)) for i in range(len(pairs))]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert reports == [[report] * 3 for report in expected]
+
+    def test_spare_angle_tables_are_read_only(self, reference):
+        verify_domination(reference, critical_root(reference), 256, 1024)
+        buffers = korenblum.domination._spare[(1024, korenblum.domination.GRID_BLOCK_ROWS)]
+        for table in (buffers.theta, buffers.circle, buffers.circles):
+            with pytest.raises(ValueError, match="read-only"):
+                table[0] = 0
 
     def test_validation(self, reference):
         c = critical_root(reference)

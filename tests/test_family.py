@@ -71,9 +71,13 @@ class TestEvaluation:
         by_row = np.array([eval_g(reference, row) for row in z])
         assert np.array_equal(whole, by_row)
 
-    # gcd(n, N) is 10 in the first case, then 1, 2, 4 and 16, then 3, 5 and 15.
+    # gcd(n, N) is 10 in the first case, then 1, 2, 4 and 16, then 3, 5 and
+    # 15; then rows of 2, 3 and 17 samples, below the grid's N >= 16 and just
+    # above, with gcd 2, 3 and 1.
     @pytest.mark.parametrize(
-        "n, angles", [(10, 300), (7, 1024), (10, 1024), (12, 1024), (16, 1024), (9, 300), (5, 300), (15, 300)]
+        "n, angles",
+        [(10, 300), (7, 1024), (10, 1024), (12, 1024), (16, 1024), (9, 300), (5, 300), (15, 300),
+         (10, 2), (9, 3), (12, 17)],
     )
     def test_abs_ratio_matches_f_over_g(self, reference, n, angles):
         params = Params(reference.a, n)
