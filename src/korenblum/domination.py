@@ -39,46 +39,41 @@ maximality, the boundary identities, the pole and zero locations and
 the pointwise domination are all sampled on grids and reported, with
 violations raised as exceptions rather than absorbed.
 
-On the angles theta_j = 2 pi j / N the domination grid forms z^n as
-r^n e^(i theta_k), k = n j mod N reduced exactly in integers, so z^n is
-accurate at every n.  k repeats with period P = N / gcd(n, N), so the
-z^n table is one period wide, and family.eval_abs_ratio runs the steps
-that read z^n alone once per distinct reduced angle and copies them to
-every repeat (P = N when gcd(n, N) = 1, and nothing is copied).  It is
-evaluated GRID_BLOCK_ROWS radii at a time in one set of buffers
-(_GridBuffers), about 1 MiB at N = 1024, that outlives the call.  The
-process keeps one spare set, of the shape (N, block height) of the last
-call to return; a call of that shape takes it while it runs and hands it
-back.  A call that finds none (the first, a new shape, or a call nested
-in or concurrent with the one that holds it) allocates its own, so no
-two calls share arrays, and every array is written before it is read,
-so no value passes from one call to the next.  The pages are therefore
-faulted in once per shape and not once per call: 0 minor faults per
-256x1024 grid after the first, where a workspace allocated per call took
-85-224 as the heap was trimmed between grids.
+The domination grid samples |f|/|g| at z = r e^(i theta_j), theta_j =
+2 pi j / N, in real components.  With z = zx + i zy and z^n = x + i y,
 
-Each block's radii and r^n are copied into the z and z^n tables and
-multiplied there by the rows e^(i theta_j) and e^(i theta_k), tiled to
-the block's height, and eval_abs_ratio writes every step of |f|/|g|
-into the workspace, so no ufunc has a broadcast operand (numpy
-allocates iterator buffers for each).  A block is
-reduced at once to its row maxima and to their maxima over the columns
-with n theta = 0, so the whole grid is never held in memory.  The bits
-depend neither on the block height nor on the period.  f and g are
-evaluated at every sample.
+    |f|^2 = ((a + x)^2 + y^2) / ((2 - a x)^2 + (a y)^2),
+    |g|^2 = ((1 + a x)^2 + (a y)^2) / ((2 - a x)^2 + (a y)^2) (zx^2 + zy^2).
+
+z^n = r^n (cos theta_k, sin theta_k) with k = n j mod N reduced exactly,
+so it is accurate at every n.  k has period P = N / gcd(n, N), so the
+terms in z^n alone are formed on P columns and broadcast over the N / P
+repeats; zx = r cos theta_j and zy = r sin theta_j give |z|^2 at every
+sample.  f and g are thus sampled, not the t = cos(n theta) form of the
+envelope, so the grid is evidence independent of it.  sqrt is correctly
+rounded and monotone, so the square root of a row's largest |f|^2/|g|^2
+is the row's largest ratio.  r^n is a fixed chain of multiplies, not **,
+and the cosines and sines come from math.cos and math.sin once per N, so
+the grid uses only real +, -, *, / and sqrt, which IEEE 754 rounds
+correctly: its bits are the same on every SIMD target of numpy, whose
+complex multiply, complex abs, ** and trig loops round per target.  The
+grid runs GRID_BLOCK_ROWS radii at a time, each block reduced at once to
+its row maxima and their maxima over the columns with n theta = 0, so
+the whole grid is never held in memory.  The bits depend neither on the
+block height nor on the period.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Tuple, Union
 
 # numpy is imported inside the functions that use it, so exact-only commands never load it.
 
-from .family import Params, eval_abs_ratio
+from .family import Params
 # Not called here; kept so that ``domination.eval_f`` and
 # ``domination.eval_g`` stay names that bench/tracing.py can wrap.
 from .family import eval_f, eval_g  # noqa: F401
@@ -91,14 +86,9 @@ ROOT_TOL = 1e-14
 BOUNDARY_TOL = 1e-9
 # A domination grid sample fails when |f|/|g| exceeds 1 + GRID_TOL.
 GRID_TOL = 1e-12
-# Radial rows per block of the domination grid.  At 8 rows its buffers
-# are seven 128 KiB complex tables and two 64 KiB real ones, kept between
-# calls (module docstring), so they take no page faults after the first
-# call of a shape.  Allocated per call they took 85-224 minor faults per
-# 256x1024 grid, and blocks that allocated their own temporaries took 92
-# faults per grid at 4 rows when grids ran back to back, but 1712 when
-# each grid followed a cross-check, as the heap was trimmed and regrown
-# per block.  7 and 8 rows run equally fast, and 8 divide 256 rows evenly.
+# Radial rows per block of the domination grid.  A block's arrays are
+# 8 x N doubles, 64 KiB at N = 1024, and stay in the CPU cache; blocks of
+# 32 and 256 rows ran 11% and 3.3x slower.  8 rows divide 256 evenly.
 GRID_BLOCK_ROWS = 8
 
 
@@ -256,19 +246,7 @@ def verify_domination(
             "is c the critical radius?"
         )
 
-    # The grid takes the spare buffers of its shape, or allocates its own
-    # when a nested or concurrent call holds them (module docstring).
-    key = (angular_samples, min(GRID_BLOCK_ROWS, radial_samples))
-    with _spare_lock:
-        buffers = _spare.pop(key, None)
-    if buffers is None:
-        buffers = _GridBuffers(*key)
-    try:
-        grid_max, peak_offset = _sample_grid(params, c, radial_samples, buffers)
-    finally:
-        with _spare_lock:
-            _spare.clear()
-            _spare[key] = buffers
+    grid_max, peak_offset = _sample_grid(params, c, radial_samples, angular_samples)
     verdict = "pass" if peak_offset <= 1.0 + 1e-9 else "fail"
 
     return DominationReport(
@@ -288,79 +266,91 @@ def verify_domination(
     )
 
 
-class _GridBuffers:
-    """The arrays of one grid of N angles, evaluated ``height`` radii at a time.
+@functools.lru_cache(maxsize=16)
+def _angle_tables(angular_samples: int):
+    """theta_j = 2 pi j / N and its cosines and sines, read-only.
 
-    theta, the circle e^(i theta_j) and its rows tiled to the block
-    height depend only on N and are read-only.  z, z^n, the tiled rows
-    e^(i theta_k) and the five arrays that eval_abs_ratio writes into
-    are full blocks, and every call writes what it reads of them.
+    The cosines and sines come from math.cos and math.sin, which do not
+    depend on numpy's SIMD target.
     """
+    import numpy as np
 
-    def __init__(self, angular_samples: int, height: int):
-        import numpy as np
-
-        shape = (height, angular_samples)
-        self.theta = np.linspace(0.0, 2.0 * np.pi, angular_samples, endpoint=False)
-        self.circle = np.exp(1j * self.theta)
-        self.circles = np.tile(self.circle, (height, 1))
-        for table in (self.theta, self.circle, self.circles):
-            table.flags.writeable = False
-        self.z, self.zn, self.circles_n = (np.empty(shape, complex) for _ in range(3))
-        self.workspace = tuple(np.empty(shape, t) for t in (complex,) * 3 + (float,) * 2)
+    theta = np.linspace(0.0, 2.0 * np.pi, angular_samples, endpoint=False)
+    tables = theta, np.array([math.cos(t) for t in theta]), np.array([math.sin(t) for t in theta])
+    for table in tables:
+        table.flags.writeable = False
+    return tables
 
 
-# The buffers of the last grid call to return, by (N, block height): at
-# most one set, which the next call of that shape takes while it runs.
-_spare = {}
-_spare_lock = threading.Lock()
+@functools.lru_cache(maxsize=64)
+def _power_angle_tables(angular_samples: int, n: int):
+    """cos and sin of n theta_j = theta_k, k = n j mod N, for j < N / gcd(n, N); read-only."""
+    _, cos, sin = _angle_tables(angular_samples)
+    k = [n * j % angular_samples for j in range(angular_samples // math.gcd(n, angular_samples))]
+    tables = cos[k], sin[k]
+    for table in tables:
+        table.flags.writeable = False
+    return tables
 
 
-def _sample_grid(params: Params, c: float, radial_samples: int, buffers: _GridBuffers):
+def _power(x, n: int):
+    """x^n by binary powering: a fixed chain of real multiplies."""
+    result = None
+    while n:
+        if n & 1:
+            result = x if result is None else result * x
+        x, n = x * x, n >> 1
+    return result
+
+
+def grid_ratio_sq(params: Params, radii, angular_samples: int):
+    """|f|^2 / |g|^2 at z = r e^(i theta_j) for each radius r and all N angles.
+
+    Returns an array of shape (len(radii), N) whose every value, and so
+    every bit, is a function of its own r and j alone, in real
+    arithmetic (module docstring).
+    """
+    a = params.a_float
+    _, cos, sin = _angle_tables(angular_samples)
+    cos_n, sin_n = _power_angle_tables(angular_samples, params.n)
+    rows, period = len(radii), len(cos_n)
+    rn = _power(radii, params.n)[:, None]
+    x, y = rn * cos_n, rn * sin_n
+    ax, ay = a * x, a * y
+    f_re, g_re, den_re = a + x, 1.0 + ax, 2.0 - ax
+    den = den_re * den_re + ay * ay
+    f_sq = (f_re * f_re + y * y) / den
+    g_sq = (g_re * g_re + ay * ay) / den
+    zx, zy = radii[:, None] * cos, radii[:, None] * sin
+    z_sq = (zx * zx + zy * zy).reshape(rows, -1, period)
+    ratio_sq = f_sq[:, None, :] / (g_sq[:, None, :] * z_sq)
+    return ratio_sq.reshape(rows, angular_samples)
+
+
+def _sample_grid(params: Params, c: float, radial_samples: int, angular_samples: int):
     """Largest |f|/|g| on the grid and the angular peak offset.
 
     Raises DominationViolated if the largest ratio exceeds 1 + GRID_TOL.
     """
     import numpy as np
 
-    theta, circle, circles = buffers.theta, buffers.circle, buffers.circles
-    height, angular_samples = circles.shape
+    theta, _, _ = _angle_tables(angular_samples)
     radii = np.linspace(c, 1.0, radial_samples)
-    # z^n = r^n e^(i n theta_j) = r^n circle[k_j], with n j reduced mod N
-    # exactly; k_j has period P = N / gcd(n, N), so z^n and its circle
-    # rows are tabled P wide, at the front of full-size buffers.
-    k = params.n * np.arange(angular_samples) % angular_samples
-    period = angular_samples // math.gcd(params.n, angular_samples)
-    rn = radii ** params.n
-    z, workspace = buffers.z, buffers.workspace
-    zn, circles_n = (t.reshape(-1)[:height * period].reshape(height, period)
-                     for t in (buffers.zn, buffers.circles_n))
-    circle_n = circles_n[0]
-    np.take(circle, k[:period], out=circle_n)
-    np.copyto(circles_n[1:], circle_n)
 
     def row_ratio(i):
         # One row alone; the same bits as in its block.
-        return eval_abs_ratio(params, radii[i] * circle, rn[i] * circle_n)
+        return np.sqrt(grid_ratio_sq(params, radii[i:i + 1], angular_samples)[0])
 
-    # Columns with n*theta = 0 (mod 2 pi): every P-th.
-    zero_cols = slice(None, None, period)
-    row_max = np.empty(radial_samples)
-    zero_max = np.empty(radial_samples)
-    for start in range(0, radial_samples, height):
-        rows = slice(start, start + height)
-        if radial_samples - start < height:
-            last = radial_samples - start
-            circles, circles_n, z, zn = (t[:last] for t in (circles, circles_n, z, zn))
-            workspace = tuple(t[:last] for t in workspace)
-        np.copyto(z, radii[rows, None])
-        np.multiply(z, circles, out=z)
-        np.copyto(zn, rn[rows, None])
-        np.multiply(zn, circles_n, out=zn)
+    # Columns with n*theta = 0 (mod 2 pi): every P-th, P = N / gcd(n, N).
+    zero_cols = slice(None, None, angular_samples // math.gcd(params.n, angular_samples))
+    row_max, zero_max = np.empty(radial_samples), np.empty(radial_samples)
+    for start in range(0, radial_samples, GRID_BLOCK_ROWS):
+        rows = slice(start, start + GRID_BLOCK_ROWS)
         # |1 + a z^n| >= 1 - a > 0 on the disk, so the quotient is finite.
-        ratio = eval_abs_ratio(params, z, zn, workspace)
-        np.maximum.reduce(ratio, axis=1, out=row_max[rows])
-        np.maximum.reduce(ratio[:, zero_cols], axis=1, out=zero_max[rows])
+        ratio_sq = grid_ratio_sq(params, radii[rows], angular_samples)
+        np.maximum.reduce(ratio_sq, axis=1, out=row_max[rows])
+        np.maximum.reduce(ratio_sq[:, zero_cols], axis=1, out=zero_max[rows])
+    row_max, zero_max = np.sqrt(row_max), np.sqrt(zero_max)
 
     grid_max = float(row_max.max())
     if grid_max > 1.0 + GRID_TOL:
@@ -381,6 +371,7 @@ def _sample_grid(params: Params, c: float, radial_samples: int, buffers: _GridBu
     strays = np.flatnonzero(~(zero_max >= band))
     peak_offset = 0.0
     if strays.size:
+        k = params.n * np.arange(angular_samples) % angular_samples
         dist = np.minimum(k, angular_samples - k) / params.n
         peak_offset = max(
             float(np.where(row_ratio(i) >= band[i], dist, np.inf).min()) for i in strays

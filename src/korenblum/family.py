@@ -95,77 +95,6 @@ def eval_g(params: Params, z):
     return (1.0 + a * zn) * z / (2.0 - a * zn)
 
 
-def eval_abs_ratio(params: Params, z, zn, workspace=None):
-    """|f(z)| / |g(z)| from z and a given zn = z^n, with 2 - a z^n formed once.
-
-    With zn = z ** n, bit for bit abs(eval_f(params, z)) / abs(eval_g(params, z))
-    on the arrays that the domination grid passes, rows of N >= 16
-    samples; the tests check rows of 2, 3 and 17 samples too.  Not for a
-    Python complex scalar or a one-element array: at w = 0.8 + 0.1j,
-    a = 0.6666714 the last bits differ for 13 of n = 2..20 as a scalar
-    and for 5 of them as an array [w].
-
-    Each step is one ufunc of |(a + z^n) / (2 - a z^n)| / |(1 + a z^n) z /
-    (2 - a z^n)| in that order, written into ``workspace``: five arrays of
-    the broadcast shape of z and zn, three complex ones (a z^n, 2 - a z^n,
-    scratch) and two real ones.  The ratio is returned in the fourth.
-    Without ``workspace`` the five arrays are allocated.
-
-    zn may also be one period wide: its last axis P divides z's last
-    axis N, and column j of z^n is zn[..., j mod P].  Then the steps that
-    read z^n alone (a z^n, 2 - a z^n, |f| and 1 + a z^n) run on P
-    columns, in tables at the front of workspace arrays that are free
-    until later (two in the a z^n array, one in the scratch array and
-    one in the second real array), and 2 - a z^n, |f| and 1 + a z^n are
-    copied to every repeat.  Every value goes through the same ufuncs,
-    with the same operands, as in the full-width call, so the bits do
-    not depend on the period.  The workspace is the same five arrays,
-    of the full shape.
-    """
-    import numpy as np
-
-    z_shape, zn_shape = getattr(z, "shape", ()), getattr(zn, "shape", ())
-    reps = z_shape[-1] // zn_shape[-1] if z_shape and zn_shape else 1
-    if reps > 1:
-        p = zn_shape[-1]
-        if reps * p != z_shape[-1]:
-            raise ValueError(f"z^n is {p} wide, which does not divide z's {z_shape[-1]}")
-        zn_shape = zn_shape[:-1] + z_shape[-1:]
-    if workspace is None:
-        shape = np.broadcast_shapes(z_shape, zn_shape)
-        workspace = tuple(np.empty(shape, t) for t in (complex,) * 3 + (float,) * 2)
-    a = params.a_float
-    azn, den, scratch, ratio, abs_g = workspace
-    if reps > 1:
-        # No copy lands on these tables: the full a z^n is never needed,
-        # and scratch and abs_g are written whole only after the copies
-        # that read them.
-        cells, table = den.size // reps, den.shape[:-1] + (p,)
-        azn, den_p = azn.reshape(-1)[:2 * cells].reshape((2,) + table)
-        g_p = scratch.reshape(-1)[:cells].reshape(table)
-        ratio_p = abs_g.reshape(-1)[:cells].reshape(table)
-        tiled = den.shape[:-1] + (reps, p)
-    else:
-        den_p, g_p, ratio_p = den, scratch, ratio
-    np.multiply(a, zn, out=azn)
-    np.subtract(2.0, azn, out=den_p)
-    np.add(a, zn, out=g_p)
-    np.divide(g_p, den_p, out=g_p)
-    np.abs(g_p, out=ratio_p)
-    if reps > 1:
-        np.copyto(den.reshape(tiled), den_p[..., None, :])
-        np.copyto(ratio.reshape(tiled), ratio_p[..., None, :])
-        # 1 + a z^n goes where 2 - a z^n was, now copied in full.
-        g_p = den_p
-    np.add(1.0, azn, out=g_p)
-    if reps > 1:
-        np.copyto(scratch.reshape(tiled), g_p[..., None, :])
-    np.multiply(scratch, z, out=scratch)
-    np.divide(scratch, den, out=scratch)
-    np.abs(scratch, out=abs_g)
-    return np.divide(ratio, abs_g, out=ratio)
-
-
 def fraction_to_decimal(x: Fraction) -> str:
     """Render a rational exactly, as a finite decimal when one exists."""
     num, den = x.numerator, x.denominator

@@ -19,6 +19,8 @@ time by the ratio a/2 recurrence, the rounding sequence that the array
 pass of the series engine must reproduce bit for bit.
 ``mp_norm_sq`` sums the same closed-form coefficients in mpmath to full
 working precision, for checks of the quadrature against the true norm.
+``mp_abs_ratio`` evaluates |f|/|g| in 50-digit complex arithmetic at
+given doubles, for checks of the domination grid's real components.
 Nothing here shares code with the series engine.
 """
 
@@ -106,6 +108,20 @@ def mp_norm_sq(a: Fraction, n: int, kind: str, dps: int = 40):
             mp_fraction(_exact_coefficient(a, kind, k)) ** 2 / (n * k + s)
             for k in range(2 * dps)
         )
+
+
+def mp_abs_ratio(a: float, zx: float, zy: float, x: float, y: float, dps: int = 50) -> float:
+    """|f(z)| / |g(z)| at z = zx + i zy with z^n = x + i y, as a float.
+
+    The inputs are taken as the exact doubles they are, and f and g are
+    formed as complex quotients, (a + w) / (2 - a w) and z (1 + a w) /
+    (2 - a w) with w = x + i y.
+    """
+    with mp.workdps(dps):
+        a, z, w = mp.mpf(a), mp.mpc(zx, zy), mp.mpc(x, y)
+        f = (a + w) / (2 - a * w)
+        g = z * (1 + a * w) / (2 - a * w)
+        return float(abs(f) / abs(g))
 
 
 def float_norm_sq_loop(a: float, n: int, K: int, kind: str) -> Tuple[float, float]:

@@ -26,36 +26,40 @@ from korenblum.domination import (
     DominationViolated,
     HypothesisViolated,
     NoInteriorRoot,
+    _angle_tables,
+    _power,
+    _power_angle_tables,
     critical_polynomial,
+    grid_ratio_sq,
 )
-from korenblum.family import eval_abs_ratio, eval_f, eval_g
+from korenblum.family import eval_f, eval_g
 
-from .oracles import mp_fraction
+from .oracles import mp_abs_ratio, mp_fraction
 
 FROZEN_ROOT = 0.677904927421849
 
 # (n, a, c, grid_max_ratio, angular_peak_offset, verdict) on the default
 # 256x1024 grid for the 17 certified pairs of `korenblum scan --n-min 4
-# --n-max 20`, as the whole-grid evaluation computed them with z^n from
-# the reduced angle.  The blocked grid must reproduce every bit.
+# --n-max 20`.  The grid is evaluated in real arithmetic, so these bits
+# are the same on every SIMD target of numpy.
 PINNED_DOMINATION = (
-    (4, "0.5898501", 0.8516706811286302, 1.0000000000000004, 0.0, "pass"),
-    (5, "0.6167154", 0.732009055482802, 1.0000000000000004, 0.0, "pass"),
-    (6, "0.6340504", 0.6989956106765488, 1.0000000000000007, 0.0, "pass"),
-    (7, "0.6460616", 0.685796192364925, 1.0000000000000007, 0.0, "pass"),
+    (4, "0.5898501", 0.8516706811286302, 1.0000000000000002, 0.0, "pass"),
+    (5, "0.6167154", 0.732009055482802, 1.0000000000000002, 0.0, "pass"),
+    (6, "0.6340504", 0.6989956106765488, 1.0000000000000004, 0.0, "pass"),
+    (7, "0.6460616", 0.685796192364925, 1.0000000000000002, 0.0, "pass"),
     (8, "0.6548247", 0.6802521891114669, 1.0000000000000004, 0.0, "pass"),
-    (9, "0.6614735", 0.678213172724522, 1.0000000000000007, 0.0, "pass"),
-    (10, "0.6666757", 0.6779099280036489, 1.0000000000000007, 0.0, "pass"),
+    (9, "0.6614735", 0.678213172724522, 1.0000000000000004, 0.0, "pass"),
+    (10, "0.6666757", 0.6779099280036489, 1.0000000000000004, 0.0, "pass"),
     (11, "0.6708482", 0.6784909589206722, 1.0000000000000004, 0.0, "pass"),
     (12, "0.6742636", 0.679514665711971, 1.0000000000000004, 0.0, "pass"),
-    (13, "0.6771072", 0.680741404602351, 1.0000000000000009, 0.0, "pass"),
-    (14, "0.6795093", 0.6820381956202887, 1.0000000000000004, 0.0, "pass"),
+    (13, "0.6771072", 0.680741404602351, 1.0000000000000004, 0.0, "pass"),
+    (14, "0.6795093", 0.6820381956202887, 1.0000000000000002, 0.0, "pass"),
     (15, "0.6815637", 0.6833306386240193, 1.0000000000000004, 0.0, "pass"),
-    (16, "0.6833396", 0.6845779458993116, 1.0000000000000009, 0.0, "pass"),
-    (17, "0.6848893", 0.6857591907904366, 1.0000000000000007, 0.0, "pass"),
+    (16, "0.6833396", 0.6845779458993116, 1.0000000000000002, 0.0, "pass"),
+    (17, "0.6848893", 0.6857591907904366, 1.0000000000000002, 0.0, "pass"),
     (18, "0.6862529", 0.6868650287139317, 1.0000000000000004, 0.0, "pass"),
-    (19, "0.6874616", 0.6878929093504783, 1.0000000000000007, 0.0, "pass"),
-    (20, "0.6885401", 0.6888443019008582, 1.0000000000000007, 0.0, "pass"),
+    (19, "0.6874616", 0.6878929093504783, 1.0000000000000002, 0.0, "pass"),
+    (20, "0.6885401", 0.6888443019008582, 1.0000000000000004, 0.0, "pass"),
 )
 
 # Just below a = 9/11, where the interior root of p merges into r = 1 at
@@ -65,15 +69,8 @@ NEAR_MERGE = Params(Fraction(9, 11) - Fraction(1, 10**7), 10)
 NEARER_MERGE = Params(Fraction(9, 11) - Fraction(1, 10**13), 10)
 
 
-def reduced_power(params, radii, angular_samples):
-    """z^n on the grid as r^n e^(i theta_k) with k = n j mod N, as one array."""
-    theta = np.linspace(0.0, 2.0 * np.pi, angular_samples, endpoint=False)
-    k = params.n * np.arange(angular_samples) % angular_samples
-    return (radii ** params.n)[:, None] * np.exp(1j * theta)[None, k]
-
-
 def whole_grid(params, c, radial_samples, angular_samples):
-    """The grid as one array: reference for the blocked evaluation.
+    """The grid in one call of grid_ratio_sq: reference for the blocked loop.
 
     Returns the radii, the angles, |f|/|g| at every sample, and the
     largest distance of a row maximum from the nearest angle with
@@ -81,8 +78,7 @@ def whole_grid(params, c, radial_samples, angular_samples):
     """
     radii = np.linspace(c, 1.0, radial_samples)
     theta = np.linspace(0.0, 2.0 * np.pi, angular_samples, endpoint=False)
-    z = radii[:, None] * np.exp(1j * theta[None, :])
-    ratio = eval_abs_ratio(params, z, reduced_power(params, radii, angular_samples))
+    ratio = np.sqrt(grid_ratio_sq(params, radii, angular_samples))
     period = angular_samples / params.n
     idx = np.arange(angular_samples, dtype=float)
     dist = np.abs((idx + 0.5 * period) % period - 0.5 * period)
@@ -316,14 +312,14 @@ class TestVerifyDomination:
     def test_peak_offset_from_the_nearest_zero_of_n_theta(
         self, monkeypatch, n, angular_samples, j
     ):
-        # Every row of a stand-in ratio peaks at column j, at angle
+        # Every row of a stand-in squared ratio peaks at column j, at angle
         # 2 pi j / N, where n theta = 2 pi k / N with k = n j mod N.
-        def peaked(params, z, zn, workspace=None):
-            ratio = np.full(z.shape, 0.5)
-            ratio[..., j] = 0.75
-            return ratio
+        def peaked(params, radii, angular_samples):
+            ratio_sq = np.full((len(radii), angular_samples), 0.25)
+            ratio_sq[:, j] = 0.5625
+            return ratio_sq
 
-        monkeypatch.setattr(korenblum.domination, "eval_abs_ratio", peaked)
+        monkeypatch.setattr(korenblum.domination, "grid_ratio_sq", peaked)
         params = Params(Fraction(1, 2), n)
         report = verify_domination(params, critical_root(params), 64, angular_samples)
         k = n * j % angular_samples
@@ -335,12 +331,12 @@ class TestVerifyDomination:
     def test_nan_row_fails_the_offset_check(self, monkeypatch, j):
         # A NaN passes the grid bound, so the offset check must fail it,
         # whether or not the NaN sits at an angle with n theta = 0.
-        def with_nan(params, z, zn, workspace=None):
-            ratio = np.full(z.shape, 0.5)
-            ratio[..., j] = np.nan
-            return ratio
+        def with_nan(params, radii, angular_samples):
+            ratio_sq = np.full((len(radii), angular_samples), 0.25)
+            ratio_sq[:, j] = np.nan
+            return ratio_sq
 
-        monkeypatch.setattr(korenblum.domination, "eval_abs_ratio", with_nan)
+        monkeypatch.setattr(korenblum.domination, "grid_ratio_sq", with_nan)
         params = Params(Fraction(1, 2), 10)
         report = verify_domination(params, critical_root(params), 64, 1024)
         assert report.angular_peak_offset == math.inf
@@ -360,18 +356,19 @@ class TestVerifyDomination:
         monkeypatch.setattr(korenblum.domination, "BOUNDARY_TOL", math.inf)
         cells = []
 
-        def counted(params, z, zn, workspace=None):
-            cells.append(z.size)
-            return eval_abs_ratio(params, z, zn, workspace)
+        def counted(params, radii, angular_samples):
+            ratio_sq = grid_ratio_sq(params, radii, angular_samples)
+            cells.append(ratio_sq.size)
+            return ratio_sq
 
-        monkeypatch.setattr(korenblum.domination, "eval_abs_ratio", counted)
+        monkeypatch.setattr(korenblum.domination, "grid_ratio_sq", counted)
         # At a = 0 every row is flat up to rounding, so only the tie band
         # keeps the row maxima at the angles with n*theta = 0.
         pairs = [(4, "0.5898501", 0.8516706811286321),
                  (13, "0.6771072", 0.680741404602351),
                  (7, "0", 0.9)]
         if shape == (256, 300):
-            # gcd(n, 300) = 3, 5 and 15: z^n tabled 100, 60 and 20 wide.
+            # gcd(n, 300) = 3, 5 and 15: z^n terms 100, 60 and 20 wide.
             pairs += [(3, "0.4", 0.5), (5, "0.6167154", 0.732009055482802),
                       (15, "0.6815637", 0.6833306386240193)]
         for n, a, c in pairs:
@@ -384,41 +381,34 @@ class TestVerifyDomination:
             # f and g are evaluated at every sample, each once.
             assert sum(cells) == shape[0] * shape[1]
 
-    @pytest.mark.parametrize("block_rows", [1, 7, 8])
-    @pytest.mark.parametrize("radial_samples", [256, 100])
     # gcd(n, N): 4, 1, 2 and 16 at N = 1024, then 3, 5 and 15 at N = 300.
     @pytest.mark.parametrize(
         "n, a, angles",
         [(20, "0.6885401", 1024), (7, "0", 1024), (10, "0.6666757", 1024), (16, "0.6833396", 1024),
          (9, "0.6614735", 300), (5, "0.6167154", 300), (15, "0.6815637", 300)],
     )
-    def test_block_ratios_match_whole_grid(self, n, a, angles, radial_samples, block_rows):
-        # eval_abs_ratio in one workspace, block by block, with z and z^n
-        # made as verify_domination makes them, z^n one period P = N /
-        # gcd(n, N) wide, against the whole grid's full-width z^n; 100 rows
-        # end in a partial block except at height 1.  At a = 0 the rows
-        # are flat.
+    def test_ratios_match_the_oracle(self, n, a, angles):
+        # Each ratio is |f|/|g| at the grid's own doubles zx, zy, x, y and
+        # a, to within 4 ulps of 1 (or of the ratio above 1), by a 50-digit
+        # evaluation: 200 random cells, every row's largest and the cells
+        # at n theta = 0.  At a = 0 the rows are flat.
         params = Params(Fraction(a), n)
         c = 0.9 if params.a == 0 else critical_root(params)
-        radii, theta, ratio, _ = whole_grid(params, c, radial_samples, angles)
-        rn, circle = radii ** n, np.exp(1j * theta)
-        period = angles // math.gcd(n, angles)
-        circle_n = circle[n * np.arange(period) % angles]
-        shape = (block_rows, angles)
-        z, zn = np.empty(shape, complex), np.empty((block_rows, period), complex)
-        workspace = tuple(np.empty(shape, t) for t in (complex, complex, complex, float, float))
-        blocks = []
-        for i in range(0, radial_samples, block_rows):
-            rows = slice(i, i + block_rows)
-            m = len(radii[rows])
-            np.copyto(z[:m], radii[rows, None])
-            np.multiply(z[:m], circle, out=z[:m])
-            np.copyto(zn[:m], rn[rows, None])
-            np.multiply(zn[:m], circle_n, out=zn[:m])
-            block = eval_abs_ratio(params, z[:m], zn[:m], tuple(t[:m] for t in workspace))
-            assert block.base is workspace[3]
-            blocks.append(block.copy())
-        assert np.array_equal(np.concatenate(blocks), ratio)
+        radii = np.linspace(c, 1.0, 256)
+        ratio = np.sqrt(grid_ratio_sq(params, radii, angles))
+        _, cos, sin = _angle_tables(angles)
+        cos_n, sin_n = _power_angle_tables(angles, n)
+        period = len(cos_n)
+        rng = np.random.default_rng(n)
+        cells = list(zip(rng.integers(0, 256, 200), rng.integers(0, angles, 200)))
+        cells += list(enumerate(ratio.argmax(axis=1)))
+        cells += [(i, 0) for i in range(0, 256, 16)]
+        for i, j in cells:
+            r, rn = radii[i], _power(radii[i : i + 1], n)[0]
+            exact = mp_abs_ratio(
+                params.a_float, r * cos[j], r * sin[j], rn * cos_n[j % period], rn * sin_n[j % period]
+            )
+            assert abs(ratio[i, j] - exact) <= 4 * 2.0**-52 * max(1.0, exact), (i, j)
 
     @pytest.mark.parametrize(
         "n, a, shape",
@@ -457,50 +447,17 @@ class TestVerifyDomination:
             assert np.max(np.abs(ratio - direct)) <= 1e-13, n
 
     def test_grid_memory(self, reference):
-        # A call with no spare buffers allocates them (~1 MiB); a second call
-        # of the same shape takes them back and allocates only its short
-        # per-row arrays.
+        # The grid holds one block of GRID_BLOCK_ROWS radii at a time and
+        # peaks near 0.8 MiB; one call of grid_ratio_sq on all 256 radii
+        # peaks near 20 MiB.
         c = critical_root(reference)
-        korenblum.domination._spare.clear()
         tracemalloc.start()
         try:
             verify_domination(reference, c, 256, 1024)
-            _, first = tracemalloc.get_traced_memory()
-            tracemalloc.reset_peak()
-            before, _ = tracemalloc.get_traced_memory()
-            verify_domination(reference, c, 256, 1024)
-            _, second = tracemalloc.get_traced_memory()
+            _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert first < 4 * 2**20
-        assert second - before < 64 * 2**10
-
-    def test_spare_buffers_carry_no_state(self):
-        # The 17 pairs, another shape, then the pairs in reverse: each report
-        # is the one a call gives with the spare buffers dropped.
-        calls = [(Params(Fraction(a), n), c, 256, 1024) for n, a, c, *_ in PINNED_DOMINATION]
-        n, a, c, *_ = PINNED_DOMINATION[11]
-        calls += [(Params(Fraction(a), n), c, 256, 300)] + calls[::-1]
-        for call in calls:
-            report = verify_domination(*call)
-            korenblum.domination._spare.clear()
-            assert report == verify_domination(*call)
-
-    def test_nested_call_allocates_its_own_buffers(self, monkeypatch):
-        outer, inner = (Params(Fraction(a), n) for n, a, *_ in PINNED_DOMINATION[6:8])
-        c_outer, c_inner = (critical_root(params) for params in (outer, inner))
-        expected = verify_domination(outer, c_outer), verify_domination(inner, c_inner)
-        nested = []
-
-        def nesting(params, z, zn, workspace=None):
-            # The inner grid runs between the outer one's z^n and its ratio.
-            if not nested:
-                nested.append(None)
-                nested[0] = verify_domination(inner, c_inner)
-            return eval_abs_ratio(params, z, zn, workspace)
-
-        monkeypatch.setattr(korenblum.domination, "eval_abs_ratio", nesting)
-        assert (verify_domination(outer, c_outer), nested[0]) == expected
+        assert peak < 2 * 2**20
 
     def test_concurrent_calls_give_the_sequential_reports(self):
         pairs = [(Params(Fraction(a), n), c) for n, a, c, *_ in PINNED_DOMINATION[::4]]
@@ -524,10 +481,9 @@ class TestVerifyDomination:
         assert not any(thread.is_alive() for thread in threads)
         assert reports == [[report] * 3 for report in expected]
 
-    def test_spare_angle_tables_are_read_only(self, reference):
+    def test_cached_angle_tables_are_read_only(self, reference):
         verify_domination(reference, critical_root(reference), 256, 1024)
-        buffers = korenblum.domination._spare[(1024, korenblum.domination.GRID_BLOCK_ROWS)]
-        for table in (buffers.theta, buffers.circle, buffers.circles):
+        for table in _angle_tables(1024) + _power_angle_tables(1024, reference.n):
             with pytest.raises(ValueError, match="read-only"):
                 table[0] = 0
 
