@@ -68,6 +68,12 @@ NEAR_MERGE = Params(Fraction(9, 11) - Fraction(1, 10**7), 10)
 # Closer still: the root lies about 2.7e-7 below 1.
 NEARER_MERGE = Params(Fraction(9, 11) - Fraction(1, 10**13), 10)
 
+# gcd(n, N): 4, 1, 2 and 16 at N = 1024, then 3, 5 and 15 at N = 300.
+GRID_PAIRS = [
+    (20, "0.6885401", 1024), (7, "0", 1024), (10, "0.6666757", 1024), (16, "0.6833396", 1024),
+    (9, "0.6614735", 300), (5, "0.6167154", 300), (15, "0.6815637", 300),
+]
+
 
 def whole_grid(params, c, radial_samples, angular_samples):
     """The grid in one call of grid_ratio_sq: reference for the blocked loop.
@@ -381,12 +387,25 @@ class TestVerifyDomination:
             # f and g are evaluated at every sample, each once.
             assert sum(cells) == shape[0] * shape[1]
 
-    # gcd(n, N): 4, 1, 2 and 16 at N = 1024, then 3, 5 and 15 at N = 300.
-    @pytest.mark.parametrize(
-        "n, a, angles",
-        [(20, "0.6885401", 1024), (7, "0", 1024), (10, "0.6666757", 1024), (16, "0.6833396", 1024),
-         (9, "0.6614735", 300), (5, "0.6167154", 300), (15, "0.6815637", 300)],
-    )
+    @pytest.mark.parametrize("block_rows", [1, 7, 8])
+    @pytest.mark.parametrize("radial_samples", [256, 100])
+    @pytest.mark.parametrize("n, a, angles", GRID_PAIRS)
+    def test_block_ratios_match_whole_grid(self, n, a, angles, radial_samples, block_rows):
+        # grid_ratio_sq block by block, as the grid loop calls it, gives the
+        # bits of one call on all radii: each value depends on its own r and
+        # j alone, whatever the block's height.  100 rows end in a partial
+        # block except at height 1.  At a = 0 the rows are flat.
+        params = Params(Fraction(a), n)
+        c = 0.9 if params.a == 0 else critical_root(params)
+        radii, _, ratio, _ = whole_grid(params, c, radial_samples, angles)
+        blocks = []
+        for i in range(0, radial_samples, block_rows):
+            block = grid_ratio_sq(params, radii[i : i + block_rows], angles)
+            assert block.shape == (len(radii[i : i + block_rows]), angles)
+            blocks.append(np.sqrt(block))
+        assert np.array_equal(np.concatenate(blocks), ratio)
+
+    @pytest.mark.parametrize("n, a, angles", GRID_PAIRS)
     def test_ratios_match_the_oracle(self, n, a, angles):
         # Each ratio is |f|/|g| at the grid's own doubles zx, zy, x, y and
         # a, to within 4 ulps of 1 (or of the ratio above 1), by a 50-digit

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from korenblum import Params, reference_params
+from korenblum.domination import grid_ratio_sq
 from korenblum.family import as_fraction, eval_f, eval_g, fraction_to_decimal
 
 
@@ -69,6 +70,28 @@ class TestEvaluation:
         whole = eval_g(reference, z)
         by_row = np.array([eval_g(reference, row) for row in z])
         assert np.array_equal(whole, by_row)
+
+    # gcd(n, N) is 10 in the first case, then 1, 2, 4 and 16, then 3, 5 and
+    # 15; then rows of 2, 3 and 17 samples, below the grid's N >= 16 and just
+    # above, with gcd 2, 3 and 1 (z^n one column wide in the first two).
+    @pytest.mark.parametrize(
+        "n, angles",
+        [(10, 300), (7, 1024), (10, 1024), (12, 1024), (16, 1024), (9, 300), (5, 300), (15, 300),
+         (10, 2), (9, 3), (12, 17)],
+    )
+    def test_abs_ratio_matches_f_over_g(self, reference, n, angles):
+        # The grid's real-component |f|^2/|g|^2 against the complex eval_f
+        # and eval_g at the same z = r e^(i theta_j), theta_j = 2 pi j / N,
+        # relative to 1 or to the ratio above it; radii reach below the
+        # critical radius, where the ratio exceeds 1.
+        params = Params(reference.a, n)
+        radii = np.linspace(0.6, 1.0, 64)
+        theta = np.linspace(0.0, 2.0 * np.pi, angles, endpoint=False)
+        z = radii[:, None] * np.exp(1j * theta[None, :])
+        expected = np.abs(eval_f(params, z)) / np.abs(eval_g(params, z))
+        ratio = np.sqrt(grid_ratio_sq(params, radii, angles))
+        assert ratio.shape == z.shape
+        assert np.all(np.abs(ratio - expected) <= 1e-13 * np.maximum(1.0, expected))
 
     def test_vectorized(self, reference):
         z = np.linspace(0.1, 0.9, 7) * np.exp(1j * 0.3)
