@@ -57,10 +57,59 @@ and the cosines and sines come from math.cos and math.sin once per N, so
 the grid uses only real +, -, *, / and sqrt, which IEEE 754 rounds
 correctly: its bits are the same on every SIMD target of numpy, whose
 complex multiply, complex abs, ** and trig loops round per target.  The
-grid runs GRID_BLOCK_ROWS radii at a time, each block reduced at once to
-its row maxima and their maxima over the columns with n theta = 0, so
-the whole grid is never held in memory.  The bits depend neither on the
-block height nor on the period.
+screen below adds only comparisons, maxima and index gathers, which
+every target computes alike.
+
+Most cells cannot hold their row's maximum, and the grid evaluates
+only the cells that can.  The cells j = k + m P of a row share the
+numerators num_f = (a + x)^2 + y^2 and num_g = (1 + a x)^2 + (a y)^2 of
+reduced column k, so a block of rows first forms q = num_f / num_g on
+the P columns.  With u = 2^-53, the ratio_sq that the grid computes at
+every cell of column k is
+
+    ratio_sq = q / r^2 (1 + d),  |d| <= 13 u + O(u^2) < 14 u.
+
+Five roundings separate ratio_sq from q / |z|^2: num_f / den, num_g /
+den, their product with |z|^2, the quotient, and q's own divide; den is
+the same double in both divides and cancels.  And |z|^2 = zx^2 + zy^2 =
+r^2 (1 + e) with |e| <= 8 u + O(u^2): math.cos and math.sin are within
+one ulp (2 u), as glibc's are, the products with r add u, squaring
+doubles both, the sum adds u, and cos^2 + sin^2 = 1 holds exactly for
+the rounded angle.  Over the 17 certified pairs at N = 1024, 300 and
+301, the largest |e| is 4.3 u and the largest |d| 6.3 u.
+
+Each row keeps k = 0 and the reduced columns with q >= q_max (1 -
+GRID_SCREEN_CUT), q_max its largest q, and only their N / P repeats
+are evaluated.  A cell of a skipped column has ratio_sq < q_max (1 -
+1e-12)(1 + 16 u) / r^2, counting the rounding of the cut, while the
+cells of the column that attains q_max have ratio_sq >= q_max (1 - 14
+u) / r^2.  So every skipped cell lies below the row's maximum by more
+than a relative 0.99e-12, and its ratio by more than 4.9e-13: below
+the 1e-13 peak band with a margin of 3.9e-13, some 3500 u.  The row
+maximum, the maximum over k = 0 and the band are thus the whole row's,
+bit for bit, and a row whose band misses k = 0 is re-evaluated in full
+to find its offset.  A cut of 30 u would already keep the row maximum,
+and one of 2.1e-13 the band; 1e-12 leaves a margin over both.  The
+screen reads only the grid's own sampled numerators, no closed form
+and not h(r), so the grid stays independent evidence.
+
+The bound is relative, so it holds only away from the subnormal range.
+At large n, r^n underflows, and with a tiny or zero a, q is subnormal:
+its rounding is absolute, and a row's q can differ from column to
+column by more than the cut though the row is flat.  A row therefore
+takes the full path, all N angles, when q_max or r^2 is below 2^-800
+(above it every quantity of the argument is normal for a < 1, and a
+subnormal cell errs by under 2^-960, far below the cut); when q_max is
+NaN or inf, as it is whenever a NaN or inf lies among the row's P-wide
+values, since num_g overflows only with num_f for |a| < 1; and when it
+keeps more than GRID_SCREEN_COLUMNS columns, as at r = 1, where |f/g|
+is 1 on the whole circle.  On the 17 pairs every row but r = 1 keeps
+k = 0 alone.
+
+The q screen runs on blocks of about GRID_BLOCK_CELLS P-wide values,
+the kept cells are evaluated in chunks of about as many, and the full
+rows GRID_BLOCK_ROWS at a time, so the whole grid is never held in
+memory.  The bits depend neither on the block height nor on the period.
 """
 
 from __future__ import annotations
@@ -86,10 +135,19 @@ ROOT_TOL = 1e-14
 BOUNDARY_TOL = 1e-9
 # A domination grid sample fails when |f|/|g| exceeds 1 + GRID_TOL.
 GRID_TOL = 1e-12
-# Radial rows per block of the domination grid.  A block's arrays are
-# 8 x N doubles, 64 KiB at N = 1024, and stay in the CPU cache; blocks of
-# 32 and 256 rows ran 11% and 3.3x slower.  8 rows divide 256 evenly.
+# Blocks of the domination grid.  The screen runs on max(GRID_BLOCK_ROWS,
+# GRID_BLOCK_CELLS // P) radii at a time, so its P-wide arrays hold about
+# 8192 doubles, 64 KiB, and stay in the CPU cache: 8 rows at odd n and
+# N = 1024, 16 at n = 10, 128 at n = 16.  Rows evaluated at all N angles
+# go 8 at a time; full-width blocks of 32 and 256 rows ran 11% and 3.3x
+# slower.  8 rows divide 256 evenly.
 GRID_BLOCK_ROWS = 8
+GRID_BLOCK_CELLS = 8192
+# The screen keeps a reduced column whose q lies within this share of its
+# row's largest; a row that keeps more than GRID_SCREEN_COLUMNS of them is
+# evaluated at all N angles (module docstring).
+GRID_SCREEN_CUT = 1e-12
+GRID_SCREEN_COLUMNS = 8
 
 
 class NoInteriorRoot(ArithmeticError):
@@ -303,28 +361,52 @@ def _power(x, n: int):
     return result
 
 
-def grid_ratio_sq(params: Params, radii, angular_samples: int):
+def _power_terms(a: float, rn, cos_n, sin_n):
+    """The terms of |f|^2 and |g|^2 that read z^n = x + i y = rn (cos_n + i sin_n) alone.
+
+    Returns (a + x)^2 + y^2 and (1 + a x)^2 + (a y)^2, the numerators of
+    |f|^2 and |g|^2 / |z|^2, then a x and (a y)^2, which make their
+    common denominator (2 - a x)^2 + (a y)^2.
+    """
+    x, y = rn * cos_n, rn * sin_n
+    ax, ay = a * x, a * y
+    f_re, g_re, ay_sq = a + x, 1.0 + ax, ay * ay
+    return f_re * f_re + y * y, g_re * g_re + ay_sq, ax, ay_sq
+
+
+def grid_ratio_sq(params: Params, radii, angular_samples: int, cols=None):
     """|f|^2 / |g|^2 at z = r e^(i theta_j) for each radius r and all N angles.
 
     Returns an array of shape (len(radii), N) whose every value, and so
     every bit, is a function of its own r and j alone, in real
-    arithmetic (module docstring).
+    arithmetic (module docstring).  With cols, an index (rows, j) into
+    that array, returns only those cells: the same bits as
+    ``grid_ratio_sq(params, radii, angular_samples)[cols]``.
     """
-    a = params.a_float
+    import numpy as np
+
     _, cos, sin = _angle_tables(angular_samples)
     cos_n, sin_n = _power_angle_tables(angular_samples, params.n)
-    rows, period = len(radii), len(cos_n)
-    rn = _power(radii, params.n)[:, None]
-    x, y = rn * cos_n, rn * sin_n
-    ax, ay = a * x, a * y
-    f_re, g_re, den_re = a + x, 1.0 + ax, 2.0 - ax
-    den = den_re * den_re + ay * ay
-    f_sq = (f_re * f_re + y * y) / den
-    g_sq = (g_re * g_re + ay * ay) / den
-    zx, zy = radii[:, None] * cos, radii[:, None] * sin
-    z_sq = (zx * zx + zy * zy).reshape(rows, -1, period)
-    ratio_sq = f_sq[:, None, :] / (g_sq[:, None, :] * z_sq)
-    return ratio_sq.reshape(rows, angular_samples)
+    period = len(cos_n)
+    if cols is None:
+        # j = m P + k: the z^n terms run on the P reduced columns k and
+        # broadcast over the N / P repeats m.
+        rows = np.arange(len(radii))[:, None, None]
+        j = np.arange(angular_samples).reshape(-1, period)
+        k = j[0]
+    else:
+        rows, j = cols
+        k = j % period
+    num_f, num_g, ax, ay_sq = _power_terms(
+        params.a_float, _power(radii, params.n)[rows], cos_n[k], sin_n[k]
+    )
+    den_re = 2.0 - ax
+    den = den_re * den_re + ay_sq
+    f_sq, g_sq = num_f / den, num_g / den
+    r = radii[rows]
+    zx, zy = r * cos[j], r * sin[j]
+    ratio_sq = f_sq / (g_sq * (zx * zx + zy * zy))
+    return ratio_sq.reshape(len(radii), angular_samples) if cols is None else ratio_sq
 
 
 def _sample_grid(params: Params, c: float, radial_samples: int, angular_samples: int):
@@ -335,21 +417,66 @@ def _sample_grid(params: Params, c: float, radial_samples: int, angular_samples:
     import numpy as np
 
     theta, _, _ = _angle_tables(angular_samples)
+    cos_n, sin_n = _power_angle_tables(angular_samples, params.n)
+    period = len(cos_n)
     radii = np.linspace(c, 1.0, radial_samples)
 
     def row_ratio(i):
         # One row alone; the same bits as in its block.
         return np.sqrt(grid_ratio_sq(params, radii[i:i + 1], angular_samples)[0])
 
-    # Columns with n*theta = 0 (mod 2 pi): every P-th, P = N / gcd(n, N).
-    zero_cols = slice(None, None, angular_samples // math.gcd(params.n, angular_samples))
+    block_rows = max(GRID_BLOCK_ROWS, GRID_BLOCK_CELLS // period)
+    kept_rows, kept_cols, full_rows = [], [], []
+    for start in range(0, radial_samples, block_rows):
+        # The screen (module docstring), inline: a helper's return would free
+        # the block's arrays before the next block allocates its own, and
+        # glibc would trim and fault them in again: 4092 against 187 minor
+        # faults per 256x1024 grid at n = 17, in a process running grids.
+        block = radii[start:start + block_rows]
+        num_f, num_g, _, _ = _power_terms(
+            params.a_float, _power(block, params.n)[:, None], cos_n, sin_n
+        )
+        q = num_f / num_g
+        q_max = np.maximum.reduce(q, axis=1)
+        kept = q >= (q_max * (1.0 - GRID_SCREEN_CUT))[:, None]
+        kept[:, 0] = True
+        rows, cols = np.divmod(np.flatnonzero(kept), period)
+        # A NaN or inf anywhere in a row's P-wide values reaches q_max, and a
+        # row near the subnormal range is outside the error bound: both take
+        # the full row, like a row that keeps many columns.
+        screened = (
+            (np.bincount(rows, minlength=len(block)) <= GRID_SCREEN_COLUMNS)
+            & np.isfinite(q_max)
+            & (np.minimum(q_max, block * block) >= 2.0**-800)
+        )
+        on = screened[rows]
+        kept_rows.append(start + rows[on])
+        kept_cols.append(cols[on])
+        full_rows.append(start + np.flatnonzero(~screened))
+
+    # The kept columns at all their repeats j = k + m P, in chunks of about
+    # GRID_BLOCK_CELLS cells.  Each screened row's columns start at k = 0,
+    # the columns with n*theta = 0 (mod 2 pi).
+    rows, cols = np.concatenate(kept_rows), np.concatenate(kept_cols)
+    repeats = np.arange(0, angular_samples, period)
+    col_max = np.empty(len(rows))
+    chunk = max(1, GRID_BLOCK_CELLS // len(repeats))
+    for start in range(0, len(rows), chunk):
+        part = slice(start, start + chunk)
+        cells = (rows[part, None], cols[part, None] + repeats)
+        ratio_sq = grid_ratio_sq(params, radii, angular_samples, cells)
+        np.maximum.reduce(ratio_sq, axis=1, out=col_max[part])
+    first = np.flatnonzero(cols == 0)
     row_max, zero_max = np.empty(radial_samples), np.empty(radial_samples)
-    for start in range(0, radial_samples, GRID_BLOCK_ROWS):
-        rows = slice(start, start + GRID_BLOCK_ROWS)
+    row_max[rows[first]] = np.maximum.reduceat(col_max, first)
+    zero_max[rows[first]] = col_max[first]
+    full_rows = np.concatenate(full_rows)
+    for start in range(0, len(full_rows), GRID_BLOCK_ROWS):
+        part = full_rows[start:start + GRID_BLOCK_ROWS]
         # |1 + a z^n| >= 1 - a > 0 on the disk, so the quotient is finite.
-        ratio_sq = grid_ratio_sq(params, radii[rows], angular_samples)
-        np.maximum.reduce(ratio_sq, axis=1, out=row_max[rows])
-        np.maximum.reduce(ratio_sq[:, zero_cols], axis=1, out=zero_max[rows])
+        ratio_sq = grid_ratio_sq(params, radii[part], angular_samples)
+        row_max[part] = np.maximum.reduce(ratio_sq, axis=1)
+        zero_max[part] = np.maximum.reduce(ratio_sq[:, ::period], axis=1)
     row_max, zero_max = np.sqrt(row_max), np.sqrt(zero_max)
 
     grid_max = float(row_max.max())

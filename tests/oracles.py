@@ -155,3 +155,27 @@ def relative_gap(value, target) -> float:
         if t == 0:
             return float(abs(v))
         return float(abs(v - t) / abs(t))
+
+
+def grid_oracle(params, c: float, radial_samples: int, angular_samples: int):
+    """(grid_max_ratio, angular_peak_offset) of the domination grid, from every cell.
+
+    Takes ``domination.grid_ratio_sq`` on the whole grid at once, with
+    no screen and no blocks, and applies the rule of
+    ``verify_domination``: the largest ratio, and over the rows the
+    largest distance, in grid steps, from the nearest angle with
+    n theta = 0 (mod 2 pi) of the nearest sample within a relative
+    1e-13 of its row's maximum (inf for a row with a NaN).  The formula
+    is the package's; this checks the loop that reduces it.
+    """
+    import numpy as np
+
+    from korenblum.domination import grid_ratio_sq
+
+    radii = np.linspace(c, 1.0, radial_samples)
+    ratio = np.sqrt(grid_ratio_sq(params, radii, angular_samples))
+    row_max = ratio.max(axis=1)
+    k = params.n * np.arange(angular_samples) % angular_samples
+    dist = np.minimum(k, angular_samples - k) / params.n
+    near = ratio >= (row_max * (1.0 - 1e-13))[:, None]
+    return float(row_max.max()), float(np.where(near, dist, np.inf).min(axis=1).max())

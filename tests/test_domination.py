@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import re
 import sys
 import threading
 import time
@@ -9,7 +10,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from mpmath import mp
 
 import korenblum.domination
@@ -29,12 +30,13 @@ from korenblum.domination import (
     _angle_tables,
     _power,
     _power_angle_tables,
+    _power_terms,
     critical_polynomial,
     grid_ratio_sq,
 )
 from korenblum.family import eval_f, eval_g
 
-from .oracles import mp_abs_ratio, mp_fraction
+from .oracles import grid_oracle, mp_abs_ratio, mp_fraction
 
 FROZEN_ROOT = 0.677904927421849
 
@@ -76,21 +78,50 @@ GRID_PAIRS = [
 
 
 def whole_grid(params, c, radial_samples, angular_samples):
-    """The grid in one call of grid_ratio_sq: reference for the blocked loop.
-
-    Returns the radii, the angles, |f|/|g| at every sample, and the
-    largest distance of a row maximum from the nearest angle with
-    n*theta = 0 (mod 2 pi), in grid steps.
-    """
+    """The grid in one call of grid_ratio_sq: radii, angles and |f|/|g| at every sample."""
     radii = np.linspace(c, 1.0, radial_samples)
     theta = np.linspace(0.0, 2.0 * np.pi, angular_samples, endpoint=False)
-    ratio = np.sqrt(grid_ratio_sq(params, radii, angular_samples))
-    period = angular_samples / params.n
-    idx = np.arange(angular_samples, dtype=float)
-    dist = np.abs((idx + 0.5 * period) % period - 0.5 * period)
-    near = ratio >= ratio.max(axis=1)[:, None] * (1.0 - 1e-13)
-    offset = float(np.where(near, dist[None, :], np.inf).min(axis=1).max())
-    return radii, theta, ratio, offset
+    return radii, theta, np.sqrt(grid_ratio_sq(params, radii, angular_samples))
+
+
+def record_grid_calls(monkeypatch):
+    """Wrap grid_ratio_sq; returns the radii of the full rows and the cells it was asked for."""
+    full, cells = [], []
+
+    def recorded(params, radii, angular_samples, cols=None):
+        if cols is None:
+            full.extend(radii)
+        else:
+            rows, j = np.broadcast_arrays(*cols)
+            cells.extend(zip(radii[rows].ravel(), j.ravel()))
+        return grid_ratio_sq(params, radii, angular_samples, cols)
+
+    monkeypatch.setattr(korenblum.domination, "grid_ratio_sq", recorded)
+    return full, cells
+
+
+# Inputs beside the 17 pairs: n = 1000 next to the merge, a = 0, where
+# every row is flat, and a = 0 at n = 1000 from c = 0.69, where r^(2n)
+# and so q are subnormal in the first rows.
+GRID_EXTREMES = [
+    (1000, Fraction(999, 1001) - Fraction(1, 10**4), None),
+    (7, Fraction(0), 0.9),
+    (1000, Fraction(0), 0.69),
+]
+
+
+def two_product(x, y):
+    """(p, e) with p + e = x y exactly (Dekker), for doubles far from overflow and underflow."""
+
+    def halves(v):
+        t = 134217729.0 * v  # 2^27 + 1
+        high = t - (t - v)
+        return high, v - high
+
+    p = x * y
+    (xh, xl), (yh, yl) = halves(x), halves(y)
+    return p, ((xh * yh - p) + xh * yl + xl * yh) + xl * yl
+
 
 coefficients = st.integers(min_value=1, max_value=9_999_999).map(
     lambda m: Fraction(m, 10**7)
@@ -320,10 +351,10 @@ class TestVerifyDomination:
     ):
         # Every row of a stand-in squared ratio peaks at column j, at angle
         # 2 pi j / N, where n theta = 2 pi k / N with k = n j mod N.
-        def peaked(params, radii, angular_samples):
+        def peaked(params, radii, angular_samples, cols=None):
             ratio_sq = np.full((len(radii), angular_samples), 0.25)
             ratio_sq[:, j] = 0.5625
-            return ratio_sq
+            return ratio_sq if cols is None else ratio_sq[cols]
 
         monkeypatch.setattr(korenblum.domination, "grid_ratio_sq", peaked)
         params = Params(Fraction(1, 2), n)
@@ -337,10 +368,10 @@ class TestVerifyDomination:
     def test_nan_row_fails_the_offset_check(self, monkeypatch, j):
         # A NaN passes the grid bound, so the offset check must fail it,
         # whether or not the NaN sits at an angle with n theta = 0.
-        def with_nan(params, radii, angular_samples):
+        def with_nan(params, radii, angular_samples, cols=None):
             ratio_sq = np.full((len(radii), angular_samples), 0.25)
             ratio_sq[:, j] = np.nan
-            return ratio_sq
+            return ratio_sq if cols is None else ratio_sq[cols]
 
         monkeypatch.setattr(korenblum.domination, "grid_ratio_sq", with_nan)
         params = Params(Fraction(1, 2), 10)
@@ -355,37 +386,103 @@ class TestVerifyDomination:
                 grid_max, offset, verdict,
             )
 
-    @pytest.mark.parametrize("shape", [(256, 1024), (100, 1024), (256, 300), (37, 301)])
-    @pytest.mark.parametrize("block_rows", sorted({1, 4, 7, 8, korenblum.domination.GRID_BLOCK_ROWS}))
-    def test_blocked_grid_matches_whole_grid(self, monkeypatch, shape, block_rows):
-        monkeypatch.setattr(korenblum.domination, "GRID_BLOCK_ROWS", block_rows)
+    @pytest.mark.parametrize("shape", [(256, 1024), (256, 300), (37, 301), (16, 16)])
+    @pytest.mark.parametrize("block", [(8, 8192), (1, 1)])
+    def test_screened_grid_matches_the_oracle(self, monkeypatch, shape, block):
+        # The screened grid reports the bits of the unscreened rule on every
+        # cell, at the default block size and at blocks of one row and one
+        # kept column per call of grid_ratio_sq.
+        monkeypatch.setattr(korenblum.domination, "GRID_BLOCK_ROWS", block[0])
+        monkeypatch.setattr(korenblum.domination, "GRID_BLOCK_CELLS", block[1])
         monkeypatch.setattr(korenblum.domination, "BOUNDARY_TOL", math.inf)
-        cells = []
-
-        def counted(params, radii, angular_samples):
-            ratio_sq = grid_ratio_sq(params, radii, angular_samples)
-            cells.append(ratio_sq.size)
-            return ratio_sq
-
-        monkeypatch.setattr(korenblum.domination, "grid_ratio_sq", counted)
-        # At a = 0 every row is flat up to rounding, so only the tie band
-        # keeps the row maxima at the angles with n*theta = 0.
-        pairs = [(4, "0.5898501", 0.8516706811286321),
-                 (13, "0.6771072", 0.680741404602351),
-                 (7, "0", 0.9)]
-        if shape == (256, 300):
-            # gcd(n, 300) = 3, 5 and 15: z^n terms 100, 60 and 20 wide.
-            pairs += [(3, "0.4", 0.5), (5, "0.6167154", 0.732009055482802),
-                      (15, "0.6815637", 0.6833306386240193)]
+        pairs = [(n, Fraction(a), c) for n, a, c, *_ in PINNED_DOMINATION] + GRID_EXTREMES
         for n, a, c in pairs:
-            params = Params(Fraction(a), n)
-            _, _, ratio, offset = whole_grid(params, c, *shape)
-            cells.clear()
+            params = Params(a, n)
+            c = critical_root(params) if c is None else c
             report = verify_domination(params, c, *shape)
-            assert report.grid_max_ratio == float(ratio.max())
-            assert report.angular_peak_offset == offset
-            # f and g are evaluated at every sample, each once.
-            assert sum(cells) == shape[0] * shape[1]
+            expected = grid_oracle(params, c, *shape)
+            assert (report.grid_max_ratio, report.angular_peak_offset) == expected, (n, a)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        a=st.integers(min_value=0, max_value=9_999).map(lambda m: Fraction(m, 10**4)),
+        n=st.integers(min_value=2, max_value=40),
+        c=st.floats(min_value=0.05, max_value=0.95),
+        shape=st.sampled_from([(16, 16), (20, 64), (16, 300), (24, 1024)]),
+    )
+    def test_screened_grid_matches_the_oracle_on_the_lattice(self, a, n, c, shape):
+        # Any c: below the critical radius the grid raises, and its message
+        # names the oracle's largest ratio.
+        params = Params(a, n)
+        grid_max, offset = grid_oracle(params, c, *shape)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(korenblum.domination, "BOUNDARY_TOL", math.inf)
+            if grid_max > 1.0 + korenblum.domination.GRID_TOL:
+                with pytest.raises(DominationViolated, match=re.escape(f"= {grid_max!r} at r = ")):
+                    verify_domination(params, c, *shape)
+            else:
+                report = verify_domination(params, c, *shape)
+                assert (report.grid_max_ratio, report.angular_peak_offset) == (grid_max, offset)
+
+    @pytest.mark.parametrize("angles", [1024, 300])
+    def test_screen_evaluates_every_cell_near_a_row_maximum(self, monkeypatch, angles):
+        # Every cell within a relative 4e-13 of its row's largest ratio (the
+        # peak band is 1e-13) is evaluated, in its row or among the cells.
+        monkeypatch.setattr(korenblum.domination, "BOUNDARY_TOL", math.inf)
+        pairs = [(n, Fraction(a), c) for n, a, c, *_ in PINNED_DOMINATION] + GRID_EXTREMES
+        for n, a, c in pairs:
+            params = Params(a, n)
+            c = critical_root(params) if c is None else c
+            full, cells = record_grid_calls(monkeypatch)
+            verify_domination(params, c, 256, angles)
+            radii, _, ratio = whole_grid(params, c, 256, angles)
+            near = ratio >= ratio.max(axis=1)[:, None] * (1.0 - 4e-13)
+            near[np.isin(radii, full)] = False
+            missed = set(zip(radii[np.nonzero(near)[0]], np.nonzero(near)[1])) - set(cells)
+            assert not missed, (n, a, sorted(missed)[:3])
+
+    def test_nan_in_the_reduced_tables_fails_the_offset_check(self, monkeypatch):
+        # A NaN in the P-wide cosines at k = 5 reaches every row's q: each
+        # row takes the full path, so the NaN reaches the report.
+        tables = korenblum.domination._power_angle_tables
+
+        def with_nan(angular_samples, n):
+            cos_n, sin_n = tables(angular_samples, n)
+            cos_n = cos_n.copy()
+            cos_n[5] = np.nan
+            return cos_n, sin_n
+
+        monkeypatch.setattr(korenblum.domination, "_power_angle_tables", with_nan)
+        params = Params(Fraction(1, 2), 10)
+        full, cells = record_grid_calls(monkeypatch)
+        report = verify_domination(params, critical_root(params), 64, 1024)
+        assert math.isnan(report.grid_max_ratio)
+        assert report.angular_peak_offset == math.inf
+        assert report.verdict == "fail"
+        assert len(set(full)) == 64 and not cells
+
+    @pytest.mark.parametrize("angles", [1024, 300, 301])
+    def test_screen_error_bounds(self, angles):
+        # The bounds of the module docstring, at every cell of the 17 pairs:
+        # |z|^2 = r^2 (1 + e), |e| <= 8 u, and ratio_sq = q / r^2 (1 + d),
+        # |d| <= 14 u, u = 2^-53, measured exactly to far below u.
+        u = 2.0**-53
+        _, cos, sin = _angle_tables(angles)
+        for n, a, c, *_ in PINNED_DOMINATION:
+            params = Params(Fraction(a), n)
+            radii = np.linspace(c, 1.0, 256)
+            cos_n, sin_n = _power_angle_tables(angles, n)
+            num_f, num_g, _, _ = _power_terms(params.a_float, _power(radii, n)[:, None], cos_n, sin_n)
+            q = np.tile(num_f / num_g, angles // len(cos_n))
+            zx, zy = radii[:, None] * cos, radii[:, None] * sin
+            z_sq = zx * zx + zy * zy
+            r_sq, r_sq_low = two_product(radii, radii)
+            e = ((z_sq - r_sq[:, None]) - r_sq_low[:, None]) / r_sq[:, None]
+            ratio_sq = grid_ratio_sq(params, radii, angles)
+            high, low = two_product(ratio_sq, r_sq[:, None])
+            d = ((high - q) + low + ratio_sq * r_sq_low[:, None]) / q
+            assert np.abs(e).max() <= 8 * u, n
+            assert np.abs(d).max() <= 14 * u, n
 
     @pytest.mark.parametrize("block_rows", [1, 7, 8])
     @pytest.mark.parametrize("radial_samples", [256, 100])
@@ -397,13 +494,17 @@ class TestVerifyDomination:
         # block except at height 1.  At a = 0 the rows are flat.
         params = Params(Fraction(a), n)
         c = 0.9 if params.a == 0 else critical_root(params)
-        radii, _, ratio, _ = whole_grid(params, c, radial_samples, angles)
+        radii, _, ratio = whole_grid(params, c, radial_samples, angles)
         blocks = []
         for i in range(0, radial_samples, block_rows):
             block = grid_ratio_sq(params, radii[i : i + block_rows], angles)
             assert block.shape == (len(radii[i : i + block_rows]), angles)
             blocks.append(np.sqrt(block))
         assert np.array_equal(np.concatenate(blocks), ratio)
+        # Cells picked by an index give the bits of the whole grid there.
+        rng = np.random.default_rng(n)
+        cols = (rng.integers(0, radial_samples, (50, 1)), rng.integers(0, angles, (50, 3)))
+        assert np.array_equal(np.sqrt(grid_ratio_sq(params, radii, angles, cols)), ratio[cols])
 
     @pytest.mark.parametrize("n, a, angles", GRID_PAIRS)
     def test_ratios_match_the_oracle(self, n, a, angles):
@@ -436,7 +537,7 @@ class TestVerifyDomination:
     def test_violation_names_whole_grid_argmax(self, monkeypatch, n, a, shape):
         monkeypatch.setattr(korenblum.domination, "BOUNDARY_TOL", math.inf)
         params = Params(Fraction(a), n)
-        radii, theta, ratio, _ = whole_grid(params, 0.5, *shape)
+        radii, theta, ratio = whole_grid(params, 0.5, *shape)
         i, j = np.unravel_index(int(ratio.argmax()), ratio.shape)
         with pytest.raises(DominationViolated) as info:
             verify_domination(params, 0.5, *shape)
@@ -460,7 +561,7 @@ class TestVerifyDomination:
         # 3e-13 at ratios ~1e-3, where a + z^n cancels near a zero of f.)
         for n, a, c, *_ in PINNED_DOMINATION:
             params = Params(Fraction(a), n)
-            radii, theta, ratio, _ = whole_grid(params, c, 256, 1024)
+            radii, theta, ratio = whole_grid(params, c, 256, 1024)
             z = radii[:, None] * np.exp(1j * theta[None, :])
             direct = np.abs(eval_f(params, z)) / np.abs(eval_g(params, z))
             assert np.max(np.abs(ratio - direct)) <= 1e-13, n
