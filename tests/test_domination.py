@@ -387,11 +387,12 @@ class TestVerifyDomination:
             )
 
     @pytest.mark.parametrize("shape", [(256, 1024), (256, 300), (37, 301), (16, 16)])
-    @pytest.mark.parametrize("block", [(8, 8192), (1, 1)])
+    @pytest.mark.parametrize("block", [(8, 8192), (1, 1), (4, 2048), (7, 1000)])
     def test_screened_grid_matches_the_oracle(self, monkeypatch, shape, block):
         # The screened grid reports the bits of the unscreened rule on every
-        # cell, at the default block size and at blocks of one row and one
-        # kept column per call of grid_ratio_sq.
+        # cell, at the default block size, at blocks of one row and one kept
+        # column per call of grid_ratio_sq, and at blocks that leave a
+        # partial last block of rows and of kept cells.
         monkeypatch.setattr(korenblum.domination, "GRID_BLOCK_ROWS", block[0])
         monkeypatch.setattr(korenblum.domination, "GRID_BLOCK_CELLS", block[1])
         monkeypatch.setattr(korenblum.domination, "BOUNDARY_TOL", math.inf)
