@@ -57,14 +57,13 @@ and the cosines and sines come from math.cos and math.sin once per N, so
 the grid uses only real +, -, *, / and sqrt, which IEEE 754 rounds
 correctly: its bits are the same on every SIMD target of numpy, whose
 complex multiply, complex abs, ** and trig loops round per target.  The
-screen below adds only comparisons, maxima and index gathers, which
-every target computes alike.
+screen below adds only comparisons, maxima, slices and index gathers,
+which every target computes alike.
 
-Most cells cannot hold their row's maximum, and the grid evaluates
-only the cells that can.  The cells j = k + m P of a row share the
-numerators num_f = (a + x)^2 + y^2 and num_g = (1 + a x)^2 + (a y)^2 of
-reduced column k, so a block of rows first forms q = num_f / num_g on
-the P columns.  With u = 2^-53, the ratio_sq that the grid computes at
+Most cells cannot hold their row's maximum, and the grid skips most of
+them.  The cells j = k + m P of a row share the numerators num_f =
+(a + x)^2 + y^2 and num_g = (1 + a x)^2 + (a y)^2 of reduced column k,
+so a block of rows first forms q = num_f / num_g on the P columns.  With u = 2^-53, the ratio_sq that the grid computes at
 every cell of column k is
 
     ratio_sq = q / r^2 (1 + d),  |d| <= 13 u + O(u^2) < 14 u.
@@ -78,38 +77,40 @@ doubles both, the sum adds u, and cos^2 + sin^2 = 1 holds exactly for
 the rounded angle.  Over the 17 certified pairs at N = 1024, 300 and
 301, the largest |e| is 4.3 u and the largest |d| 6.3 u.
 
-Each row keeps k = 0 and the reduced columns with q >= q_max (1 -
-GRID_SCREEN_CUT), q_max its largest q, and only their N / P repeats
-are evaluated.  A cell of a skipped column has ratio_sq < q_max (1 -
-1e-12)(1 + 16 u) / r^2, counting the rounding of the cut, while the
-cells of the column that attains q_max have ratio_sq >= q_max (1 - 14
-u) / r^2.  So every skipped cell lies below the row's maximum by more
-than a relative 0.99e-12, and its ratio by more than 4.9e-13: below
-the 1e-13 peak band with a margin of 3.9e-13, some 3500 u.  The row
-maximum, the maximum over k = 0 and the band are thus the whole row's,
-bit for bit, and a row whose band misses k = 0 is re-evaluated in full
-to find its offset.  A cut of 30 u would already keep the row maximum,
-and one of 2.1e-13 the band; 1e-12 leaves a margin over both.  The
-screen reads only the grid's own sampled numerators, no closed form
-and not h(r), so the grid stays independent evidence.
+A row whose q at every k > 0 lies below q_max (1 - GRID_SCREEN_CUT),
+q_max its largest q, is alone: its q_max lies at k = 0, and only the
+N / P repeats of k = 0 are evaluated.  A cell of any other column has
+ratio_sq < q_max (1 - 1e-12)(1 + 16 u) / r^2, counting the rounding of
+the cut, while the cells of k = 0 have ratio_sq >= q_max (1 - 14 u) /
+r^2.  So every skipped cell lies below the row's maximum by more than a
+relative 0.99e-12, and its ratio by more than 4.9e-13: below the 1e-13
+peak band with a margin of 3.9e-13, some 3500 u.  An alone row's
+maximum and band thus lie in column 0, and its maximum, the maximum
+over k = 0 and the band are the whole row's, bit for bit; its offset
+is 0.  A cut of 30 u would already keep the row maximum, and one of
+2.1e-13 the band; 1e-12 leaves a margin over both.  The screen reads
+only the grid's own sampled numerators, no closed form and not h(r),
+so the grid stays independent evidence.
 
-The bound is relative, so it holds only away from the subnormal range.
-At large n, r^n underflows, and with a tiny or zero a, q is subnormal:
-its rounding is absolute, and a row's q can differ from column to
-column by more than the cut though the row is flat.  A row therefore
-takes the full path, all N angles, when q_max or r^2 is below 2^-800
-(above it every quantity of the argument is normal for a < 1, and a
-subnormal cell errs by under 2^-960, far below the cut); when q_max is
-NaN or inf, as it is whenever a NaN or inf lies among the row's P-wide
-values, since num_g overflows only with num_f for |a| < 1; and when it
-keeps more than GRID_SCREEN_COLUMNS columns, as at r = 1, where |f/g|
-is 1 on the whole circle.  On the 17 pairs every row but r = 1 keeps
-k = 0 alone.
+Every other row is evaluated in full, at all N angles.  That is a row
+whose maximum may lie off k = 0: a flat row, as at r = 1, where |f/g|
+is 1 on the whole circle, or at large n, where r^n is negligible, and
+a near tie away from k = 0, which the 17 pairs do not produce.  The
+bound is relative, so it holds only away from the subnormal range: at
+large n, r^n underflows, and with a tiny or zero a, q is subnormal, its
+rounding is absolute, and a row's q can differ from column to column
+by more than the cut though the row is flat.  So a row is not alone
+when q_max or r^2 is below 2^-800 (above it every quantity of the
+argument is normal for a < 1, and a subnormal cell errs by under
+2^-960, far below the cut), nor when q_max is NaN or inf, as it is
+whenever a NaN or inf lies among the row's P-wide values, since num_g
+overflows only with num_f for |a| < 1.  On the 17 pairs every row but
+r = 1 is alone, because the envelope lemma puts the peak at t = 1.
 
 The q screen runs on blocks of about GRID_BLOCK_CELLS P-wide values,
-the kept cells are evaluated in chunks of about as many, and the full
-rows GRID_BLOCK_ROWS at a time, so the whole grid is never held in
-memory.  The bits depend neither on the block height nor on the period.
+and the alone rows, then the others, are evaluated in chunks of about
+as many cells, so the whole grid is never held in memory.  The bits
+depend neither on the block height nor on the period.
 """
 
 from __future__ import annotations
@@ -135,19 +136,16 @@ ROOT_TOL = 1e-14
 BOUNDARY_TOL = 1e-9
 # A domination grid sample fails when |f|/|g| exceeds 1 + GRID_TOL.
 GRID_TOL = 1e-12
-# Blocks of the domination grid.  The screen runs on max(GRID_BLOCK_ROWS,
+# Blocks of the domination grid.  The screen runs on max(1,
 # GRID_BLOCK_CELLS // P) radii at a time, so its P-wide arrays hold about
 # 8192 doubles, 64 KiB, and stay in the CPU cache: 8 rows at odd n and
-# N = 1024, 16 at n = 10, 128 at n = 16.  Rows evaluated at all N angles
-# go 8 at a time; full-width blocks of 32 and 256 rows ran 11% and 3.3x
-# slower.  8 rows divide 256 evenly.
-GRID_BLOCK_ROWS = 8
+# N = 1024, 16 at n = 10, 128 at n = 16.  Rows are evaluated in chunks of
+# as many cells: 8 rows at all 1024 angles; full-width blocks of 32 and
+# 256 rows ran 11% and 3.3x slower.
 GRID_BLOCK_CELLS = 8192
-# The screen keeps a reduced column whose q lies within this share of its
-# row's largest; a row that keeps more than GRID_SCREEN_COLUMNS of them is
-# evaluated at all N angles (module docstring).
+# A row whose q lies below this share of its largest at every reduced
+# column but k = 0 is evaluated at k = 0 alone (module docstring).
 GRID_SCREEN_CUT = 1e-12
-GRID_SCREEN_COLUMNS = 8
 
 
 class NoInteriorRoot(ArithmeticError):
@@ -374,39 +372,33 @@ def _power_terms(a: float, rn, cos_n, sin_n):
     return f_re * f_re + y * y, g_re * g_re + ay_sq, ax, ay_sq
 
 
-def grid_ratio_sq(params: Params, radii, angular_samples: int, cols=None):
-    """|f|^2 / |g|^2 at z = r e^(i theta_j) for each radius r and all N angles.
+def grid_ratio_sq(params: Params, radii, angular_samples: int, columns=slice(None)):
+    """|f|^2 / |g|^2 at z = r e^(i theta_j) for each radius r and the selected angles.
 
-    Returns an array of shape (len(radii), N) whose every value, and so
-    every bit, is a function of its own r and j alone, in real
-    arithmetic (module docstring).  With cols, an index (rows, j) into
-    that array, returns only those cells: the same bits as
-    ``grid_ratio_sq(params, radii, angular_samples)[cols]``.
+    columns, a slice of the P reduced columns k, selects the angles
+    j = m P + k at all their N / P repeats m.  Returns an array of shape
+    (len(radii), N / P * len(k)), each row in increasing j, whose every
+    value, and so every bit, is a function of its own r and j alone, in
+    real arithmetic (module docstring).  The default is all N angles.
     """
     import numpy as np
 
     _, cos, sin = _angle_tables(angular_samples)
     cos_n, sin_n = _power_angle_tables(angular_samples, params.n)
     period = len(cos_n)
-    if cols is None:
-        # j = m P + k: the z^n terms run on the P reduced columns k and
-        # broadcast over the N / P repeats m.
-        rows = np.arange(len(radii))[:, None, None]
-        j = np.arange(angular_samples).reshape(-1, period)
-        k = j[0]
-    else:
-        rows, j = cols
-        k = j % period
+    # The z^n terms run on the selected reduced columns k and broadcast
+    # over the repeats m, the middle axis.
     num_f, num_g, ax, ay_sq = _power_terms(
-        params.a_float, _power(radii, params.n)[rows], cos_n[k], sin_n[k]
+        params.a_float, _power(radii, params.n)[:, None, None], cos_n[columns], sin_n[columns]
     )
     den_re = 2.0 - ax
     den = den_re * den_re + ay_sq
     f_sq, g_sq = num_f / den, num_g / den
-    r = radii[rows]
-    zx, zy = r * cos[j], r * sin[j]
+    r = radii[:, None, None]
+    zx = r * cos.reshape(-1, period)[:, columns]
+    zy = r * sin.reshape(-1, period)[:, columns]
     ratio_sq = f_sq / (g_sq * (zx * zx + zy * zy))
-    return ratio_sq.reshape(len(radii), angular_samples) if cols is None else ratio_sq
+    return ratio_sq.reshape(len(radii), -1)
 
 
 def _sample_grid(params: Params, c: float, radial_samples: int, angular_samples: int):
@@ -419,14 +411,15 @@ def _sample_grid(params: Params, c: float, radial_samples: int, angular_samples:
     theta, _, _ = _angle_tables(angular_samples)
     cos_n, sin_n = _power_angle_tables(angular_samples, params.n)
     period = len(cos_n)
+    repeats = angular_samples // period
     radii = np.linspace(c, 1.0, radial_samples)
 
     def row_ratio(i):
-        # One row alone; the same bits as in its block.
+        # One row by itself; the same bits as in its chunk.
         return np.sqrt(grid_ratio_sq(params, radii[i:i + 1], angular_samples)[0])
 
-    block_rows = max(GRID_BLOCK_ROWS, GRID_BLOCK_CELLS // period)
-    kept_rows, kept_cols, full_rows = [], [], []
+    block_rows = max(1, GRID_BLOCK_CELLS // period)
+    alone = np.empty(radial_samples, dtype=bool)
     for start in range(0, radial_samples, block_rows):
         # The screen (module docstring), inline: a helper's return would free
         # the block's arrays before the next block allocates its own, and
@@ -438,45 +431,27 @@ def _sample_grid(params: Params, c: float, radial_samples: int, angular_samples:
         )
         q = num_f / num_g
         q_max = np.maximum.reduce(q, axis=1)
-        kept = q >= (q_max * (1.0 - GRID_SCREEN_CUT))[:, None]
-        kept[:, 0] = True
-        rows, cols = np.divmod(np.flatnonzero(kept), period)
         # A NaN or inf anywhere in a row's P-wide values reaches q_max, and a
-        # row near the subnormal range is outside the error bound: both take
-        # the full row, like a row that keeps many columns.
-        screened = (
-            (np.bincount(rows, minlength=len(block)) <= GRID_SCREEN_COLUMNS)
+        # row near the subnormal range is outside the error bound: both are
+        # evaluated in full, like a row whose maximum may lie off k = 0.
+        alone[start:start + block_rows] = (
+            (np.maximum.reduce(q[:, 1:], axis=1, initial=-np.inf) < q_max * (1.0 - GRID_SCREEN_CUT))
             & np.isfinite(q_max)
             & (np.minimum(q_max, block * block) >= 2.0**-800)
         )
-        on = screened[rows]
-        kept_rows.append(start + rows[on])
-        kept_cols.append(cols[on])
-        full_rows.append(start + np.flatnonzero(~screened))
 
-    # The kept columns at all their repeats j = k + m P, in chunks of about
-    # GRID_BLOCK_CELLS cells.  Each screened row's columns start at k = 0,
-    # the columns with n*theta = 0 (mod 2 pi).
-    rows, cols = np.concatenate(kept_rows), np.concatenate(kept_cols)
-    repeats = np.arange(0, angular_samples, period)
-    col_max = np.empty(len(rows))
-    chunk = max(1, GRID_BLOCK_CELLS // len(repeats))
-    for start in range(0, len(rows), chunk):
-        part = slice(start, start + chunk)
-        cells = (rows[part, None], cols[part, None] + repeats)
-        ratio_sq = grid_ratio_sq(params, radii, angular_samples, cells)
-        np.maximum.reduce(ratio_sq, axis=1, out=col_max[part])
-    first = np.flatnonzero(cols == 0)
+    # Alone rows at k = 0, the columns with n*theta = 0 (mod 2 pi), and the
+    # other rows at all P columns, in chunks of about GRID_BLOCK_CELLS cells.
+    # Both start at k = 0, so every width-th cell is one of its repeats.
     row_max, zero_max = np.empty(radial_samples), np.empty(radial_samples)
-    row_max[rows[first]] = np.maximum.reduceat(col_max, first)
-    zero_max[rows[first]] = col_max[first]
-    full_rows = np.concatenate(full_rows)
-    for start in range(0, len(full_rows), GRID_BLOCK_ROWS):
-        part = full_rows[start:start + GRID_BLOCK_ROWS]
-        # |1 + a z^n| >= 1 - a > 0 on the disk, so the quotient is finite.
-        ratio_sq = grid_ratio_sq(params, radii[part], angular_samples)
-        row_max[part] = np.maximum.reduce(ratio_sq, axis=1)
-        zero_max[part] = np.maximum.reduce(ratio_sq[:, ::period], axis=1)
+    for rows, width in ((np.flatnonzero(alone), 1), (np.flatnonzero(~alone), period)):
+        chunk = max(1, GRID_BLOCK_CELLS // (repeats * width))
+        for start in range(0, len(rows), chunk):
+            part = rows[start:start + chunk]
+            # |1 + a z^n| >= 1 - a > 0 on the disk, so the quotient is finite.
+            ratio_sq = grid_ratio_sq(params, radii[part], angular_samples, slice(0, width))
+            row_max[part] = np.maximum.reduce(ratio_sq, axis=1)
+            zero_max[part] = np.maximum.reduce(ratio_sq[:, ::width], axis=1)
     row_max, zero_max = np.sqrt(row_max), np.sqrt(zero_max)
 
     grid_max = float(row_max.max())

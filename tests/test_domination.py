@@ -84,20 +84,29 @@ def whole_grid(params, c, radial_samples, angular_samples):
     return radii, theta, np.sqrt(grid_ratio_sq(params, radii, angular_samples))
 
 
-def record_grid_calls(monkeypatch):
-    """Wrap grid_ratio_sq; returns the radii of the full rows and the cells it was asked for."""
-    full, cells = [], []
+def period(params, angular_samples):
+    """P = N / gcd(n, N), the number of reduced columns."""
+    return angular_samples // math.gcd(params.n, angular_samples)
 
-    def recorded(params, radii, angular_samples, cols=None):
-        if cols is None:
-            full.extend(radii)
-        else:
-            rows, j = np.broadcast_arrays(*cols)
-            cells.extend(zip(radii[rows].ravel(), j.ravel()))
-        return grid_ratio_sq(params, radii, angular_samples, cols)
+
+def select_columns(ratio_sq, params, columns):
+    """The cells of a (rows, N) array at the reduced columns picked by a slice, in j order."""
+    rows, angular_samples = ratio_sq.shape
+    by_column = ratio_sq.reshape(rows, -1, period(params, angular_samples))
+    return by_column[:, :, columns].reshape(rows, -1)
+
+
+def record_grid_calls(monkeypatch):
+    """Wrap grid_ratio_sq; returns the (radius, reduced columns) of each row it was asked for."""
+    calls = []
+
+    def recorded(params, radii, angular_samples, columns=slice(None)):
+        k = range(period(params, angular_samples))[columns]
+        calls.extend((r, k) for r in radii)
+        return grid_ratio_sq(params, radii, angular_samples, columns)
 
     monkeypatch.setattr(korenblum.domination, "grid_ratio_sq", recorded)
-    return full, cells
+    return calls
 
 
 # Inputs beside the 17 pairs: n = 1000 next to the merge, a = 0, where
@@ -351,10 +360,10 @@ class TestVerifyDomination:
     ):
         # Every row of a stand-in squared ratio peaks at column j, at angle
         # 2 pi j / N, where n theta = 2 pi k / N with k = n j mod N.
-        def peaked(params, radii, angular_samples, cols=None):
+        def peaked(params, radii, angular_samples, columns=slice(None)):
             ratio_sq = np.full((len(radii), angular_samples), 0.25)
             ratio_sq[:, j] = 0.5625
-            return ratio_sq if cols is None else ratio_sq[cols]
+            return select_columns(ratio_sq, params, columns)
 
         monkeypatch.setattr(korenblum.domination, "grid_ratio_sq", peaked)
         params = Params(Fraction(1, 2), n)
@@ -368,10 +377,10 @@ class TestVerifyDomination:
     def test_nan_row_fails_the_offset_check(self, monkeypatch, j):
         # A NaN passes the grid bound, so the offset check must fail it,
         # whether or not the NaN sits at an angle with n theta = 0.
-        def with_nan(params, radii, angular_samples, cols=None):
+        def with_nan(params, radii, angular_samples, columns=slice(None)):
             ratio_sq = np.full((len(radii), angular_samples), 0.25)
             ratio_sq[:, j] = np.nan
-            return ratio_sq if cols is None else ratio_sq[cols]
+            return select_columns(ratio_sq, params, columns)
 
         monkeypatch.setattr(korenblum.domination, "grid_ratio_sq", with_nan)
         params = Params(Fraction(1, 2), 10)
@@ -387,14 +396,14 @@ class TestVerifyDomination:
             )
 
     @pytest.mark.parametrize("shape", [(256, 1024), (256, 300), (37, 301), (16, 16)])
-    @pytest.mark.parametrize("block", [(8, 8192), (1, 1), (4, 2048), (7, 1000)])
-    def test_screened_grid_matches_the_oracle(self, monkeypatch, shape, block):
+    @pytest.mark.parametrize("cells", [8192, 1, 1000, 48])
+    def test_screened_grid_matches_the_oracle(self, monkeypatch, shape, cells):
         # The screened grid reports the bits of the unscreened rule on every
-        # cell, at the default block size, at blocks of one row and one kept
-        # column per call of grid_ratio_sq, and at blocks that leave a
-        # partial last block of rows and of kept cells.
-        monkeypatch.setattr(korenblum.domination, "GRID_BLOCK_ROWS", block[0])
-        monkeypatch.setattr(korenblum.domination, "GRID_BLOCK_CELLS", block[1])
+        # cell, at the default block size, at blocks and chunks of one row,
+        # and at sizes that leave a partial last screen block and a partial
+        # last chunk of evaluated rows: 1000 at the three larger shapes, 48
+        # at (16, 16), where n = 16 has P = 1 and no column but k = 0.
+        monkeypatch.setattr(korenblum.domination, "GRID_BLOCK_CELLS", cells)
         monkeypatch.setattr(korenblum.domination, "BOUNDARY_TOL", math.inf)
         pairs = [(n, Fraction(a), c) for n, a, c, *_ in PINNED_DOMINATION] + GRID_EXTREMES
         for n, a, c in pairs:
@@ -428,19 +437,20 @@ class TestVerifyDomination:
     @pytest.mark.parametrize("angles", [1024, 300])
     def test_screen_evaluates_every_cell_near_a_row_maximum(self, monkeypatch, angles):
         # Every cell within a relative 4e-13 of its row's largest ratio (the
-        # peak band is 1e-13) is evaluated, in its row or among the cells.
+        # peak band is 1e-13) lies in a column its row is evaluated at.
         monkeypatch.setattr(korenblum.domination, "BOUNDARY_TOL", math.inf)
         pairs = [(n, Fraction(a), c) for n, a, c, *_ in PINNED_DOMINATION] + GRID_EXTREMES
         for n, a, c in pairs:
             params = Params(a, n)
             c = critical_root(params) if c is None else c
-            full, cells = record_grid_calls(monkeypatch)
+            calls = record_grid_calls(monkeypatch)
             verify_domination(params, c, 256, angles)
             radii, _, ratio = whole_grid(params, c, 256, angles)
             near = ratio >= ratio.max(axis=1)[:, None] * (1.0 - 4e-13)
-            near[np.isin(radii, full)] = False
-            missed = set(zip(radii[np.nonzero(near)[0]], np.nonzero(near)[1])) - set(cells)
-            assert not missed, (n, a, sorted(missed)[:3])
+            k = np.arange(angles) % period(params, angles)
+            for r, columns in calls:
+                near[radii == r, np.isin(k, columns)] = False
+            assert not near.any(), (n, a, np.argwhere(near)[:3])
 
     def test_nan_in_the_reduced_tables_fails_the_offset_check(self, monkeypatch):
         # A NaN in the P-wide cosines at k = 5 reaches every row's q: each
@@ -455,12 +465,35 @@ class TestVerifyDomination:
 
         monkeypatch.setattr(korenblum.domination, "_power_angle_tables", with_nan)
         params = Params(Fraction(1, 2), 10)
-        full, cells = record_grid_calls(monkeypatch)
+        calls = record_grid_calls(monkeypatch)
         report = verify_domination(params, critical_root(params), 64, 1024)
         assert math.isnan(report.grid_max_ratio)
         assert report.angular_peak_offset == math.inf
         assert report.verdict == "fail"
-        assert len(set(full)) == 64 and not cells
+        assert len({r for r, _ in calls}) == 64
+        assert all(columns == range(512) for _, columns in calls)
+
+    def test_tie_away_from_k_zero_evaluates_the_row_in_full(self, monkeypatch):
+        # With the cosine and sine of k = 0 copied into k = 5, every row's q
+        # at k = 5 ties its largest, so no row is alone: each is evaluated
+        # at all P columns, and the report is the unscreened rule's.
+        tables = korenblum.domination._power_angle_tables
+
+        def tied(angular_samples, n):
+            cos_n, sin_n = (table.copy() for table in tables(angular_samples, n))
+            cos_n[5], sin_n[5] = cos_n[0], sin_n[0]
+            return cos_n, sin_n
+
+        monkeypatch.setattr(korenblum.domination, "_power_angle_tables", tied)
+        monkeypatch.setattr(korenblum.domination, "BOUNDARY_TOL", math.inf)
+        params = Params(Fraction("0.6666757"), 10)
+        c = critical_root(params)
+        expected = grid_oracle(params, c, 64, 1024)
+        calls = record_grid_calls(monkeypatch)
+        report = verify_domination(params, c, 64, 1024)
+        assert len({r for r, _ in calls}) == 64
+        assert all(columns == range(512) for _, columns in calls)
+        assert (report.grid_max_ratio, report.angular_peak_offset) == expected
 
     @pytest.mark.parametrize("angles", [1024, 300, 301])
     def test_screen_error_bounds(self, angles):
@@ -502,10 +535,16 @@ class TestVerifyDomination:
             assert block.shape == (len(radii[i : i + block_rows]), angles)
             blocks.append(np.sqrt(block))
         assert np.array_equal(np.concatenate(blocks), ratio)
-        # Cells picked by an index give the bits of the whole grid there.
-        rng = np.random.default_rng(n)
-        cols = (rng.integers(0, radial_samples, (50, 1)), rng.integers(0, angles, (50, 3)))
-        assert np.array_equal(np.sqrt(grid_ratio_sq(params, radii, angles, cols)), ratio[cols])
+        # A slice of the reduced columns gives the bits of the whole grid at
+        # their repeats, in j order: k = 0 alone, and a middle slice.
+        ratio_sq = grid_ratio_sq(params, radii, angles)
+        reduced = period(params, angles)
+        middle = slice(reduced // 3, reduced // 3 + reduced // 4)
+        assert np.array_equal(grid_ratio_sq(params, radii, angles, slice(0, 1)), ratio_sq[:, ::reduced])
+        assert np.array_equal(
+            grid_ratio_sq(params, radii, angles, middle),
+            ratio_sq.reshape(radial_samples, -1, reduced)[:, :, middle].reshape(radial_samples, -1),
+        )
 
     @pytest.mark.parametrize("n, a, angles", GRID_PAIRS)
     def test_ratios_match_the_oracle(self, n, a, angles):
@@ -568,8 +607,8 @@ class TestVerifyDomination:
             assert np.max(np.abs(ratio - direct)) <= 1e-13, n
 
     def test_grid_memory(self, reference):
-        # The grid holds one block of GRID_BLOCK_ROWS radii at a time and
-        # peaks near 0.8 MiB; one call of grid_ratio_sq on all 256 radii
+        # The grid holds about GRID_BLOCK_CELLS cells at a time and
+        # peaks near 0.9 MiB; one call of grid_ratio_sq on all 256 radii
         # peaks near 20 MiB.
         c = critical_root(reference)
         tracemalloc.start()
