@@ -22,7 +22,7 @@ from fractions import Fraction
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
 from . import __version__
-from .family import Params, _decimal_form, _fives, _twos, fraction_to_decimal
+from .family import Params, _twos, fraction_to_decimal
 from .series import DEFAULT_TERMS, Scalar, _Split, norm_difference
 
 if TYPE_CHECKING:
@@ -40,6 +40,8 @@ _SPLIT_MAX = 1 << 14
 _LOG10_2 = math.log10(2)
 # The int-to-str digit limit; Python 3.10 before 3.10.7 has none.
 _max_str_digits = getattr(sys, "get_int_max_str_digits", lambda: 0)
+# 5^(2^j) for j = 0..13; ``_fives`` squares further for an integer with more than 16383 5s.
+_FIVE_POWERS = tuple(5 ** (1 << j) for j in range(14))
 
 
 def encode_fraction(
@@ -48,14 +50,12 @@ def encode_fraction(
     """Lossless JSON encoding of a rational, with a float rendering.
 
     The integers are printed as ``str()`` prints them, but a long one is
-    split in halves over powers of ten first (``_int_str``), and a
-    denominator's trailing zeros are not converted (``_positive_str``).
-    ``_decimal`` is the denominator as ``(head, zeros)``, head * 10^zeros,
-    which ``encode_ends`` passes for each exact end that ``series``
-    reduced: then only ``head`` is converted.  Without it the zeros are
-    found by division.  Anything that might pass the interpreter's
-    int-to-str digit limit goes to ``str()``, which raises the
-    interpreter's own ``ValueError``.
+    split in halves over powers of ten first (``_int_str``).  ``_decimal``
+    is the denominator as ``(head, zeros)``, head * 10^zeros, which
+    ``encode_ends`` passes for each exact end that ``series`` reduced:
+    then the trailing zeros are not converted (``_positive_str``).
+    Anything that might pass the interpreter's int-to-str digit limit
+    goes to ``str()``, which raises the interpreter's own ``ValueError``.
     """
     return {
         "numerator": _int_str(x.numerator),
@@ -67,15 +67,75 @@ def encode_fraction(
 def encode_ends(lower: Scalar, upper: Scalar, split: Optional[_Split]) -> Tuple[Any, Any]:
     """JSON values of an enclosure's two ends: Fractions losslessly, floats as they are.
 
-    ``split`` is the ``_split`` of the enclosure or gap, or None; its
-    ``decimals()`` give ``encode_fraction`` each exact end's denominator.
-    The lower end is encoded first.
+    ``split`` is the ``_split`` of the enclosure or gap, or None; from it
+    ``_end_decimal`` gives ``encode_fraction`` each exact end's
+    denominator.  The lower end is encoded first.
     """
-    decimals = split.decimals() if split else (None, None)
+    ends = (split.lower, split.upper) if split else (None, None)
     return tuple(
-        encode_fraction(x, decimal) if isinstance(x, Fraction) else float(x)
-        for x, decimal in zip((lower, upper), decimals)
+        encode_fraction(x, _end_decimal(split, end)) if isinstance(x, Fraction) else float(x)
+        for x, end in zip((lower, upper), ends)
     )
+
+
+def _end_decimal(split: _Split, end: Optional[Tuple[int, int]]) -> Optional[Tuple[int, int]]:
+    """The denominator (big / cut) * rest of an exact end as ``(head, zeros)``.
+
+    head * 10^zeros is the denominator, with zeros = min(v2, v5) and head
+    not a multiple of 10; None if there is no ``end`` pair ``(cut, rest)``.
+    The exponents v2 and v5 add up from those of ``split.base``, cut and
+    rest, with big = base^exponent.  head is the rest of the
+    factorization: the part of rest prime to 10, times the part of
+    big / cut prime to 10 (1 when q has no prime but 2 and 5, as for
+    every decimal a), times the 2s or 5s left over.  Only these short
+    integers are divided.  At a = 0.6666757, n = 10, K = 256 each
+    denominator of the gap has ~3,600 trailing zeros and a head of
+    ~1,950 bits.
+    """
+    if end is None:
+        return None
+    cut, rest = end
+    exponent = split.exponent
+    b2, b5, b = _valuations(split.base)
+    c2, c5, c = _valuations(cut)
+    r2, r5, r = _valuations(rest)
+    twos, fives = b2 * exponent - c2 + r2, b5 * exponent - c5 + r5
+    odd = r if b == 1 else b ** exponent // c * r
+    if fives > twos:
+        return odd * 5 ** (fives - twos), twos
+    return odd << (twos - fives), fives
+
+
+def _fives(x: int) -> Tuple[int, int]:
+    """Exponent of 5 in a nonzero integer, and x without its 5s.
+
+    The powers 5^(2^j) are divided out by binary descent over j, from the
+    largest j that the count could reach: below 64 if 5^64 does not
+    divide x, else the bound that the length of x sets (5^e <= |x| < 2^b
+    gives e < 7 b / 16).  So an integer with few 5s takes only short
+    divisions, and one with many takes each long division once.
+    """
+    limit = x.bit_length() * 7 // 16
+    if x % _FIVE_POWERS[6]:
+        limit = min(limit, 63)
+    top = limit.bit_length()
+    powers = _FIVE_POWERS
+    while len(powers) < top:
+        powers += (powers[-1] ** 2,)
+    count = 0
+    for j in reversed(range(top)):
+        if count + (1 << j) <= limit:
+            quotient, remainder = divmod(x, powers[j])
+            if not remainder:
+                x, count = quotient, count + (1 << j)
+    return count, x
+
+
+def _valuations(x: int) -> Tuple[int, int, int]:
+    """Exponents of 2 and 5 in a nonzero integer, and its part prime to 10."""
+    twos = _twos(x)
+    fives, rest = _fives(x >> twos)
+    return twos, fives, rest
 
 
 def _digit_bound(x: int) -> int:
@@ -114,18 +174,15 @@ def _digits(x: int, pad: int) -> str:
 
 
 def _positive_str(x: int, decimal: Optional[Tuple[int, int]] = None) -> str:
-    """``str(x)`` for x >= 1, printing its trailing zeros without converting them.
+    """``str(x)`` for x >= 1.
 
-    ``decimal`` is x as ``(head, zeros)``, head * 10^zeros, if the caller
-    has it.  Otherwise the zeros, min(v2, v5), are found by division, with
-    the 5s counted only up to v2.  Only the head is converted, by
-    ``_int_str``.  A result longer than the digit limit is left to
-    ``str(x)``, which raises the interpreter's own ``ValueError``.
+    With x as ``decimal``, ``(head, zeros)`` for head * 10^zeros, only the
+    head is converted, by ``_int_str``, and the zeros are appended; without
+    it, x is converted like a numerator.  A result longer than the digit
+    limit is left to ``str(x)``, which raises the interpreter's own
+    ``ValueError``.
     """
-    if decimal is None:
-        twos = _twos(x)
-        decimal = _decimal_form(twos, *_fives(x >> twos, twos))
-    head, zeros = decimal
+    head, zeros = decimal or (x, 0)
     if not zeros:
         return _int_str(x)
     text = _int_str(head)
@@ -202,13 +259,11 @@ def verify_domination(params: Params, c: float) -> DominationReport:
     return verify_domination(params, c)
 
 
-def cross_check(
-    params: Params, grid: Optional[QuadratureGrid] = None, K: int = DEFAULT_TERMS
-) -> CrossCheckReport:
+def cross_check(params: Params, grid: Optional[QuadratureGrid] = None) -> CrossCheckReport:
     """``quadrature.cross_check``."""
     from .quadrature import cross_check
 
-    return cross_check(params, grid=grid, K=K)
+    return cross_check(params, grid=grid)
 
 
 def run_verification(
@@ -226,6 +281,8 @@ def run_verification(
     ArithmeticError for the root, DominationViolated or
     HypothesisViolated for the domination grid.  Any other exception
     propagates.  The command line exits 1 on a failed certificate.
+    ``terms`` is the exact gap's starting truncation index; the
+    cross-check reads the float series at ``DEFAULT_TERMS``.
     """
     from .domination import DominationViolated, HypothesisViolated, ROOT_TOL, critical_polynomial
 
@@ -258,7 +315,7 @@ def run_verification(
         return section, delta.certifies
 
     def quadrature() -> Tuple[Dict[str, Any], bool]:
-        report = cross_check(params, grid=grid, K=terms)
+        report = cross_check(params, grid=grid)
         return _fields_dict(report), report.passed
 
     checks: List[Dict[str, Any]] = []

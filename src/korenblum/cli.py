@@ -136,8 +136,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="run the full verification chain")
     add_params(p_verify)
     p_verify.add_argument("--terms", type=_terms, default=DEFAULT_TERMS,
-                          help="truncation index K; the exact gap doubles it until "
-                               "resolved (default %(default)s)")
+                          help="starting truncation index K of the exact gap, which "
+                               "doubles it until resolved (default %(default)s)")
     p_verify.add_argument("--exact", action="store_true",
                           help="accepted for existing command lines; the gap is always exact")
     p_verify.add_argument("--grid", type=_grid, default=None, metavar="RxA",
@@ -272,7 +272,7 @@ def _candidate_dict(candidate) -> dict:
         "n": candidate.params.n,
         "c": candidate.c,
         "a_star": candidate.a_star,
-        "delta_lower": encode_fraction(candidate.delta_lower, candidate._decimal),
+        "delta_lower": encode_fraction(candidate.delta_lower),
         "certified": candidate.certified,
         "improves_wang": candidate.improves_wang,
         "domination_verdict": candidate.domination.verdict,

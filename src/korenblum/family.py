@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Tuple, Union
+from typing import Union
 
 Coefficient = Union[Fraction, int, float, str]
 
@@ -98,7 +98,10 @@ def eval_g(params: Params, z):
 def fraction_to_decimal(x: Fraction) -> str:
     """Render a rational exactly, as a finite decimal when one exists."""
     num, den = x.numerator, x.denominator
-    twos, fives, odd = _valuations(den)
+    twos = _twos(den)
+    odd, fives = den >> twos, 0
+    while odd % 5 == 0:
+        odd, fives = odd // 5, fives + 1
     if odd != 1:
         return f"{num}/{den}"
     digits = max(twos, fives)
@@ -110,56 +113,6 @@ def fraction_to_decimal(x: Fraction) -> str:
     return f"{sign}{text[:-digits]}.{text[-digits:]}"
 
 
-# 5^(2^j) for j = 0..13; ``_fives`` squares further for an integer with more than 16383 5s.
-_FIVE_POWERS = tuple(5 ** (1 << j) for j in range(14))
-
-
 def _twos(x: int) -> int:
     """Exponent of 2 in a nonzero integer."""
     return (x & -x).bit_length() - 1
-
-
-def _fives(x: int, limit: Optional[int] = None) -> Tuple[int, int]:
-    """Exponent e of 5 in a nonzero integer, or ``limit`` if e is larger,
-    and x without that many 5s.
-
-    The powers 5^(2^j) are divided out by binary descent over j, from the
-    largest j that the count could reach.  The count is at most ``limit``,
-    at most the bound that the length of x sets (5^e <= |x| < 2^b gives
-    e < 7 b / 16), and with no ``limit``, below 64 if 5^64 does not divide
-    x.  So an integer with few 5s takes only short divisions, and one with
-    many takes each long division once.
-    """
-    bound = x.bit_length() * 7 // 16
-    if limit is None:
-        limit = 63 if x % _FIVE_POWERS[6] else bound
-    limit = min(limit, bound)
-    top = limit.bit_length()
-    powers = _FIVE_POWERS
-    while len(powers) < top:
-        powers += (powers[-1] ** 2,)
-    count = 0
-    for j in reversed(range(top)):
-        if count + (1 << j) <= limit:
-            quotient, remainder = divmod(x, powers[j])
-            if not remainder:
-                x, count = quotient, count + (1 << j)
-    return count, x
-
-
-def _valuations(x: int) -> Tuple[int, int, int]:
-    """Exponents of 2 and 5 in a nonzero integer, and its part prime to 10."""
-    twos = _twos(x)
-    fives, rest = _fives(x >> twos)
-    return twos, fives, rest
-
-
-def _decimal_form(twos: int, fives: int, odd: int) -> Tuple[int, int]:
-    """``(head, zeros)`` with head * 10^zeros = 2^twos 5^fives odd, for an odd ``odd``.
-
-    zeros = min(twos, fives).  head is not a multiple of 10 if ``odd`` is
-    prime to 5 or if fives >= twos.
-    """
-    if fives > twos:
-        return odd * 5 ** (fives - twos), twos
-    return odd << (twos - fives), fives

@@ -62,7 +62,6 @@ from typing import Literal
 # numpy is imported inside the functions that use it, so exact-only commands never load it.
 
 from .family import Params
-from .series import DEFAULT_TERMS
 
 Coords = Literal["original", "substituted"]
 Which = Literal["f", "g"]
@@ -256,12 +255,11 @@ class CrossCheckReport:
     passed: bool
 
 
-def cross_check(
-    params: Params,
-    grid: QuadratureGrid | None = None,
-    K: int = DEFAULT_TERMS,
-) -> CrossCheckReport:
+def cross_check(params: Params, grid: QuadratureGrid | None = None) -> CrossCheckReport:
     """Compare the series norms against both quadrature routes.
+
+    The series values are the float enclosures at ``series.DEFAULT_TERMS``,
+    where each has zero width.
 
     The report fails (``passed`` False) if any pairwise discrepancy
     within the f values or within the g values exceeds CONVERGENCE_TOL.
@@ -273,8 +271,8 @@ def cross_check(
 
     if grid is None:
         grid = QuadratureGrid(radial_nodes=256 if params.n > FINE_CROSS_CHECK_N else 128)
-    sf = norm_sq_f(params, K=K, mode="float")
-    sg = norm_sq_g(params, K=K, mode="float")
+    sf = norm_sq_f(params, mode="float")
+    sg = norm_sq_g(params, mode="float")
     series_f = float(sf.midpoint)
     series_g = float(sg.midpoint)
     qf_orig, qf_subs, qg_orig, qg_subs = (

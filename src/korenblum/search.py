@@ -22,7 +22,7 @@ rational arithmetic.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Tuple
 
@@ -193,13 +193,10 @@ class BoundCandidate:
     improves_wang: bool
     a_star: Optional[float]
     domination: DominationReport
-    # delta_lower's denominator as ``(head, zeros)``, from the gap's
-    # ``_split.decimals()``, for ``certificate.encode_fraction``.
-    _decimal: Optional[Tuple[int, int]] = field(default=None, init=False, repr=False, compare=False)
 
 
-def _quantize_up(value: float, decimals: int) -> Fraction:
-    scale = 10 ** decimals
+def _quantize_up(value: float, digits: int) -> Fraction:
+    scale = 10 ** digits
     return Fraction(math.ceil(value * scale), scale)
 
 
@@ -254,7 +251,7 @@ def best_bound(
         )
     c = critical_root(params)
     report = verify_domination(params, c)
-    candidate = BoundCandidate(
+    return BoundCandidate(
         params=params,
         c=c,
         delta_lower=delta.delta_lower,
@@ -263,10 +260,6 @@ def best_bound(
         a_star=a_star,
         domination=report,
     )
-    if delta._split:
-        # a frozen field outside __init__
-        object.__setattr__(candidate, "_decimal", delta._split.decimals()[0])
-    return candidate
 
 
 @dataclass(frozen=True)

@@ -65,16 +65,6 @@ big * lcm(rest_1, rest_2), and the difference is reduced the same way:
 one gcd against the short lcm.  ``Fraction`` subtraction would take its
 gcds over the two ~13,900-bit denominators instead.
 
-Every exact end also gets its denominator in decimal form,
-head * 10^zeros with zeros = min(v2, v5), for the encoder to print
-(``_split.decimals()``, which ``certificate.encode_ends`` reads).  The
-exponents v2 and v5 add up from those of D, cut and rest, and head is
-the rest of the factorization: the part of rest prime to 10, times the
-part of big / cut prime to 10 (1 unless q has a prime other than 2 and
-5), times the 2s or 5s left over.  Only short integers are divided.  At
-the pair above each denominator has ~3,600 trailing zeros and a head of
-~1,950 bits.
-
 Float mode evaluates the same formulas in double precision for speed,
 for an array of coefficients a in one pass (``float_norms_sq``); a
 scalar call goes through the same pass as a one-element array.  Row k
@@ -98,12 +88,10 @@ from typing import Iterable, List, Literal, NamedTuple, Optional, Sequence, Tupl
 
 # numpy is imported inside the functions that use it, so exact-only commands never load it.
 
-from .family import Params, _decimal_form, _twos, _valuations
+from .family import Params, _twos
 
 Mode = Literal["float", "exact"]
 Scalar = Union[Fraction, float]
-# A denominator as (head, zeros): head * 10^zeros with head not a multiple of 10.
-_Decimal = Tuple[int, int]
 
 DEFAULT_TERMS = 64
 MAX_TERMS = 8192
@@ -388,7 +376,8 @@ class _Split(NamedTuple):
     ``exponent``.  Each end's pair ``(cut, rest)`` gives its denominator
     as (big / cut) * rest: ``cut`` is the part of ``big`` that
     cancelled, ``rest`` the part of ``small`` that stayed.  A gap end
-    that is 0 has no pair.
+    that is 0 has no pair.  ``certificate`` reads ``base``, ``exponent``
+    and the pairs to print each denominator.
     """
 
     base: int
@@ -396,27 +385,6 @@ class _Split(NamedTuple):
     big: int
     lower: Optional[Tuple[int, int]]
     upper: Optional[Tuple[int, int]]
-
-    def decimals(self) -> Tuple[Optional[_Decimal], Optional[_Decimal]]:
-        """Each end's ``_Decimal``, or None for an end without a pair."""
-        return self._decimal(self.lower), self._decimal(self.upper)
-
-    def _decimal(self, end: Optional[Tuple[int, int]]) -> Optional[_Decimal]:
-        """The ``_Decimal`` of the denominator (big / cut) * rest of ``end``.
-
-        Its exponents of 2 and 5, and so its trailing zeros, add up from
-        those of ``base``, ``cut`` and ``rest``; only these short
-        integers are divided.  The part of ``base`` prime to 10 is 1
-        when q has no other prime, as for every decimal a.
-        """
-        if end is None:
-            return None
-        cut, rest = end
-        b2, b5, b = _valuations(self.base)
-        c2, c5, c = _valuations(cut)
-        r2, r5, r = _valuations(rest)
-        odd = r if b == 1 else b ** self.exponent // c * r
-        return _decimal_form(b2 * self.exponent - c2 + r2, b5 * self.exponent - c5 + r5, odd)
 
 
 def _lowest_terms(num: int, big: int, base: int, small: int) -> Tuple[Fraction, Tuple[int, int]]:

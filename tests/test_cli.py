@@ -25,15 +25,16 @@ import korenblum.series
 from korenblum import Params, norm_difference, reference_params
 from korenblum.certificate import (
     Certificate,
+    _end_decimal,
     _int_str,
     _positive_str,
+    _valuations,
     decode_fraction,
     encode_ends,
     encode_fraction,
     run_verification,
 )
 from korenblum.cli import main
-from korenblum.family import _valuations
 from korenblum.quadrature import QuadratureGrid
 
 REFERENCE_ARGS = ["--a", "0.6666714", "--n", "10"]
@@ -154,13 +155,8 @@ class TestDefaults:
         # cli keeps the literal: importing search would load it for every command.
         for argv in (["search", "--n", "10"], ["scan"]):
             assert parser.parse_args(argv).safety == korenblum.search.DEFAULT_SAFETY
-        for function, name in (
-            (run_verification, "terms"),
-            (korenblum.certificate.cross_check, "K"),
-            (korenblum.quadrature.cross_check, "K"),
-        ):
-            default = inspect.signature(function).parameters[name].default
-            assert default == korenblum.series.DEFAULT_TERMS
+        default = inspect.signature(run_verification).parameters["terms"].default
+        assert default == korenblum.series.DEFAULT_TERMS
 
 
 class TestUsageErrors:
@@ -271,6 +267,16 @@ class TestVerify:
         assert cert["norm_gap"]["mode"] == "exact"
         assert cert["domination"]["sampled_only"] is True
         assert cert["wall_time_s"] > 0
+
+    def test_cross_check_ignores_the_starting_terms(self):
+        # --terms sets only the exact gap's starting index; the cross-check
+        # reads the float series at DEFAULT_TERMS, where every float
+        # enclosure has zero width.  At K = 1 the series misses ||f||^2
+        # by more than the cross-check's tolerance.
+        params = Params("0.6666757", 10)
+        cert = run_verification(params, terms=1)
+        assert cert.passed, cert.failed_check
+        assert cert.cross_check == run_verification(params).cross_check
 
     def test_writes_certificate_file(self, capsys, tmp_path):
         path = tmp_path / "cert.json"
@@ -436,19 +442,6 @@ class TestSearchAndScan:
         assert payload["improves_wang"] is True
         assert decode_fraction(payload["delta_lower"]) > 0
 
-    def test_search_prints_the_gap_from_its_factorization(self, capsys, monkeypatch):
-        # best_bound keeps the gap's (head, zeros), so _positive_str never
-        # divides to find the denominator's trailing zeros.
-        calls = []
-        fives = korenblum.certificate._fives
-        monkeypatch.setattr(
-            korenblum.certificate, "_fives", lambda *args: calls.append(args) or fives(*args)
-        )
-        code, out, _ = run_cli(capsys, "search", "--n", "10", "--json")
-        assert code == 0
-        assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_SEARCH_SHA256
-        assert calls == []
-
     def test_scan_json_records_failures(self, capsys):
         code, out, _ = run_cli(capsys, "scan", "--n-min", "2", "--n-max", "4", "--json")
         payload = json.loads(out)
@@ -513,8 +506,8 @@ def _int_max_str_digits(limit):
 
 
 class TestDenominatorDigits:
-    """``_positive_str`` prints what ``str`` prints, and ``_valuations``
-    finds the 2s and 5s that it leaves out."""
+    """``_positive_str`` prints what ``str`` prints, with or without the
+    trailing zeros that ``_valuations``' 2s and 5s give."""
 
     @given(
         m=st.integers(min_value=1, max_value=10**60),
@@ -531,8 +524,10 @@ class TestDenominatorDigits:
         while rest % 5 == 0:
             rest, fives = rest // 5, fives + 1
         assert _valuations(x) == (i + twos, j + fives, rest)
+        zeros = min(i + twos, j + fives)
         with _int_max_str_digits(0):
             assert _positive_str(x) == str(x)
+            assert _positive_str(x, (x // 10**zeros, zeros)) == str(x)
 
     @given(x=st.integers(min_value=1) | st.integers(min_value=1, max_value=10**3000))
     def test_any_positive_integer(self, x):
@@ -586,9 +581,9 @@ class TestExactEndEncoding:
                 (d.delta_lower, d.delta_upper, d._split)]
         with _int_max_str_digits(0):
             for lower, upper, split in ends:
-                for x, decimal in zip((lower, upper), split.decimals()):
-                    if decimal is not None:
-                        head, zeros = decimal
+                for x, end in zip((lower, upper), (split.lower, split.upper)):
+                    if end is not None:
+                        head, zeros = _end_decimal(split, end)
                         assert head * 10**zeros == x.denominator and head % 10
                 for x, encoded in zip((lower, upper), encode_ends(lower, upper, split)):
                     _encodes_as_str(x, encoded)

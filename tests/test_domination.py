@@ -1,12 +1,15 @@
 from __future__ import annotations
 
 import math
+import os
 import re
+import subprocess
 import sys
 import threading
 import time
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -37,6 +40,21 @@ from korenblum.domination import (
 from korenblum.family import eval_f, eval_g
 
 from .oracles import grid_oracle, mp_abs_ratio, mp_fraction
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+# Minor page faults per 256x1024 grid, over 20 grids after a warm-up one.
+GRID_FAULTS_SCRIPT = """
+import resource, sys
+from korenblum import Params, critical_root, verify_domination
+params = Params(sys.argv[1], int(sys.argv[2]))
+c = critical_root(params)
+verify_domination(params, c)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(20):
+    verify_domination(params, c)
+print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 20)
+"""
 
 FROZEN_ROOT = 0.677904927421849
 
@@ -640,6 +658,23 @@ class TestVerifyDomination:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
         assert reports == [[report] * 3 for report in expected]
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="ru_minflt counts minor faults on Linux")
+    @pytest.mark.parametrize("a, n", [("0.6848893", 17), ("0.6666757", 10)])
+    def test_back_to_back_grids_reuse_the_heap(self, a, n):
+        # The screen is inline in _sample_grid so that each block's arrays
+        # are allocated while the previous block's are still alive; as a
+        # helper, glibc trims the freed heap top between blocks and the
+        # grid faults in thousands of pages (4096 at n = 17, 2048 at
+        # n = 10, against ~175).  A fresh process keeps other tests' heap
+        # out of the count.
+        env = dict(os.environ, PYTHONPATH=str(SRC), OPENBLAS_NUM_THREADS="1")
+        proc = subprocess.run(
+            [sys.executable, "-c", GRID_FAULTS_SCRIPT, a, str(n)],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert float(proc.stdout) < 1000
 
     def test_cached_angle_tables_are_read_only(self, reference):
         verify_domination(reference, critical_root(reference), 256, 1024)

@@ -4,10 +4,13 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from korenblum import Params, reference_params
 from korenblum.domination import grid_ratio_sq
 from korenblum.family import as_fraction, eval_f, eval_g, fraction_to_decimal
+
+from .test_cli import decimal_coefficients, small_fractions
 
 
 class TestAsFraction:
@@ -120,3 +123,15 @@ class TestDecimalRendering:
     def test_round_trip(self):
         x = Fraction(6666757, 10**7)
         assert Fraction(fraction_to_decimal(x)) == x
+
+    @given(x=decimal_coefficients | small_fractions, sign=st.sampled_from([1, -1]))
+    def test_exact_and_finite_iff_the_denominator_is_two_five(self, x, sign):
+        x *= sign
+        text = fraction_to_decimal(x)
+        assert Fraction(text) == x
+        odd = x.denominator
+        while odd % 2 == 0:
+            odd //= 2
+        while odd % 5 == 0:
+            odd //= 5
+        assert ("/" not in text) == (odd == 1)
