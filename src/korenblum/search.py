@@ -52,6 +52,8 @@ DEFAULT_SAFETY = 5e-6
 QUANTIZE_DECIMALS = 7
 # Width at which critical_a stops bisecting the sign change of delta(a).
 BRACKET_TOL = 1e-10
+# Midpoints that one round of critical_a predicts and evaluates together.
+PASS_POINTS = 12
 # Coefficients at which coarse_scan samples delta(a).
 COARSE_GRID = tuple(i / 100 for i in range(1, 100))
 
@@ -85,21 +87,26 @@ def delta_of_a(
     return norm_difference(Params(as_fraction(a), n), K=K, mode=mode)
 
 
-def _float_sign(n: int, a: float) -> int:
-    """Sign of delta(a) read from its float enclosure.
+def _sign(lower: float, upper: float, n: int, a: float) -> int:
+    """Sign of delta(a) read from a float enclosure [lower, upper] of it.
 
     The enclosure is not rounded outward, so the sign is an estimate,
     not a proof.  An enclosure that does not exclude zero raises
     AmbiguousSign.
     """
-    d = delta_of_a(n, a)
-    if d.delta_lower > 0:
+    if lower > 0:
         return 1
-    if d.delta_upper < 0:
+    if upper < 0:
         return -1
     raise AmbiguousSign(
         f"float enclosure of delta does not exclude zero at a = {a!r}, n = {n}"
     )
+
+
+def _float_estimate(n: int, a: float) -> Tuple[int, float]:
+    """Sign and float estimate of delta(a), from one ``delta_of_a`` call."""
+    d = delta_of_a(n, a)
+    return _sign(d.delta_lower, d.delta_upper, n, a), d.midpoint
 
 
 @dataclass(frozen=True)
@@ -156,24 +163,52 @@ def critical_a(n: int, bracket: Tuple[float, float]) -> CriticalPoint:
     midpoint whose enclosure does not exclude zero (at the default
     truncation index: whose estimate is exactly zero) raises
     AmbiguousSign.
+
+    The two endpoints are read by ``delta_of_a``; the midpoints are read
+    in rounds of one ``float_norms_sq`` pass each.  A round predicts the
+    next PASS_POINTS midpoints of the bisection from the secant root
+    through the bracket's two estimates, evaluates them together, then
+    walks the bisection over them and stops at the first one that is not
+    0.5 * (lo + hi) of the bracket reached so far.  The first one always
+    is, so each round halves the bracket at least once.  Element i of
+    the pass equals the scalar enclosure at that point bit for bit, so
+    every sign the walk reads is the one a loop of scalar calls reads,
+    and the result and the exceptions are the same.  The guess decides
+    only how many rounds run; a point off the path is never read, even
+    if its enclosure does not exclude zero.
     """
     a_lo, a_hi = float(bracket[0]), float(bracket[1])
     if not 0.0 < a_lo < a_hi < 1.0:
         raise ValueError(f"bracket must satisfy 0 < lo < hi < 1, got {bracket}")
-    s_lo = _float_sign(n, a_lo)
-    s_hi = _float_sign(n, a_hi)
+    s_lo, d_lo = _float_estimate(n, a_lo)
+    s_hi, d_hi = _float_estimate(n, a_hi)
     if s_lo == s_hi:
         raise InvalidBracket(
             f"float estimates of delta have sign {s_lo:+d} at both ends of {bracket} "
             f"for n = {n}"
         )
     while a_hi - a_lo > BRACKET_TOL:
-        mid = 0.5 * (a_lo + a_hi)
-        s_mid = _float_sign(n, mid)
-        if s_mid == s_lo:
-            a_lo = mid
-        else:
-            a_hi = mid
+        # d_lo and d_hi have opposite signs, so the root lies in the bracket.
+        guess = a_lo + (a_hi - a_lo) * d_lo / (d_lo - d_hi)
+        points = []
+        lo, hi = a_lo, a_hi
+        while hi - lo > BRACKET_TOL and len(points) < PASS_POINTS:
+            mid = 0.5 * (lo + hi)
+            points.append(mid)
+            if mid < guess:
+                lo = mid
+            else:
+                hi = mid
+        d = enclose_difference(*float_norms_sq(points, n))
+        for mid, lower, upper, value in zip(
+            points, d.delta_lower.tolist(), d.delta_upper.tolist(), d.midpoint.tolist()
+        ):
+            if mid != 0.5 * (a_lo + a_hi):
+                break
+            if _sign(lower, upper, n, mid) == s_lo:
+                a_lo, d_lo = mid, value
+            else:
+                a_hi, d_hi = mid, value
     return CriticalPoint(
         n=n,
         a_star=0.5 * (a_lo + a_hi),

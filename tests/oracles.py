@@ -21,7 +21,12 @@ pass of the series engine must reproduce bit for bit.
 working precision, for checks of the quadrature against the true norm.
 ``mp_abs_ratio`` evaluates |f|/|g| in 50-digit complex arithmetic at
 given doubles, for checks of the domination grid's real components.
-Nothing here shares code with the series engine.
+``bisect_oracle`` is the plain bisection of the sign change of delta(a),
+one scalar ``delta_of_a`` call per midpoint, for checks of the batched
+rounds of ``search.critical_a``.
+Apart from ``bisect_oracle``, which calls ``search.delta_of_a`` and
+checks only the loop around it, nothing here shares code with the
+series engine.
 """
 
 from __future__ import annotations
@@ -179,3 +184,43 @@ def grid_oracle(params, c: float, radial_samples: int, angular_samples: int):
     dist = np.minimum(k, angular_samples - k) / params.n
     near = ratio >= (row_max * (1.0 - 1e-13))[:, None]
     return float(row_max.max()), float(np.where(near, dist, np.inf).min(axis=1).max())
+
+
+def bisect_oracle(n: int, bracket: Tuple[float, float]):
+    """``search.critical_a`` as one scalar ``delta_of_a`` call per midpoint.
+
+    Reads ``search.delta_of_a`` at call time, so a stand-in patched there
+    is used too.  Returns the same ``CriticalPoint`` and raises the same
+    exceptions, with the same messages, as ``critical_a`` must.
+    """
+    from korenblum import search
+
+    def sign(a: float) -> int:
+        d = search.delta_of_a(n, a)
+        if d.delta_lower > 0:
+            return 1
+        if d.delta_upper < 0:
+            return -1
+        raise search.AmbiguousSign(
+            f"float enclosure of delta does not exclude zero at a = {a!r}, n = {n}"
+        )
+
+    a_lo, a_hi = float(bracket[0]), float(bracket[1])
+    if not 0.0 < a_lo < a_hi < 1.0:
+        raise ValueError(f"bracket must satisfy 0 < lo < hi < 1, got {bracket}")
+    s_lo = sign(a_lo)
+    s_hi = sign(a_hi)
+    if s_lo == s_hi:
+        raise search.InvalidBracket(
+            f"float estimates of delta have sign {s_lo:+d} at both ends of {bracket} "
+            f"for n = {n}"
+        )
+    while a_hi - a_lo > search.BRACKET_TOL:
+        mid = 0.5 * (a_lo + a_hi)
+        if sign(mid) == s_lo:
+            a_lo = mid
+        else:
+            a_hi = mid
+    return search.CriticalPoint(
+        n=n, a_star=0.5 * (a_lo + a_hi), bracket=(a_lo, a_hi), rising=s_lo < 0
+    )

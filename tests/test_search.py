@@ -1,11 +1,14 @@
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
 import struct
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
 from korenblum import best_bound, critical_a, delta_of_a, scan, search, series
 from korenblum.domination import NoInteriorRoot
@@ -15,12 +18,15 @@ from korenblum.search import (
     WANG_UPPER_BOUND,
     AmbiguousSign,
     CertificationFailed,
+    PASS_POINTS,
     InvalidBracket,
-    _float_sign,
+    _float_estimate,
     _quantize_up,
     coarse_scan,
 )
-from korenblum.series import DifferenceResult, enclose_difference, float_norms_sq
+from korenblum.series import DifferenceResult, NormEnclosure, enclose_difference, float_norms_sq
+
+from .oracles import bisect_oracle
 
 # Sign change of delta(a) at n = 10, frozen from exact-arithmetic bisection.
 FROZEN_A_STAR = 0.6666706833862361
@@ -88,11 +94,11 @@ class TestDeltaOfA:
 
 
 class TestCertifiedSign:
-    """``_float_sign``: the sign of one float estimate of delta."""
+    """``_float_estimate``: the sign of one float estimate of delta."""
 
     def test_resolves_both_sides(self):
-        assert _float_sign(10, 0.6) == -1
-        assert _float_sign(10, 0.7) == 1
+        assert _float_estimate(10, 0.6) == (-1, delta_of_a(10, 0.6).midpoint)
+        assert _float_estimate(10, 0.7) == (1, delta_of_a(10, 0.7).midpoint)
 
     def test_exact_zero_is_ambiguous_at_once(self, monkeypatch):
         calls = []
@@ -103,7 +109,7 @@ class TestCertifiedSign:
 
         monkeypatch.setattr(search, "delta_of_a", zero)
         with pytest.raises(AmbiguousSign):
-            _float_sign(10, FROZEN_A_STAR)
+            _float_estimate(10, FROZEN_A_STAR)
         assert calls == [FROZEN_A_STAR]
 
 
@@ -169,6 +175,165 @@ class TestCriticalA:
             critical_a(10, (0.0, 0.6666714))
         with pytest.raises(ValueError):
             critical_a(10, (0.7, 0.6))
+
+    def test_two_scalar_calls_and_few_passes(self, monkeypatch):
+        calls = []
+        for name in ("delta_of_a", "float_norms_sq"):
+            original = getattr(search, name)
+
+            def counted(*args, _original=original, _name=name, **kwargs):
+                calls.append(_name)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(search, name, counted)
+        critical_a(10, (0.6, 0.7))
+        assert calls.count("delta_of_a") == 2
+        assert calls[:2] == ["delta_of_a", "delta_of_a"]
+        assert calls.count("float_norms_sq") <= 5
+
+
+def _outcome(n, bracket, bisect):
+    """The CriticalPoint, or the class and message of the exception raised."""
+    try:
+        return bisect(n, bracket)
+    except (ValueError, ArithmeticError) as exc:
+        return type(exc), str(exc)
+
+
+@functools.lru_cache(maxsize=None)
+def _first_change(n):
+    return coarse_scan(n).sign_changes[0]
+
+
+@st.composite
+def _brackets(draw):
+    n = draw(st.integers(min_value=2, max_value=60))
+    lo, hi = _first_change(n)
+    kind = draw(st.sampled_from(["cell", "around", "any", "wide"]))
+    if kind == "cell":
+        return n, (lo, hi)
+    if kind == "wide":
+        return n, (0.01, 0.99)
+    if kind == "around":
+        # Ends on either side of the only sign change: opposite signs.
+        return n, (draw(st.floats(0.01, lo)), draw(st.floats(hi, 0.99)))
+    ends = draw(st.lists(st.floats(0.01, 0.99), min_size=2, max_size=2, unique=True))
+    return n, tuple(sorted(ends))
+
+
+class TestCriticalAMatchesBisection:
+    """``critical_a`` against ``bisect_oracle``, one scalar call per midpoint."""
+
+    @given(case=_brackets())
+    @example(case=(10, (0.6, 0.7)))
+    @example(case=(10, (0.1, 0.5)))
+    def test_bit_identical(self, case):
+        n, bracket = case
+        expected = _outcome(n, bracket, bisect_oracle)
+        actual = _outcome(n, bracket, critical_a)
+        assert actual == expected
+        if isinstance(expected, search.CriticalPoint):
+            assert struct.pack("<3d", actual.a_star, *actual.bracket) == struct.pack(
+                "<3d", expected.a_star, *expected.bracket
+            )
+
+
+class _StandIn:
+    """A made-up delta(a) for ``critical_a``, scalar and batched alike.
+
+    ``value(a)`` is the estimate at a; the enclosure is that single value,
+    except at the points ``ambiguous(a)`` picks, where it is
+    [-1e-3, 1e-3] and so does not exclude zero.  ``passes`` holds the
+    points of each batched call.
+    """
+
+    def __init__(self, value, ambiguous=lambda a: False):
+        self.value = value
+        self.ambiguous = ambiguous
+        self.passes = []
+        self.scalar_points = []
+
+    def _ends(self, a):
+        if self.ambiguous(a):
+            return -1e-3, 1e-3
+        return self.value(a), self.value(a)
+
+    def delta_of_a(self, n, a):
+        self.scalar_points.append(a)
+        return DifferenceResult(*self._ends(a), 64, "float")
+
+    def float_norms_sq(self, a, n, K=64):
+        points = [float(x) for x in a]
+        self.passes.append(points)
+        lower, upper = (np.array(ends) for ends in zip(*map(self._ends, points)))
+        zero = np.zeros(len(points))
+        # enclose_difference subtracts the zero g enclosure from these ends.
+        return NormEnclosure(lower, upper, K, "float"), NormEnclosure(zero, zero, K, "float")
+
+    def install(self, monkeypatch):
+        monkeypatch.setattr(search, "delta_of_a", self.delta_of_a)
+        monkeypatch.setattr(search, "float_norms_sq", self.float_norms_sq)
+
+
+def _step(root, below, above):
+    """An estimate that is ``below`` left of ``root`` and ``above`` from it on."""
+    return lambda a: below if a < root else above
+
+
+BRACKET = (0.6, 0.7)
+
+
+class TestCriticalAStandIns:
+    """``critical_a`` with the evaluators swapped for ``_StandIn``."""
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_guess_defeated_still_exact(self, monkeypatch, sign):
+        # The estimates are -1 and +1e-12 either side of a root just above
+        # the lower end, so the secant guess sits next to the upper end and
+        # every round's second prediction is wrong.
+        value = _step(BRACKET[0] + 1e-12, -sign * 1.0, sign * 1e-12)
+        oracle = _StandIn(value)
+        oracle.install(monkeypatch)
+        expected = bisect_oracle(10, BRACKET)
+        levels = len(oracle.scalar_points) - 2
+        batched = _StandIn(value)
+        batched.install(monkeypatch)
+        assert critical_a(10, BRACKET) == expected
+        assert expected.rising == (sign > 0)
+        assert batched.scalar_points == list(BRACKET)
+        assert len(batched.passes) == levels
+        assert [points[0] for points in batched.passes] == oracle.scalar_points[2:]
+
+    def test_off_path_ambiguity_is_not_read(self, monkeypatch):
+        value = _step(BRACKET[0] + 1e-12, -1.0, 1e-12)
+        oracle = _StandIn(value)
+        oracle.install(monkeypatch)
+        expected = bisect_oracle(10, BRACKET)
+        path = set(oracle.scalar_points)
+        batched = _StandIn(value, ambiguous=lambda a: a not in path)
+        batched.install(monkeypatch)
+        assert critical_a(10, BRACKET) == expected
+        off_path = [a for points in batched.passes for a in points if a not in path]
+        assert off_path
+
+    @pytest.mark.parametrize("index", [0, PASS_POINTS - 1, PASS_POINTS + 3])
+    def test_on_path_ambiguity_raises(self, monkeypatch, index):
+        value = _step(0.6543210987, -1.0, 1.0)
+        oracle = _StandIn(value)
+        oracle.install(monkeypatch)
+        bisect_oracle(10, BRACKET)
+        target = oracle.scalar_points[2 + index]
+        oracle = _StandIn(value, ambiguous=lambda a: a == target)
+        oracle.install(monkeypatch)
+        expected = _outcome(10, BRACKET, bisect_oracle)
+        assert expected == (
+            AmbiguousSign,
+            f"float enclosure of delta does not exclude zero at a = {target!r}, n = 10",
+        )
+        batched = _StandIn(value, ambiguous=lambda a: a == target)
+        batched.install(monkeypatch)
+        assert _outcome(10, BRACKET, critical_a) == expected
+        assert batched.scalar_points == list(BRACKET)
 
 
 class TestQuantize:
