@@ -17,6 +17,15 @@ either norm for every a < 1 and n <= 1000, so each float enclosure has
 zero width.  Only the final
 gap at the backed off coefficient is a proof: it is recomputed in exact
 rational arithmetic.
+
+The float enclosures come mostly from array passes of
+``series.float_norms_sq``, whose element i equals the scalar enclosure
+at a[i] bit for bit.  ``coarse_scan`` samples its whole grid in one
+pass.  ``critical_a`` reads its two bracket ends by scalar calls and its
+midpoints in rounds of one pass each, predicted from a secant guess;
+about three rounds take a coarse cell through its 27 midpoints down to
+BRACKET_TOL.  The guess decides only which points a pass evaluates, so
+the signs read are those of the plain bisection.
 """
 
 from __future__ import annotations

@@ -231,11 +231,9 @@ class TestCriticalAMatchesBisection:
         n, bracket = case
         expected = _outcome(n, bracket, bisect_oracle)
         actual = _outcome(n, bracket, critical_a)
+        # Finite floats compare equal only when their bits are equal (but
+        # for +-0, which no bracket in (0, 1) holds).
         assert actual == expected
-        if isinstance(expected, search.CriticalPoint):
-            assert struct.pack("<3d", actual.a_star, *actual.bracket) == struct.pack(
-                "<3d", expected.a_star, *expected.bracket
-            )
 
 
 class _StandIn:
