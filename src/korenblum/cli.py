@@ -90,13 +90,17 @@ _points = _bounded_int("point count", 2, MAX_POINTS)
 
 
 def _grid(text: str) -> QuadratureGrid:
+    if "x" in text.lower():
+        raise argparse.ArgumentTypeError(
+            f"bad grid {text!r}: give the radial node count R alone (e.g. 128); "
+            "the angular mean is exact, so there are no angular nodes"
+        )
     from .quadrature import QuadratureGrid
 
     try:
-        radial, _, angular = text.lower().partition("x")
-        return QuadratureGrid(radial_nodes=int(radial), angular_nodes=int(angular))
+        return QuadratureGrid(radial_nodes=int(text))
     except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"bad grid {text!r} (expected RxA, e.g. 128x256): {exc}")
+        raise argparse.ArgumentTypeError(f"bad grid {text!r} (expected R, e.g. 128): {exc}")
 
 
 def _safety(text: str) -> float:
@@ -140,8 +144,9 @@ def build_parser() -> argparse.ArgumentParser:
                                "doubles it until resolved (default %(default)s)")
     p_verify.add_argument("--exact", action="store_true",
                           help="accepted for existing command lines; the gap is always exact")
-    p_verify.add_argument("--grid", type=_grid, default=None, metavar="RxA",
-                          help="quadrature grid, e.g. 128x256")
+    p_verify.add_argument("--grid", type=_grid, default=None, metavar="R",
+                          help="radial Gauss-Legendre nodes of the quadrature "
+                               "cross-check, e.g. 128")
     p_verify.add_argument("--json", action="store_true")
     p_verify.add_argument("--out", default=None, help="write the certificate here")
     p_verify.set_defaults(func=cmd_verify)

@@ -1,53 +1,46 @@
-"""Tensor-product quadrature cross-check of the series norms.
+"""Quadrature cross-check of the series norms: a radial rule, the angle in closed form.
 
 Both squared norms are integrals over the unit disk with respect to
-normalized area measure dA = (1/pi) r dr dtheta.  The integrands depend
-on the angle only through n*theta, so averaging over theta equals
-averaging the reduced angle phi = n*theta over one full turn:
+normalized area measure dA = (1/pi) r dr dtheta.  |f|^2 and |g|^2 / r^2
+depend on the angle only through t = cos(n theta), as
 
-    ||f||^2 = (1/pi) int_0^{2 pi} int_0^1 Kf(a, r^n, cos phi) r dr dphi
+    Kf(a, rho, t) = (a^2 + 2 a rho t + rho^2) / (4 - 4 a rho t + a^2 rho^2)
+    Kg(a, rho, t) = (1 + 2 a rho t + a^2 rho^2) / (4 - 4 a rho t + a^2 rho^2)
 
-Two coordinate systems are supported:
+with rho = r^n, so their mean over the circle |z| = r is the mean over
+one turn of phi = n theta.  The denominator is gamma - delta t with
+gamma = 4 + a^2 rho^2 and delta = 4 a rho, and gamma^2 - delta^2 = s^2
+with s = 4 - a^2 rho^2 > 0.  Over one turn 1 / (gamma - delta t) has mean
+1 / s and t / (gamma - delta t) has mean (gamma - s) / (delta s) =
+a rho / (2 s), so
 
-* ``original``: integrate Kf(a, r^n, cos phi) * r over (r, phi).  The
-  integrand is smooth but, for large n, concentrated near r = 1.
-* ``substituted``: substitute rho = r^n and then flatten the resulting
-  endpoint weight rho^(2/n - 1) (for f; rho^(4/n - 1) for g) with a
-  second substitution u = rho^(2/n) (resp. u = rho^(4/n)), giving
+    Mf(rho^2) = mean of |f|^2       = (a^2 + rho^2 + a^2 rho^2) / (4 - a^2 rho^2)
+    Mg(rho^2) = mean of |g|^2 / r^2 = (1 + 2 a^2 rho^2) / (4 - a^2 rho^2)
 
-      ||f||^2 = 1/(2 pi) int_0^{2 pi} int_0^1 Kf(a, u^(n/2), cos phi) du dphi
-      ||g||^2 = 1/(4 pi) int_0^{2 pi} int_0^1 Kg(a, u^(n/4), cos phi) du dphi
+and each norm is one integral in the radius.  Two coordinate systems
+are supported:
 
-  where Kf(a, rho, t) = (a^2 + 2 a rho t + rho^2) / (4 - 4 a rho t + a^2 rho^2)
-  and Kg is the same with numerator 1 + 2 a rho t + a^2 rho^2.
+* ``original``: ||f||^2 = 2 int_0^1 Mf(r^(2n)) r dr and
+  ||g||^2 = 2 int_0^1 Mg(r^(2n)) r^3 dr.  The integrands are smooth but,
+  for large n, concentrated near r = 1.
+* ``substituted``: u = r^2 gives
 
-The two routes share no code with the Taylor-series engine, so their
-agreement is a genuine consistency check on both.
+      ||f||^2 = int_0^1 Mf(u^n) du,   ||g||^2 = int_0^1 Mg(u^n) u du.
 
-The radial variable uses Gauss-Legendre on [0, 1]; the reduced angle
-phi uses the equal-weight trapezoid rule phi_k = 2 pi k / N.  The
-integrand is periodic and analytic in phi: its only singularity sits
-where the denominator vanishes, at cos phi = (4 + a^2 rho^2) / (4 a rho),
-which is at least 5/4 for 0 <= a, rho <= 1.  So the trapezoid error falls
-geometrically, roughly like 2^(-N), and reaches rounding at the default
-N = 256 for every a < 1 (Trefethen and Weideman, SIAM Review 2014).  It
-needs no eigen-solve, so the only rule to solve is the radial
-Gauss-Legendre rule, once per node count, and it is cached.
+  The means depend on rho^2 = u^n alone, so both integrands are analytic
+  in u for every n, odd n included.
 
-The integrand is evaluated a block of radii at a time into three tables
-allocated once per value, the kernel's numerator and denominator and a
-table for the radial columns, each of at most ``series.FLOAT_BLOCK_CELLS``
-doubles (64 KiB, below glibc's mmap threshold) unless one angular row is
-longer; cos phi is tiled to the block's height once per value.  Every
-step writes into those tables, and each row's mean goes into one vector
-of radial means, so no temporary of the grid's size is made and the heap
-is not trimmed and regrown from one value to the next.  Each column
-(2 a rho, 4 a rho, (a rho)^2, rho^2, the weight) is copied into a table
-before the ufunc that reads it, so no ufunc has a broadcast operand:
-numpy 2.4 allocates 64 KiB of iterator buffers for each such operand,
-and they took about half of a block's time.  The steps are the
-formula's operations in the order written, so the value equals that of
-the whole table at once, bit for bit.
+Each integral takes the Gauss-Legendre rule on [0, 1].  The rule is an
+eigen-solve, done once per node count and cached.
+
+The route shares no code with the Taylor-series engine, and it reaches
+the norms through an integral in r, not through Parseval's identity on
+the coefficients, so their agreement checks the coefficient formula and
+the weights 1/(n k + 1) of the series.  It is one analytic step closer
+to the series than a two-dimensional rule would be: expanding
+1/(4 - a^2 rho^2) in powers of rho^2 gives the series' terms back.
+``tests/oracles.py`` keeps the two-dimensional rule, Gauss-Legendre in
+r times the trapezoid rule in phi, as the oracle of the closed form.
 
 ``cross_check`` takes its four quadrature values from ``norm_sq_quad``,
 so the certificate's numbers and the norm function share one code path.
@@ -67,13 +60,10 @@ Coords = Literal["original", "substituted"]
 Which = Literal["f", "g"]
 
 CONVERGENCE_TOL = 1e-8
-# The cells are evaluated a block of radii at a time, so the cap bounds
-# time, not memory: ~7 ms per million cells (2-core Xeon VM), and the
-# radial Gauss-Legendre rule is an eigen-solve (~5 s at 4096 nodes).  It
-# stays because the grid is outside input (--grid, library callers).
-MAX_GRID_CELLS = 1 << 22
+# The radial Gauss-Legendre rule is an eigen-solve (~5 s at 4096 nodes),
+# and the node count is outside input (--grid, library callers).
 MAX_RADIAL_NODES = 4096
-# Above this n, cross_check's default grid has 256 radial nodes, not 128:
+# Above this n, cross_check's default rule has 256 radial nodes, not 128:
 # the original-coordinate integrand gathers near r = 1 as n grows.  At
 # a = (n - 1)/(n + 1) - 1e-4, 128 nodes miss the series by 1.1e-13 at
 # n = 256, 1.3e-10 at n = 500 and 1.8e-8 at n = 1000 (over
@@ -82,29 +72,23 @@ FINE_CROSS_CHECK_N = 256
 
 
 class QuadratureNotConverged(RuntimeError):
-    """Grid doubling moved the value by more than the convergence tolerance."""
+    """Doubling the radial nodes moved the value by more than the convergence tolerance."""
 
 
 @dataclass(frozen=True)
 class QuadratureGrid:
-    """Tensor product rule: Gauss-Legendre radially, trapezoid angularly."""
+    """The radial Gauss-Legendre rule; the angular mean is exact."""
 
     radial_nodes: int = 128
-    angular_nodes: int = 256
 
     def __post_init__(self) -> None:
         if self.radial_nodes < 8:
             raise ValueError("need at least 8 radial nodes")
-        if self.angular_nodes < 16:
-            raise ValueError("need at least 16 angular nodes")
-        cells = self.radial_nodes * self.angular_nodes
-        if self.radial_nodes > MAX_RADIAL_NODES or cells > MAX_GRID_CELLS:
-            raise ValueError(
-                f"grid must have at most {MAX_RADIAL_NODES} radial nodes and {MAX_GRID_CELLS} cells"
-            )
+        if self.radial_nodes > MAX_RADIAL_NODES:
+            raise ValueError(f"grid must have at most {MAX_RADIAL_NODES} radial nodes")
 
     def doubled(self) -> "QuadratureGrid":
-        return QuadratureGrid(2 * self.radial_nodes, 2 * self.angular_nodes)
+        return QuadratureGrid(2 * self.radial_nodes)
 
 
 @lru_cache(maxsize=8)
@@ -129,80 +113,28 @@ def gauss_legendre_nodes(count: int):
     return 0.5 * (x + 1.0), 0.5 * w
 
 
-def _kernel(a: float, which: Which, rho, cos_phi, tables):
-    """Kf or Kg (module docstring) at radii ``rho`` (a column) and ``cos_phi``.
+def _circle_mean(a: float, which: Which, rho_sq):
+    """Mf or Mg (module docstring) at ``rho_sq`` = rho^2, elementwise."""
+    a_sq_rho_sq = (a * a) * rho_sq
+    num = (a * a + rho_sq + a_sq_rho_sq) if which == "f" else (1.0 + 2.0 * a_sq_rho_sq)
+    return num / (4.0 - a_sq_rho_sq)
 
-    ``cos_phi`` is a row, or that row tiled to the table's shape.  The value
-    is written into the first of ``tables``, three arrays of the broadcast
-    shape, and returned; the second is scratch for the denominator and the
-    third takes each column of ``rho`` terms before the ufunc that adds it.
-    With a tiled ``cos_phi`` no ufunc has a broadcast operand, for which
-    numpy would allocate iterator buffers.  Each step is one ufunc in the
-    order of the formula as written, so the value does not depend on which
-    rows are evaluated together.
-    """
+
+def _radial_value(params: Params, which: Which, grid: QuadratureGrid, coords: Coords) -> float:
     import numpy as np
-
-    num, den, column = tables
-    a_rho_sq = (a * rho) ** 2
-    np.copyto(column, a_rho_sq)
-    # 4 - 4 a rho t + a^2 rho^2
-    np.copyto(den, (4.0 * a) * rho)
-    np.multiply(den, cos_phi, out=den)
-    np.subtract(4.0, den, out=den)
-    np.add(den, column, out=den)
-    # f: a^2 + 2 a rho t + rho^2;  g: 1 + 2 a rho t + a^2 rho^2
-    if which == "f":
-        np.copyto(column, rho * rho)
-    np.copyto(num, (2.0 * a) * rho)
-    np.multiply(num, cos_phi, out=num)
-    np.add(a * a if which == "f" else 1.0, num, out=num)
-    np.add(num, column, out=num)
-    return np.divide(num, den, out=num)
-
-
-def _tensor_value(params: Params, which: Which, grid: QuadratureGrid, coords: Coords) -> float:
-    # The trapezoid weights in phi are all 2 pi / N, so the angular
-    # integral is 2 pi times a row mean; each prefactor below is the
-    # docstring's 1/pi, 1/(2 pi) or 1/(4 pi) with that 2 pi folded in.
-    import numpy as np
-
-    from .series import FLOAT_BLOCK_CELLS
 
     u, wu = gauss_legendre_nodes(grid.radial_nodes)
-    phi = (2.0 * np.pi / grid.angular_nodes) * np.arange(grid.angular_nodes)
-    a = params.a_float
     n = params.n
-    weight = None
     if coords == "original":
-        rho = u ** n
-        weight = u if which == "f" else u ** 3
+        values = _circle_mean(params.a_float, which, u ** (2 * n))
+        values *= u if which == "f" else u ** 3
         prefactor = 2.0
-    elif which == "f":
-        rho = u ** (n / 2.0)
-        prefactor = 1.0
     else:
-        rho = u ** (n / 4.0)
-        prefactor = 0.5
-    rows = min(max(1, FLOAT_BLOCK_CELLS // grid.angular_nodes), grid.radial_nodes)
-    cos_phi = np.tile(np.cos(phi), (rows, 1))
-    tables = tuple(np.empty((rows, grid.angular_nodes)) for _ in range(3))
-    means = np.empty(grid.radial_nodes)
-    for start in range(0, grid.radial_nodes, rows):
-        block = slice(start, start + rows)
-        rho_b = rho[block, None]
-        if len(rho_b) < rows:
-            cos_phi = cos_phi[: len(rho_b)]
-            tables = tuple(t[: len(rho_b)] for t in tables)
-        values = _kernel(a, which, rho_b, cos_phi, tables)
-        if weight is not None:
-            column = tables[2]
-            np.copyto(column, weight[block, None])
-            np.multiply(values, column, out=values)
-        np.add.reduce(values, axis=1, out=means[block])
-    # the row means, divided as values.mean(axis=1) divides its sums
-    means /= grid.angular_nodes
-    return float(prefactor * np.dot(wu, means))
+        values = _circle_mean(params.a_float, which, u ** n)
+        if which == "g":
+            values *= u
+        prefactor = 1.0
+    return float(prefactor * np.dot(wu, values))
 
 
 def norm_sq_quad(
@@ -212,11 +144,11 @@ def norm_sq_quad(
     coords: Coords = "original",
     check_convergence: bool = True,
 ) -> float:
-    """Squared norm of f or g by tensor-product quadrature.
+    """Squared norm of f or g by radial quadrature of the exact circle mean.
 
-    With ``check_convergence`` the grid is doubled once in both
-    directions; a change above CONVERGENCE_TOL raises
-    QuadratureNotConverged instead of returning a dubious value.
+    With ``check_convergence`` the radial nodes are doubled once; a
+    change above CONVERGENCE_TOL raises QuadratureNotConverged instead
+    of returning a dubious value.
     """
     if which not in ("f", "g"):
         raise ValueError(f"which must be 'f' or 'g', got {which!r}")
@@ -226,9 +158,9 @@ def norm_sq_quad(
         grid = QuadratureGrid()
     # Doubling first refuses a grid too large to double before any rule is solved.
     finer = grid.doubled() if check_convergence else None
-    value = _tensor_value(params, which, grid, coords)
+    value = _radial_value(params, which, grid, coords)
     if finer is not None:
-        refined = _tensor_value(params, which, finer, coords)
+        refined = _radial_value(params, which, finer, coords)
         if abs(refined - value) > CONVERGENCE_TOL:
             raise QuadratureNotConverged(
                 f"norm_sq_quad({which}, {coords}) moved by "
@@ -252,6 +184,7 @@ class CrossCheckReport:
     delta_quad: float
     max_discrepancy: float
     tol: float
+    radial_nodes: int
     passed: bool
 
 
@@ -264,13 +197,13 @@ def cross_check(params: Params, grid: QuadratureGrid | None = None) -> CrossChec
     The report fails (``passed`` False) if any pairwise discrepancy
     within the f values or within the g values exceeds CONVERGENCE_TOL.
     The grid is not doubled: the three-way agreement is the evidence.
-    Without ``grid`` it is 128x256, or 256x256 when n exceeds
-    FINE_CROSS_CHECK_N.
+    Without ``grid`` the radial rule has 128 nodes, or 256 when n exceeds
+    FINE_CROSS_CHECK_N; the report records the count.
     """
     from .series import norm_sq_f, norm_sq_g
 
     if grid is None:
-        grid = QuadratureGrid(radial_nodes=256 if params.n > FINE_CROSS_CHECK_N else 128)
+        grid = QuadratureGrid(256 if params.n > FINE_CROSS_CHECK_N else 128)
     sf = norm_sq_f(params, mode="float")
     sg = norm_sq_g(params, mode="float")
     series_f = float(sf.midpoint)
@@ -295,5 +228,6 @@ def cross_check(params: Params, grid: QuadratureGrid | None = None) -> CrossChec
         delta_quad=qf_orig - qg_orig,
         max_discrepancy=disc,
         tol=CONVERGENCE_TOL,
+        radial_nodes=grid.radial_nodes,
         passed=disc <= CONVERGENCE_TOL,
     )

@@ -21,6 +21,10 @@ pass of the series engine must reproduce bit for bit.
 working precision, for checks of the quadrature against the true norm.
 ``mp_abs_ratio`` evaluates |f|/|g| in 50-digit complex arithmetic at
 given doubles, for checks of the domination grid's real components.
+``trapezoid_circle_mean`` is the N-point trapezoid mean over the angle
+of |f|^2 and |g|^2 / r^2 as functions of r^n and cos(n theta), and
+``tensor_norm_sq`` the two-dimensional rule built on it (Gauss-Legendre
+in the radius), for checks of the quadrature's closed-form circle mean.
 ``bisect_oracle`` is the plain bisection of the sign change of delta(a),
 one scalar ``delta_of_a`` call per midpoint, for checks of the batched
 rounds of ``search.critical_a``.
@@ -184,6 +188,52 @@ def grid_oracle(params, c: float, radial_samples: int, angular_samples: int):
     dist = np.minimum(k, angular_samples - k) / params.n
     near = ratio >= (row_max * (1.0 - 1e-13))[:, None]
     return float(row_max.max()), float(np.where(near, dist, np.inf).min(axis=1).max())
+
+
+def circle_kernel(a: float, which: str, rho, cos_phi):
+    """|f|^2, or |g|^2 / r^2, at rho = r^n and cos_phi = cos(n theta), in floats."""
+    cross = 2.0 * a * rho * cos_phi
+    num = (a * a + cross + rho * rho) if which == "f" else (1.0 + cross + (a * rho) ** 2)
+    return num / (4.0 - 2.0 * cross + (a * rho) ** 2)
+
+
+# Angular nodes of the trapezoid oracle.
+TRAPEZOID_NODES = 256
+
+
+def trapezoid_circle_mean(a: float, which: str, rho):
+    """Mean of ``circle_kernel`` over phi_k = 2 pi k / N, k = 0..N-1, for each rho.
+
+    The kernel is periodic and analytic in phi, with its nearest pole at
+    cos phi >= 5/4 for 0 <= a, rho <= 1, so the error falls like 2^-N and
+    is below rounding at N = TRAPEZOID_NODES = 256 (Trefethen and
+    Weideman, SIAM Review 2014).
+    """
+    import numpy as np
+
+    cos_phi = np.cos((2.0 * np.pi / TRAPEZOID_NODES) * np.arange(TRAPEZOID_NODES))
+    return circle_kernel(a, which, np.asarray(rho, dtype=float)[..., None], cos_phi).mean(axis=-1)
+
+
+def tensor_norm_sq(params, which: str, radial_nodes: int, coords: str) -> float:
+    """||f||^2 or ||g||^2 by Gauss-Legendre in the radius times the trapezoid rule in phi.
+
+    ``original``: 2 int_0^1 mean(r^n) r dr, with r^3 in place of r for g.
+    ``substituted`` (u = r^2): int_0^1 mean(u^(n/2)) du, with u du for g.
+    """
+    import numpy as np
+
+    x, w = np.polynomial.legendre.leggauss(radial_nodes)
+    u, w = 0.5 * (x + 1.0), 0.5 * w
+    a, n = params.a_float, params.n
+    if coords == "original":
+        values = 2.0 * trapezoid_circle_mean(a, which, u ** n)
+        values *= u if which == "f" else u ** 3
+    else:
+        values = trapezoid_circle_mean(a, which, u ** (n / 2.0))
+        if which == "g":
+            values *= u
+    return float(np.dot(w, values))
 
 
 def bisect_oracle(n: int, bracket: Tuple[float, float]):

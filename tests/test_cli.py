@@ -67,7 +67,11 @@ GOLDEN_NORMS_LONG_SHA256 = "9221ef60c41c09f3af9034629dac96fb1819bf1b1b67cb0af504
 # only grid_max_ratio changed, from 1 + 4.0e-15 to 1 + 6.7e-16.  Re-pinned
 # when the grid moved to real components, whose bits are the same on every
 # SIMD target: only grid_max_ratio changed, from 1 + 6.7e-16 to 1 + 4.4e-16.
-GOLDEN_VERIFY_SHA256 = "cb5922b311a5f72ed2280d86f1de51d215091da9f629d276e5a7723e071f11f2"
+# Re-pinned when the cross-check took the angular mean in closed form and
+# recorded its radial node count: quad_g_original and quad_g_substituted
+# moved by at most 4.4e-16, delta_quad and max_discrepancy with them, and
+# cross_check gained "radial_nodes": 128.
+GOLDEN_VERIFY_SHA256 = "a30e5e6c566b7d5cabf16317c8e619e19293bfc826b45f8de2a72d144cf8df5a"
 # Float norms at the same pair, re-pinned when a float gap stopped
 # counting as certified: only "certified": true became false.
 GOLDEN_FLOAT_NORMS_SHA256 = "84ad7423fc25328ef7a33000d840bacfb4adb94d6a69b93c54b3eb051e2a7817"
@@ -223,11 +227,18 @@ class TestUsageErrors:
         assert excinfo.value.code == 2
         assert f"at most {korenblum.cli.MAX_FREQUENCY}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("grid", ["128x256", "128X256", "8x"])
+    def test_grid_takes_radial_nodes_only(self, capsys, grid):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["verify", *REFERENCE_ARGS, "--grid", grid])
+        assert excinfo.value.code == 2
+        assert "the angular mean is exact" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "argv",
         [
-            ["verify", *REFERENCE_ARGS, "--grid", "100000x100000"],
-            ["verify", *REFERENCE_ARGS, "--grid", "8192x16"],
+            ["verify", *REFERENCE_ARGS, "--grid", "100000"],
+            ["verify", *REFERENCE_ARGS, "--grid", "8192"],
             ["plot-data", *REFERENCE_ARGS, "--points", "100000000"],
             ["plot-data", *REFERENCE_ARGS, "--points", "1"],
         ],
@@ -291,7 +302,7 @@ class TestVerify:
             # No double has a residual below 0, so the root check fails.
             (["--a", "0.6666757", "--n", "10"], 0.0, "critical_root"),
             (["--a", "0.66", "--n", "10"], None, "norm_gap"),
-            (["--a", "0.6666757", "--n", "10", "--grid", "8x16"], None, "cross_check"),
+            (["--a", "0.6666757", "--n", "10", "--grid", "8"], None, "cross_check"),
         ],
         ids=["critical_root", "norm_gap", "cross_check"],
     )
@@ -306,7 +317,7 @@ class TestVerify:
         "argv",
         [
             ["--a", "0.9899", "--n", "200"],
-            ["--a", "0.998", "--n", "1000", "--grid", "512x256"],
+            ["--a", "0.998", "--n", "1000", "--grid", "512"],
             # A 128x256 quadrature misses ||f||^2 by 1.8e-8 here; the
             # default grid has 256 radial nodes above n = 256.
             ["--a", "0.998", "--n", "1000"],
@@ -802,7 +813,7 @@ class TestCertificateObject:
              "domination", None, True),
             # The root and the grid pass; the exact gap is negative.
             ("0.66", 10, None, None, "norm_gap", None, True),
-            ("0.6666757", 10, QuadratureGrid(8, 16), None, "cross_check", None, True),
+            ("0.6666757", 10, QuadratureGrid(8), None, "cross_check", None, True),
         ],
         ids=["critical_root", "critical_root-residual", "domination-violated",
              "domination-hypothesis", "domination-verdict", "norm_gap", "cross_check"],

@@ -20,97 +20,53 @@ from korenblum.quadrature import (
     gauss_legendre_nodes,
 )
 
-from .oracles import mp_norm_sq
+from .oracles import circle_kernel, mp_norm_sq, tensor_norm_sq, trapezoid_circle_mean
 
 AGREEMENT_CASES = [("0.6666714", 10), ("0.1", 2), ("0.5", 10), ("0.9", 4)]
 
 
-def _whole_table_kernel_f(a, rho, cos_phi):
-    num = a * a + 2.0 * a * rho * cos_phi + rho * rho
-    den = 4.0 - 4.0 * a * rho * cos_phi + (a * rho) ** 2
-    return num / den
+def assert_matches_tensor_oracle(params, which, grid, coords, check_convergence):
+    """``norm_sq_quad`` against the two-dimensional rule of ``oracles.tensor_norm_sq``.
 
-
-def _whole_table_kernel_g(a, rho, cos_phi):
-    num = 1.0 + 2.0 * a * rho * cos_phi + (a * rho) ** 2
-    den = 4.0 - 4.0 * a * rho * cos_phi + (a * rho) ** 2
-    return num / den
-
-
-def whole_table_value(params, which, grid, coords):
-    """The tensor rule on the whole radial x angular table at once.
-
-    This is the formula in the order the block evaluation must keep, so
-    the two agree bit for bit.
+    The closed-form circle mean and the 256-point trapezoid mean agree to
+    a few ulps (``TestCircleMean``), and the radial sums add positive
+    terms, so the two rules agree to a few ulps of the value.
     """
-    u, wu = gauss_legendre_nodes(grid.radial_nodes)
-    phi = (2.0 * np.pi / grid.angular_nodes) * np.arange(grid.angular_nodes)
-    cos_phi = np.cos(phi)[None, :]
-    a, n = params.a_float, params.n
-    if coords == "original":
-        r = u[:, None]
-        if which == "f":
-            values = _whole_table_kernel_f(a, r ** n, cos_phi) * r
-        else:
-            values = _whole_table_kernel_g(a, r ** n, cos_phi) * r ** 3
-        prefactor = 2.0
-    elif which == "f":
-        values = _whole_table_kernel_f(a, (u ** (n / 2.0))[:, None], cos_phi)
-        prefactor = 1.0
-    else:
-        values = _whole_table_kernel_g(a, (u ** (n / 4.0))[:, None], cos_phi)
-        prefactor = 0.5
-    return float(prefactor * np.dot(wu, values.mean(axis=1)))
-
-
-def whole_table_norm_sq(params, which, grid, coords, check_convergence):
-    """``norm_sq_quad`` on whole tables; None where it must refuse."""
-    value = whole_table_value(params, which, grid, coords)
+    expected = tensor_norm_sq(params, which, grid.radial_nodes, coords)
     if check_convergence:
-        refined = whole_table_value(params, which, grid.doubled(), coords)
-        if abs(refined - value) > quadrature.CONVERGENCE_TOL:
-            return None
-        value = refined
-    return value
-
-
-def assert_matches_whole_table(params, which, grid, coords, check_convergence):
-    expected = whole_table_norm_sq(params, which, grid, coords, check_convergence)
-    if expected is None:
-        with pytest.raises(QuadratureNotConverged):
-            norm_sq_quad(params, which, grid, coords, check_convergence)
-        return
+        refined = tensor_norm_sq(params, which, 2 * grid.radial_nodes, coords)
+        if abs(refined - expected) > quadrature.CONVERGENCE_TOL:
+            with pytest.raises(QuadratureNotConverged):
+                norm_sq_quad(params, which, grid, coords, check_convergence)
+            return
+        expected = refined
     value = norm_sq_quad(params, which, grid, coords, check_convergence)
-    assert value.hex() == expected.hex(), (which, coords, grid, check_convergence)
+    assert value == pytest.approx(expected, rel=2e-15, abs=0.0), (which, coords, grid)
 
 
 class TestGrid:
     def test_defaults(self):
-        grid = QuadratureGrid()
-        assert (grid.radial_nodes, grid.angular_nodes) == (128, 256)
+        assert QuadratureGrid().radial_nodes == 128
 
     def test_doubled(self):
-        grid = QuadratureGrid(8, 16).doubled()
-        assert (grid.radial_nodes, grid.angular_nodes) == (16, 32)
+        assert QuadratureGrid(8).doubled() == QuadratureGrid(16)
 
     def test_validation(self):
         with pytest.raises(ValueError):
             QuadratureGrid(radial_nodes=4)
-        with pytest.raises(ValueError):
-            QuadratureGrid(angular_nodes=8)
 
-    @pytest.mark.parametrize("shape", [(8192, 16), (4096, 2048)])
-    def test_size_limits(self, shape):
+    @pytest.mark.parametrize("radial_nodes", [4097, 8192])
+    def test_size_limits(self, radial_nodes):
         with pytest.raises(ValueError, match="at most"):
-            QuadratureGrid(*shape)
+            QuadratureGrid(radial_nodes)
 
     def test_refuses_to_double_the_largest_grid_before_solving(self, reference):
-        # 4096x1024 is the largest grid allowed; its doubled grid is not,
-        # and that must fail before the 4096-node rule is solved (~5 s).
+        # 4096 radial nodes is the largest grid allowed; its doubled grid is
+        # not, and that must fail before the 4096-node rule is solved (~5 s).
         quadrature._legendre_rule.cache_clear()
         start = time.perf_counter()
         with pytest.raises(ValueError, match="at most"):
-            norm_sq_quad(reference, grid=QuadratureGrid(4096, 1024))
+            norm_sq_quad(reference, grid=QuadratureGrid(4096))
         assert time.perf_counter() - start < 1.0
 
 
@@ -137,7 +93,6 @@ class TestRuleCache:
         quadrature._legendre_rule.cache_clear()
 
     def test_cross_check_solves_each_count_once(self, reference, leggauss_counts):
-        # the angle takes the trapezoid rule, which needs no eigen-solve
         grid = QuadratureGrid()
         cross_check(reference, grid)
         assert leggauss_counts == {grid.radial_nodes: 1}
@@ -172,71 +127,60 @@ class TestRuleCache:
             assert getattr(cold, field.name) == getattr(warm, field.name), field.name
 
 
-def _kernel(a, which, rho, cos_phi):
-    """``quadrature._kernel`` into three tables of the broadcast shape."""
-    shape = np.broadcast_shapes(np.shape(rho), np.shape(cos_phi))
-    return quadrature._kernel(a, which, rho, cos_phi, tuple(np.empty(shape) for _ in range(3)))
+class TestCircleMean:
+    @settings(max_examples=300)
+    @given(
+        m=st.integers(0, 9_990_000),
+        n=st.integers(2, 1000),
+        r=st.floats(0.0, 1.0),
+        which=st.sampled_from(["f", "g"]),
+    )
+    def test_closed_form_is_the_trapezoid_mean(self, m, n, r, which):
+        # a in [0, 0.999] as a seven-digit decimal, as Params takes it;
+        # rho over [0, 1] both directly and as the r^n of the radial rule
+        a = float(Fraction(m, 10**7))
+        rho = np.array([r, r**n])
+        closed = quadrature._circle_mean(a, which, rho * rho)
+        trapezoid = trapezoid_circle_mean(a, which, rho)
+        assert np.all(np.abs(closed - trapezoid) <= 1e-15 * trapezoid), (closed, trapezoid)
 
-
-class TestIntegrands:
-    def test_nonnegative_on_grid(self):
-        rho = np.linspace(0.0, 1.0, 41)[:, None]
-        cos_phi = np.cos(np.linspace(0.0, 2 * np.pi, 64))[None, :]
+    def test_nonnegative(self):
+        rho_sq = np.linspace(0.0, 1.0, 41)
         for a, _ in AGREEMENT_CASES:
             a = float(Fraction(a))
-            assert np.all(_kernel(a, "f", rho, cos_phi) >= 0.0)
-            assert np.all(_kernel(a, "g", rho, cos_phi) >= 0.0)
-
-    @pytest.mark.parametrize("tiled", [False, True])
-    @pytest.mark.parametrize("which", ["f", "g"])
-    def test_kernel_writes_into_given_tables(self, which, tiled):
-        rho = np.linspace(0.0, 1.0, 41)[:, None]
-        cos_phi = np.cos(np.linspace(0.0, 2 * np.pi, 64))[None, :]
-        row = np.tile(cos_phi, (41, 1)) if tiled else cos_phi
-        tables = tuple(np.full((41, 64), np.nan) for _ in range(3))
-        values = quadrature._kernel(0.6, which, rho, row, tables)
-        assert values is tables[0]
-        whole = _whole_table_kernel_f if which == "f" else _whole_table_kernel_g
-        assert np.array_equal(values, whole(0.6, rho, cos_phi))
+            assert np.all(quadrature._circle_mean(a, "f", rho_sq) >= 0.0)
+            assert np.all(quadrature._circle_mean(a, "g", rho_sq) >= 0.0)
 
     def test_angular_reduction(self, reference):
         # |f|^2 and |g|^2 / r^2 depend on the angle only through
-        # cos(n theta), which is what the kernels take
+        # cos(n theta), which is what the oracle's kernel takes
         r = np.linspace(0.05, 1.0, 20)[:, None]
         theta = np.linspace(0.0, 2 * np.pi, 37)[None, :]
         z = r * np.exp(1j * theta)
         rho, cos_phi = r ** reference.n, np.cos(reference.n * theta)
         a = reference.a_float
         assert np.allclose(
-            _kernel(a, "f", rho, cos_phi), np.abs(eval_f(reference, z)) ** 2,
+            circle_kernel(a, "f", rho, cos_phi), np.abs(eval_f(reference, z)) ** 2,
             rtol=1e-13, atol=0.0,
         )
         assert np.allclose(
-            _kernel(a, "g", rho, cos_phi) * r ** 2, np.abs(eval_g(reference, z)) ** 2,
+            circle_kernel(a, "g", rho, cos_phi) * r ** 2, np.abs(eval_g(reference, z)) ** 2,
             rtol=1e-13, atol=0.0,
         )
 
 
-class TestBlocks:
-    """Block evaluation against the whole-table formula, bit for bit."""
+class TestTensorOracle:
+    """The radial rule against the two-dimensional rule it replaced."""
 
     @pytest.mark.parametrize("check_convergence", [False, True])
     @pytest.mark.parametrize("coords", ["original", "substituted"])
     @pytest.mark.parametrize("which", ["f", "g"])
-    @pytest.mark.parametrize(
-        "shape",
-        [
-            (128, 256),  # the default: whole blocks of 32 radii
-            (100, 256),  # a last block of 4 radii
-            (129, 512),  # a last block of one radius
-            (8, 16384),  # rows longer than a block: one radius per block
-        ],
-    )
-    def test_norm_sq_quad_is_the_whole_table_value(
-        self, reference, shape, which, coords, check_convergence
+    @pytest.mark.parametrize("radial_nodes", [128, 100, 129, 8])
+    def test_norm_sq_quad_is_the_tensor_value(
+        self, reference, radial_nodes, which, coords, check_convergence
     ):
-        grid = QuadratureGrid(*shape)
-        assert_matches_whole_table(reference, which, grid, coords, check_convergence)
+        grid = QuadratureGrid(radial_nodes)
+        assert_matches_tensor_oracle(reference, which, grid, coords, check_convergence)
 
     @settings(max_examples=60)
     @given(
@@ -246,31 +190,31 @@ class TestBlocks:
         coords=st.sampled_from(["original", "substituted"]),
         check_convergence=st.booleans(),
     )
-    def test_whole_table_value_at_random_params(self, m, n, which, coords, check_convergence):
+    def test_tensor_value_at_random_params(self, m, n, which, coords, check_convergence):
         params = Params(Fraction(m, 10**7), n)
-        assert_matches_whole_table(params, which, QuadratureGrid(), coords, check_convergence)
+        assert_matches_tensor_oracle(params, which, QuadratureGrid(), coords, check_convergence)
 
-    @pytest.mark.parametrize("coords", ["original", "substituted"])
-    @pytest.mark.parametrize("which", ["f", "g"])
-    def test_peak_memory_is_two_blocks(self, reference, which, coords):
-        # Three 64 KiB tables and the tiled cos(phi), 264 KiB in all, with
-        # no ufunc's broadcast buffers (two tables and those buffers peaked
-        # at 268 KiB); the whole table took several 256 KiB temporaries
-        # (842 KiB peak).
-        grid = QuadratureGrid(128, 256)
-        quadrature._tensor_value(reference, which, grid, coords)  # caches the rule
+
+class TestMemory:
+    @pytest.mark.parametrize("a, n", [("0.6666757", 10), ("0.998", 1000)])
+    def test_cross_check_peak_memory(self, a, n):
+        # The radial rule's arrays take a few KiB; a table of its 128 or 256
+        # radii times 256 angles took 268 KiB (a block of 32 radii at a time).
+        params = Params(Fraction(a), n)
+        cross_check(params)  # caches the rule
         tracing = tracemalloc.is_tracing()
         if not tracing:
             tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
-            quadrature._tensor_value(reference, which, grid, coords)
+            for _ in range(3):
+                cross_check(params)
             peak = tracemalloc.get_traced_memory()[1] - before
         finally:
             if not tracing:
                 tracemalloc.stop()
-        assert peak < 384 * 1024
+        assert peak < 64 * 1024
 
 
 class TestNormValues:
@@ -293,8 +237,8 @@ class TestNormValues:
     @pytest.mark.parametrize("n", [2, 20, 40])
     @pytest.mark.parametrize("a", ["0.99", "0.999"])
     def test_default_grid_matches_mpmath_near_a_one(self, a, n):
-        # as a -> 1 the kernels' pole in cos phi comes closest to the
-        # circle (cos phi = 5/4), the hardest case for the angular rule
+        # as a -> 1 the integrands' poles in r, where a^2 r^(2n) = 4, come
+        # closest to the interval, the hardest case for the radial rule
         p = Params(Fraction(a), n)
         for which in ("f", "g"):
             exact = mp_norm_sq(Fraction(a), n, which, dps=40)
@@ -302,6 +246,18 @@ class TestNormValues:
                 for check in (False, True):
                     value = norm_sq_quad(p, which, coords=coords, check_convergence=check)
                     assert abs(float(value - exact)) <= 1e-13, (which, coords, check)
+
+    @pytest.mark.parametrize("n", [3, 5])
+    def test_substituted_route_is_smooth_at_odd_n(self, n):
+        # Both substituted integrands depend on u through u^n, so the
+        # radial rule converges geometrically at odd n too; with g in
+        # u = r^4 the 128-node rule missed ||g||^2 by 5.4e-13 at n = 3.
+        a = Fraction("0.9")
+        p = Params(a, n)
+        for which in ("f", "g"):
+            exact = mp_norm_sq(a, n, which, dps=40)
+            value = norm_sq_quad(p, which, coords="substituted", check_convergence=False)
+            assert abs(float(value - exact)) <= 1e-14, which
 
     def test_validation(self, reference):
         with pytest.raises(ValueError):
@@ -311,12 +267,12 @@ class TestNormValues:
 
     def test_convergence_guard_trips_on_coarse_grid(self, reference):
         with pytest.raises(QuadratureNotConverged):
-            norm_sq_quad(reference, "f", grid=QuadratureGrid(8, 16))
+            norm_sq_quad(reference, "f", grid=QuadratureGrid(8))
 
     def test_coarse_grid_suffices_for_gentle_params(self):
-        # low frequency and moderate a converge already at 8x16
+        # low frequency and moderate a converge already at 8 radial nodes
         p = Params(Fraction(1, 2), 2)
-        value = norm_sq_quad(p, "f", grid=QuadratureGrid(8, 16))
+        value = norm_sq_quad(p, "f", grid=QuadratureGrid(8))
         assert value == pytest.approx(float(norm_sq_f(p, K=64).midpoint), abs=1e-10)
 
 
@@ -364,12 +320,15 @@ class TestCrossCheck:
     )
     def test_default_grid_takes_its_radial_nodes_from_n(self, a, n, radial):
         p = Params(Fraction(a), n)
-        assert cross_check(p) == cross_check(p, QuadratureGrid(radial, 256))
+        report = cross_check(p)
+        assert report == cross_check(p, QuadratureGrid(radial))
+        assert report.radial_nodes == radial
 
     def test_explicit_grid_is_used_as_given(self):
         p = Params(Fraction("0.998"), 1000)
-        grid = QuadratureGrid(128, 256)
+        grid = QuadratureGrid(128)
         report = cross_check(p, grid)
+        assert report.radial_nodes == 128
         assert report.quad_f_original == norm_sq_quad(p, "f", grid, check_convergence=False)
         # 128 radial nodes miss ||f||^2 in original coordinates by 1.8e-8 here
         assert not report.passed
