@@ -63,8 +63,9 @@ which every target computes alike.
 Most cells cannot hold their row's maximum, and the grid skips most of
 them.  The cells j = k + m P of a row share the numerators num_f =
 (a + x)^2 + y^2 and num_g = (1 + a x)^2 + (a y)^2 of reduced column k,
-so a block of rows first forms q = num_f / num_g on the P columns.  With u = 2^-53, the ratio_sq that the grid computes at
-every cell of column k is
+so a block of rows first forms q = num_f / num_g on the P columns.
+With u = 2^-53, the ratio_sq that the grid computes at every cell of
+column k is
 
     ratio_sq = q / r^2 (1 + d),  |d| <= 13 u + O(u^2) < 14 u.
 
@@ -107,10 +108,14 @@ whenever a NaN or inf lies among the row's P-wide values, since num_g
 overflows only with num_f for |a| < 1.  On the 17 pairs every row but
 r = 1 is alone, because the envelope lemma puts the peak at t = 1.
 
-The q screen runs on blocks of about GRID_BLOCK_CELLS P-wide values,
-and the alone rows, then the others, are evaluated in chunks of about
-as many cells, so the whole grid is never held in memory.  The bits
-depend neither on the block height nor on the period.
+The q screen runs on blocks of about GRID_BLOCK_CELLS P-wide values.
+Each call allocates four block buffers once, and every block forms its
+numerators and q in them with the same sequence of real operations as
+grid_ratio_sq, so the screen makes no other block-sized array.  The
+alone rows, then the others, are evaluated in chunks of about as many
+cells, so the whole grid is never held in memory: a 256x1024 grid peaks
+near 390 KiB, 450 KiB at n = 16 (tracemalloc).  The bits depend neither
+on the block height nor on the period.
 """
 
 from __future__ import annotations
@@ -137,11 +142,13 @@ BOUNDARY_TOL = 1e-9
 # A domination grid sample fails when |f|/|g| exceeds 1 + GRID_TOL.
 GRID_TOL = 1e-12
 # Blocks of the domination grid.  The screen runs on max(1,
-# GRID_BLOCK_CELLS // P) radii at a time, so its P-wide arrays hold about
-# 8192 doubles, 64 KiB, and stay in the CPU cache: 8 rows at odd n and
-# N = 1024, 16 at n = 10, 128 at n = 16.  Rows are evaluated in chunks of
-# as many cells: 8 rows at all 1024 angles; full-width blocks of 32 and
-# 256 rows ran 11% and 3.3x slower.
+# GRID_BLOCK_CELLS // P) radii at a time, in four P-wide buffers of about
+# 8192 doubles, 64 KiB each: 8 rows at odd n and N = 1024, 16 at n = 10,
+# 128 at n = 16.  Rows are evaluated in chunks of as many cells: 8 rows at
+# all 1024 angles.  Over the 17 default grids, blocks of 2048, 4096, 8192,
+# 16384 and 32768 cells took 2.20, 1.66, 1.48, 1.36 and 1.07 ms per grid
+# (median of five runs on a shared 2-core VM), and one grid at n = 17
+# peaked at 183, 247, 389, 645 and 1158 KiB (tracemalloc).
 GRID_BLOCK_CELLS = 8192
 # A row whose q lies below this share of its largest at every reduced
 # column but k = 0 is evaluated at k = 0 alone (module docstring).
@@ -359,17 +366,31 @@ def _power(x, n: int):
     return result
 
 
-def _power_terms(a: float, rn, cos_n, sin_n):
+def _power_terms(a: float, rn, cos_n, sin_n, out):
     """The terms of |f|^2 and |g|^2 that read z^n = x + i y = rn (cos_n + i sin_n) alone.
 
-    Returns (a + x)^2 + y^2 and (1 + a x)^2 + (a y)^2, the numerators of
-    |f|^2 and |g|^2 / |z|^2, then a x and (a y)^2, which make their
-    common denominator (2 - a x)^2 + (a y)^2.
+    Writes into the four arrays of out, each of the broadcast shape of rn
+    and cos_n, and returns them: (a + x)^2 + y^2 and (1 + a x)^2 + (a y)^2,
+    the numerators of |f|^2 and |g|^2 / |z|^2, then a x and (a y)^2, which
+    make their common denominator (2 - a x)^2 + (a y)^2.  Every value is
+    one fixed sequence of real operations on its own rn, cos_n and sin_n.
     """
-    x, y = rn * cos_n, rn * sin_n
-    ax, ay = a * x, a * y
-    f_re, g_re, ay_sq = a + x, 1.0 + ax, ay * ay
-    return f_re * f_re + y * y, g_re * g_re + ay_sq, ax, ay_sq
+    import numpy as np
+
+    x, y, f, g = out
+    np.multiply(rn, cos_n, out=x)
+    np.multiply(rn, sin_n, out=y)
+    np.multiply(y, y, out=f)
+    np.multiply(y, a, out=g)
+    np.multiply(g, g, out=g)
+    np.add(x, a, out=y)
+    np.multiply(y, y, out=y)
+    np.add(y, f, out=f)
+    np.multiply(x, a, out=x)
+    np.add(x, 1.0, out=y)
+    np.multiply(y, y, out=y)
+    np.add(y, g, out=y)
+    return f, y, x, g
 
 
 def grid_ratio_sq(params: Params, radii, angular_samples: int, columns=slice(None)):
@@ -388,8 +409,10 @@ def grid_ratio_sq(params: Params, radii, angular_samples: int, columns=slice(Non
     period = len(cos_n)
     # The z^n terms run on the selected reduced columns k and broadcast
     # over the repeats m, the middle axis.
+    cos_k, sin_k = cos_n[columns], sin_n[columns]
     num_f, num_g, ax, ay_sq = _power_terms(
-        params.a_float, _power(radii, params.n)[:, None, None], cos_n[columns], sin_n[columns]
+        params.a_float, _power(radii, params.n)[:, None, None], cos_k, sin_k,
+        np.empty((4, len(radii), 1, len(cos_k))),
     )
     den_re = 2.0 - ax
     den = den_re * den_re + ay_sq
@@ -419,23 +442,28 @@ def _sample_grid(params: Params, c: float, radial_samples: int, angular_samples:
         return np.sqrt(grid_ratio_sq(params, radii[i:i + 1], angular_samples)[0])
 
     block_rows = max(1, GRID_BLOCK_CELLS // period)
+    # The screen's four block buffers, in one allocation per call; every
+    # block forms its numerators and q in them.  Four 64 KiB allocations
+    # would, once freed, leave more than glibc's 128 KiB trim threshold at
+    # the heap top, which the next grid faults in again (64 minor faults per
+    # 256x1024 grid at n = 17); freeing one 256 KiB block raises glibc's
+    # thresholds above its size, so later grids reuse the heap.
+    buffers = np.empty((4, min(block_rows, radial_samples), period))
     alone = np.empty(radial_samples, dtype=bool)
     for start in range(0, radial_samples, block_rows):
-        # The screen (module docstring), inline: a helper's return would free
-        # the block's arrays before the next block allocates its own, and
-        # glibc would trim and fault them in again: 4092 against 187 minor
-        # faults per 256x1024 grid at n = 17, in a process running grids.
         block = radii[start:start + block_rows]
         num_f, num_g, _, _ = _power_terms(
-            params.a_float, _power(block, params.n)[:, None], cos_n, sin_n
+            params.a_float, _power(block, params.n)[:, None], cos_n, sin_n,
+            buffers[:, :len(block)],
         )
-        q = num_f / num_g
-        q_max = np.maximum.reduce(q, axis=1)
+        q = np.divide(num_f, num_g, out=num_f)
+        rest = np.maximum.reduce(q[:, 1:], axis=1, initial=-np.inf)
+        q_max = np.maximum(q[:, 0], rest)
         # A NaN or inf anywhere in a row's P-wide values reaches q_max, and a
         # row near the subnormal range is outside the error bound: both are
         # evaluated in full, like a row whose maximum may lie off k = 0.
         alone[start:start + block_rows] = (
-            (np.maximum.reduce(q[:, 1:], axis=1, initial=-np.inf) < q_max * (1.0 - GRID_SCREEN_CUT))
+            (rest < q_max * (1.0 - GRID_SCREEN_CUT))
             & np.isfinite(q_max)
             & (np.minimum(q_max, block * block) >= 2.0**-800)
         )

@@ -27,6 +27,7 @@ from korenblum import (
 )
 from korenblum.certificate import run_verification
 from korenblum.domination import (
+    GRID_SCREEN_CUT,
     DominationViolated,
     HypothesisViolated,
     NoInteriorRoot,
@@ -420,16 +421,36 @@ class TestVerifyDomination:
         # cell, at the default block size, at blocks and chunks of one row,
         # and at sizes that leave a partial last screen block and a partial
         # last chunk of evaluated rows: 1000 at the three larger shapes, 48
-        # at (16, 16), where n = 16 has P = 1 and no column but k = 0.
+        # at (16, 16), where n = 16 has P = 1 and no column but k = 0.  The
+        # rows evaluated at k = 0 alone are those that the screen, written
+        # out below on all rows at once without buffers, finds alone; at
+        # P = 1 both paths evaluate every row at k = 0 alone.
         monkeypatch.setattr(korenblum.domination, "GRID_BLOCK_CELLS", cells)
         monkeypatch.setattr(korenblum.domination, "BOUNDARY_TOL", math.inf)
         pairs = [(n, Fraction(a), c) for n, a, c, *_ in PINNED_DOMINATION] + GRID_EXTREMES
         for n, a, c in pairs:
             params = Params(a, n)
             c = critical_root(params) if c is None else c
+            calls = record_grid_calls(monkeypatch)
             report = verify_domination(params, c, *shape)
             expected = grid_oracle(params, c, *shape)
             assert (report.grid_max_ratio, report.angular_peak_offset) == expected, (n, a)
+
+            radii = np.linspace(c, 1.0, shape[0])
+            cos_n, sin_n = _power_angle_tables(shape[1], n)
+            rn, a_float = _power(radii, n)[:, None], params.a_float
+            x, y = rn * cos_n, rn * sin_n
+            f_re, g_re, ay = a_float + x, 1.0 + a_float * x, a_float * y
+            q = (f_re * f_re + y * y) / (g_re * g_re + ay * ay)
+            q_max = np.maximum.reduce(q, axis=1)
+            alone = (
+                (np.maximum.reduce(q[:, 1:], axis=1, initial=-np.inf) < q_max * (1.0 - GRID_SCREEN_CUT))
+                & np.isfinite(q_max)
+                & (np.minimum(q_max, radii * radii) >= 2.0**-800)
+            )
+            if len(cos_n) == 1:
+                alone[:] = True
+            assert {r for r, k in calls if k == range(1)} == set(radii[alone]), (n, a)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -513,6 +534,26 @@ class TestVerifyDomination:
         assert all(columns == range(512) for _, columns in calls)
         assert (report.grid_max_ratio, report.angular_peak_offset) == expected
 
+    @settings(max_examples=100, deadline=None)
+    @given(
+        rn=st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=1, max_size=8),
+        a=st.floats(min_value=0.0, max_value=1.0, exclude_max=True),
+        n=st.sampled_from([4, 7, 10, 16, 17, 1000]),
+    )
+    def test_power_terms_match_the_plain_expression(self, rn, a, n):
+        # Written into the caller's arrays, the terms have the bits of the
+        # plain expression, also at a NaN, an infinite and a subnormal r^n
+        # (inf times sin 0 is NaN).
+        rn = np.array(rn + [math.nan, math.inf, 5e-324, 2.0**-1050])[:, None]
+        cos_n, sin_n = _power_angle_tables(1024, n)
+        with np.errstate(invalid="ignore"):
+            x, y = rn * cos_n, rn * sin_n
+            expected = ((a + x) * (a + x) + y * y, (1.0 + a * x) * (1.0 + a * x) + (a * y) * (a * y),
+                        a * x, (a * y) * (a * y))
+            terms = _power_terms(a, rn, cos_n, sin_n, [np.empty(x.shape) for _ in range(4)])
+        for term, value in zip(terms, expected):
+            assert np.array_equal(term, value, equal_nan=True)
+
     @pytest.mark.parametrize("angles", [1024, 300, 301])
     def test_screen_error_bounds(self, angles):
         # The bounds of the module docstring, at every cell of the 17 pairs:
@@ -524,7 +565,9 @@ class TestVerifyDomination:
             params = Params(Fraction(a), n)
             radii = np.linspace(c, 1.0, 256)
             cos_n, sin_n = _power_angle_tables(angles, n)
-            num_f, num_g, _, _ = _power_terms(params.a_float, _power(radii, n)[:, None], cos_n, sin_n)
+            num_f, num_g, _, _ = _power_terms(
+                params.a_float, _power(radii, n)[:, None], cos_n, sin_n, np.empty((4, 256, len(cos_n)))
+            )
             q = np.tile(num_f / num_g, angles // len(cos_n))
             zx, zy = radii[:, None] * cos, radii[:, None] * sin
             z_sq = zx * zx + zy * zy
@@ -624,18 +667,20 @@ class TestVerifyDomination:
             direct = np.abs(eval_f(params, z)) / np.abs(eval_g(params, z))
             assert np.max(np.abs(ratio - direct)) <= 1e-13, n
 
-    def test_grid_memory(self, reference):
-        # The grid holds about GRID_BLOCK_CELLS cells at a time and
-        # peaks near 0.9 MiB; one call of grid_ratio_sq on all 256 radii
-        # peaks near 20 MiB.
-        c = critical_root(reference)
+    @pytest.mark.parametrize("n", [10, 16, 17])
+    def test_grid_memory(self, n):
+        # The grid holds about GRID_BLOCK_CELLS cells at a time, and its
+        # screen writes into four block buffers: it peaks near 390 KiB at
+        # n = 10 and 17 and 450 KiB at n = 16 (P = 64, so 128-row blocks).
+        # One call of grid_ratio_sq on all 256 radii peaks near 20 MiB.
+        _, a, c, *_ = PINNED_DOMINATION[n - 4]
         tracemalloc.start()
         try:
-            verify_domination(reference, c, 256, 1024)
+            verify_domination(Params(Fraction(a), n), c, 256, 1024)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 2 * 2**20
+        assert peak < 512 * 2**10
 
     def test_concurrent_calls_give_the_sequential_reports(self):
         pairs = [(Params(Fraction(a), n), c) for n, a, c, *_ in PINNED_DOMINATION[::4]]
@@ -662,19 +707,19 @@ class TestVerifyDomination:
     @pytest.mark.skipif(sys.platform != "linux", reason="ru_minflt counts minor faults on Linux")
     @pytest.mark.parametrize("a, n", [("0.6848893", 17), ("0.6666757", 10)])
     def test_back_to_back_grids_reuse_the_heap(self, a, n):
-        # The screen is inline in _sample_grid so that each block's arrays
-        # are allocated while the previous block's are still alive; as a
-        # helper, glibc trims the freed heap top between blocks and the
-        # grid faults in thousands of pages (4096 at n = 17, 2048 at
-        # n = 10, against ~175).  A fresh process keeps other tests' heap
-        # out of the count.
+        # The screen forms every block in four buffers allocated once per
+        # call, as one block, so back-to-back grids reuse the heap: about 3
+        # faults per grid, all in the first grid after the warm-up.  New
+        # temporaries per block faulted ~175 pages in per grid, and four
+        # separately allocated buffers 64 at n = 17.  A fresh process keeps
+        # other tests' heap out of the count.
         env = dict(os.environ, PYTHONPATH=str(SRC), OPENBLAS_NUM_THREADS="1")
         proc = subprocess.run(
             [sys.executable, "-c", GRID_FAULTS_SCRIPT, a, str(n)],
             capture_output=True, text=True, env=env, timeout=120,
         )
         assert proc.returncode == 0, proc.stderr
-        assert float(proc.stdout) < 1000
+        assert float(proc.stdout) < 64
 
     def test_cached_angle_tables_are_read_only(self, reference):
         verify_domination(reference, critical_root(reference), 256, 1024)
