@@ -27,7 +27,7 @@ from .series import DEFAULT_TERMS, Scalar, _Split, norm_difference
 
 if TYPE_CHECKING:
     from .domination import DominationReport
-    from .quadrature import CrossCheckReport, QuadratureGrid
+    from .quadrature import CrossCheckReport
 
 SCHEMA = "korenblum.certificate.v1"
 
@@ -259,17 +259,17 @@ def verify_domination(params: Params, c: float) -> DominationReport:
     return verify_domination(params, c)
 
 
-def cross_check(params: Params, grid: Optional[QuadratureGrid] = None) -> CrossCheckReport:
+def cross_check(params: Params, radial_nodes: Optional[int] = None) -> CrossCheckReport:
     """``quadrature.cross_check``."""
     from .quadrature import cross_check
 
-    return cross_check(params, grid=grid)
+    return cross_check(params, radial_nodes)
 
 
 def run_verification(
     params: Params,
     terms: int = DEFAULT_TERMS,
-    grid: Optional[QuadratureGrid] = None,
+    radial_nodes: Optional[int] = None,
 ) -> Certificate:
     """Run the full verification chain and assemble a certificate.
 
@@ -283,8 +283,14 @@ def run_verification(
     propagates.  The command line exits 1 on a failed certificate.
     ``terms`` is the exact gap's starting truncation index; the
     cross-check reads the float series at ``DEFAULT_TERMS``.
+    A ``radial_nodes`` count that ``quadrature.check_radial_nodes`` refuses
+    raises ValueError before any check runs.
     """
     from .domination import DominationViolated, HypothesisViolated, ROOT_TOL, critical_polynomial
+
+    if radial_nodes is not None:
+        from .quadrature import check_radial_nodes
+        check_radial_nodes(radial_nodes)
 
     start = time.perf_counter()
     # Each step returns its section and whether its check passed.  The
@@ -315,7 +321,7 @@ def run_verification(
         return section, delta.certifies
 
     def quadrature() -> Tuple[Dict[str, Any], bool]:
-        report = cross_check(params, grid=grid)
+        report = cross_check(params, radial_nodes)
         return _fields_dict(report), report.passed
 
     checks: List[Dict[str, Any]] = []

@@ -28,7 +28,6 @@ from .series import (DEFAULT_TERMS, MAX_TERMS, enclose_difference, float_norms_s
 from .series import norm_difference  # noqa: F401
 
 if TYPE_CHECKING:
-    from .quadrature import QuadratureGrid
     from .search import BoundCandidate
 
 # critical_root reads signs of p exactly in integers of about 53 n bits, so
@@ -89,16 +88,16 @@ _terms = _bounded_int("term count", 1, MAX_TERMS)
 _points = _bounded_int("point count", 2, MAX_POINTS)
 
 
-def _grid(text: str) -> QuadratureGrid:
+def _grid(text: str) -> int:
     if "x" in text.lower():
         raise argparse.ArgumentTypeError(
             f"bad grid {text!r}: give the radial node count R alone (e.g. 128); "
             "the angular mean is exact, so there are no angular nodes"
         )
-    from .quadrature import QuadratureGrid
+    from .quadrature import check_radial_nodes
 
     try:
-        return QuadratureGrid(radial_nodes=int(text))
+        return check_radial_nodes(int(text))
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"bad grid {text!r} (expected R, e.g. 128): {exc}")
 
@@ -203,7 +202,7 @@ def _enclosure_dict(enc) -> dict:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     params = Params(args.a, args.n)
-    cert = run_verification(params, terms=args.terms, grid=args.grid)
+    cert = run_verification(params, terms=args.terms, radial_nodes=args.grid)
     if args.json or args.out:
         text = cert.to_json()
         _emit(text, args.out)

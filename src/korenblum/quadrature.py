@@ -30,8 +30,9 @@ are supported:
   The means depend on rho^2 = u^n alone, so both integrands are analytic
   in u for every n, odd n included.
 
-Each integral takes the Gauss-Legendre rule on [0, 1].  The rule is an
-eigen-solve, done once per node count and cached.
+Each integral takes the Gauss-Legendre rule on [0, 1], whose node count
+is the route's only setting; the rule is an eigen-solve, done once per
+count and cached.
 
 The route shares no code with the Taylor-series engine, and it reaches
 the norms through an integral in r, not through Parseval's identity on
@@ -75,42 +76,29 @@ class QuadratureNotConverged(RuntimeError):
     """Doubling the radial nodes moved the value by more than the convergence tolerance."""
 
 
-@dataclass(frozen=True)
-class QuadratureGrid:
-    """The radial Gauss-Legendre rule; the angular mean is exact."""
-
-    radial_nodes: int = 128
-
-    def __post_init__(self) -> None:
-        if self.radial_nodes < 8:
-            raise ValueError("need at least 8 radial nodes")
-        if self.radial_nodes > MAX_RADIAL_NODES:
-            raise ValueError(f"grid must have at most {MAX_RADIAL_NODES} radial nodes")
-
-    def doubled(self) -> "QuadratureGrid":
-        return QuadratureGrid(2 * self.radial_nodes)
+def check_radial_nodes(count: int) -> int:
+    """``count`` if it is a radial node count in 8..MAX_RADIAL_NODES, else ValueError."""
+    if count < 8:
+        raise ValueError("need at least 8 radial nodes")
+    if count > MAX_RADIAL_NODES:
+        raise ValueError(f"grid must have at most {MAX_RADIAL_NODES} radial nodes")
+    return count
 
 
 @lru_cache(maxsize=8)
-def _legendre_rule(count: int):
-    """Gauss-Legendre nodes and weights on [-1, 1], solved once per count.
+def gauss_legendre_nodes(count: int):
+    """Gauss-Legendre nodes and weights on [0, 1], solved once per count.
 
     The arrays are shared by every caller, so they are read-only.  A
     cross-check needs one count and a convergence-checked norm two, so a
-    few entries suffice and odd grids cannot grow the cache unbounded.
+    few entries suffice and odd counts cannot grow the cache unbounded.
     """
     import numpy as np
 
     x, w = np.polynomial.legendre.leggauss(count)
-    x.flags.writeable = False
-    w.flags.writeable = False
-    return x, w
-
-
-def gauss_legendre_nodes(count: int):
-    """Gauss-Legendre nodes and weights mapped to [0, 1]."""
-    x, w = _legendre_rule(count)
-    return 0.5 * (x + 1.0), 0.5 * w
+    u, wu = 0.5 * (x + 1.0), 0.5 * w
+    u.flags.writeable = wu.flags.writeable = False
+    return u, wu
 
 
 def _circle_mean(a: float, which: Which, rho_sq):
@@ -120,10 +108,10 @@ def _circle_mean(a: float, which: Which, rho_sq):
     return num / (4.0 - a_sq_rho_sq)
 
 
-def _radial_value(params: Params, which: Which, grid: QuadratureGrid, coords: Coords) -> float:
+def _radial_value(params: Params, which: Which, radial_nodes: int, coords: Coords) -> float:
     import numpy as np
 
-    u, wu = gauss_legendre_nodes(grid.radial_nodes)
+    u, wu = gauss_legendre_nodes(radial_nodes)
     n = params.n
     if coords == "original":
         values = _circle_mean(params.a_float, which, u ** (2 * n))
@@ -140,27 +128,26 @@ def _radial_value(params: Params, which: Which, grid: QuadratureGrid, coords: Co
 def norm_sq_quad(
     params: Params,
     which: Which = "f",
-    grid: QuadratureGrid | None = None,
+    radial_nodes: int = 128,
     coords: Coords = "original",
     check_convergence: bool = True,
 ) -> float:
     """Squared norm of f or g by radial quadrature of the exact circle mean.
 
-    With ``check_convergence`` the radial nodes are doubled once; a
+    With ``check_convergence`` the ``radial_nodes`` are doubled once; a
     change above CONVERGENCE_TOL raises QuadratureNotConverged instead
-    of returning a dubious value.
+    of returning a dubious value.  Both counts are checked first.
     """
     if which not in ("f", "g"):
         raise ValueError(f"which must be 'f' or 'g', got {which!r}")
     if coords not in ("original", "substituted"):
         raise ValueError(f"unknown coordinates {coords!r}")
-    if grid is None:
-        grid = QuadratureGrid()
-    # Doubling first refuses a grid too large to double before any rule is solved.
-    finer = grid.doubled() if check_convergence else None
-    value = _radial_value(params, which, grid, coords)
-    if finer is not None:
-        refined = _radial_value(params, which, finer, coords)
+    check_radial_nodes(radial_nodes)
+    if check_convergence:  # before the first rule is solved
+        check_radial_nodes(2 * radial_nodes)
+    value = _radial_value(params, which, radial_nodes, coords)
+    if check_convergence:
+        refined = _radial_value(params, which, 2 * radial_nodes, coords)
         if abs(refined - value) > CONVERGENCE_TOL:
             raise QuadratureNotConverged(
                 f"norm_sq_quad({which}, {coords}) moved by "
@@ -188,7 +175,7 @@ class CrossCheckReport:
     passed: bool
 
 
-def cross_check(params: Params, grid: QuadratureGrid | None = None) -> CrossCheckReport:
+def cross_check(params: Params, radial_nodes: int | None = None) -> CrossCheckReport:
     """Compare the series norms against both quadrature routes.
 
     The series values are the float enclosures at ``series.DEFAULT_TERMS``,
@@ -196,20 +183,20 @@ def cross_check(params: Params, grid: QuadratureGrid | None = None) -> CrossChec
 
     The report fails (``passed`` False) if any pairwise discrepancy
     within the f values or within the g values exceeds CONVERGENCE_TOL.
-    The grid is not doubled: the three-way agreement is the evidence.
-    Without ``grid`` the radial rule has 128 nodes, or 256 when n exceeds
-    FINE_CROSS_CHECK_N; the report records the count.
+    The node count is not doubled: the three-way agreement is the
+    evidence.  Without ``radial_nodes`` the radial rule has 128 nodes, or
+    256 when n exceeds FINE_CROSS_CHECK_N; the report records the count.
     """
     from .series import norm_sq_f, norm_sq_g
 
-    if grid is None:
-        grid = QuadratureGrid(256 if params.n > FINE_CROSS_CHECK_N else 128)
+    if radial_nodes is None:
+        radial_nodes = 256 if params.n > FINE_CROSS_CHECK_N else 128
     sf = norm_sq_f(params, mode="float")
     sg = norm_sq_g(params, mode="float")
     series_f = float(sf.midpoint)
     series_g = float(sg.midpoint)
     qf_orig, qf_subs, qg_orig, qg_subs = (
-        norm_sq_quad(params, which, grid, coords, check_convergence=False)
+        norm_sq_quad(params, which, radial_nodes, coords, check_convergence=False)
         for which in ("f", "g")
         for coords in ("original", "substituted")
     )
@@ -228,6 +215,6 @@ def cross_check(params: Params, grid: QuadratureGrid | None = None) -> CrossChec
         delta_quad=qf_orig - qg_orig,
         max_discrepancy=disc,
         tol=CONVERGENCE_TOL,
-        radial_nodes=grid.radial_nodes,
+        radial_nodes=radial_nodes,
         passed=disc <= CONVERGENCE_TOL,
     )

@@ -76,7 +76,8 @@ class AmbiguousSign(ArithmeticError):
 
 
 class CertificationFailed(ArithmeticError):
-    """The exact-mode gap at the candidate coefficient is not positive."""
+    """No rising sign change, a coefficient outside (0, 1), a nonpositive
+    exact-mode gap or a failing domination verdict at the candidate."""
 
 
 def delta_of_a(
@@ -256,8 +257,8 @@ def best_bound(
     10^d (rounding away from the sign change keeps the gap positive and
     the decimal short), then recomputes the gap in exact rational
     arithmetic, finds the critical radius and verifies domination on
-    the annulus.  CertificationFailed reports a nonpositive exact gap;
-    root and domination failures propagate from their modules.
+    the annulus.  CertificationFailed reports a nonpositive exact gap or
+    a failing domination verdict; root and domination errors propagate.
     """
     if n < 2:
         raise ValueError(f"frequency must be at least 2, got {n}")
@@ -295,6 +296,11 @@ def best_bound(
         )
     c = critical_root(params)
     report = verify_domination(params, c)
+    if report.verdict != "pass":
+        raise CertificationFailed(
+            f"domination verdict at {params.describe()} is {report.verdict!r}: "
+            f"angular peak offset {report.angular_peak_offset:.3g} grid steps"
+        )
     return BoundCandidate(
         params=params,
         c=c,

@@ -35,7 +35,6 @@ from korenblum.certificate import (
     run_verification,
 )
 from korenblum.cli import main
-from korenblum.quadrature import QuadratureGrid
 
 REFERENCE_ARGS = ["--a", "0.6666714", "--n", "10"]
 
@@ -453,6 +452,13 @@ class TestSearchAndScan:
         assert payload["improves_wang"] is True
         assert decode_fraction(payload["delta_lower"]) > 0
 
+    def test_search_fails_on_a_failing_domination_verdict(self, capsys, monkeypatch):
+        monkeypatch.setattr(korenblum.search, "verify_domination", _failing_verdict)
+        code, out, err = run_cli(capsys, "search", "--n", "10", "--json")
+        assert code == 1
+        assert out == ""
+        assert "domination verdict" in err
+
     def test_scan_json_records_failures(self, capsys):
         code, out, _ = run_cli(capsys, "scan", "--n-min", "2", "--n-max", "4", "--json")
         payload = json.loads(out)
@@ -797,7 +803,7 @@ class TestCertificateObject:
                 assert decode_fraction(encode_fraction(x)) == x
 
     @pytest.mark.parametrize(
-        "a, n, grid, patch, failed, error, has_section",
+        "a, n, radial_nodes, patch, failed, error, has_section",
         [
             ("0.45", 2, None, None, "critical_root", "has no root in (0, 1)", False),
             # The residual check stays under python -O, unlike an assert.
@@ -813,17 +819,17 @@ class TestCertificateObject:
              "domination", None, True),
             # The root and the grid pass; the exact gap is negative.
             ("0.66", 10, None, None, "norm_gap", None, True),
-            ("0.6666757", 10, QuadratureGrid(8), None, "cross_check", None, True),
+            ("0.6666757", 10, 8, None, "cross_check", None, True),
         ],
         ids=["critical_root", "critical_root-residual", "domination-violated",
              "domination-hypothesis", "domination-verdict", "norm_gap", "cross_check"],
     )
     def test_checks_stop_at_the_first_failure(
-        self, monkeypatch, a, n, grid, patch, failed, error, has_section
+        self, monkeypatch, a, n, radial_nodes, patch, failed, error, has_section
     ):
         if patch is not None:
             monkeypatch.setattr(*patch)
-        cert = run_verification(Params(a, n), grid=grid)
+        cert = run_verification(Params(a, n), radial_nodes=radial_nodes)
         names = list(CHECK_SECTIONS)
         ran = names[: names.index(failed) + 1]
         assert [check["name"] for check in cert.checks] == ran
@@ -846,3 +852,13 @@ class TestCertificateObject:
         monkeypatch.setattr(korenblum.certificate, "verify_domination", _raising(ValueError))
         with pytest.raises(ValueError, match="boom"):
             run_verification(reference_params())
+
+    @pytest.mark.parametrize("radial_nodes, match", [(4, "at least"), (4097, "at most")])
+    def test_radial_nodes_out_of_range_fail_before_the_first_check(
+        self, monkeypatch, radial_nodes, match
+    ):
+        calls = []
+        monkeypatch.setattr(korenblum.certificate, "critical_root", calls.append)
+        with pytest.raises(ValueError, match=match):
+            run_verification(reference_params(), radial_nodes=radial_nodes)
+        assert calls == []

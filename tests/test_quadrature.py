@@ -14,8 +14,8 @@ from korenblum import Params, norm_sq_quad, norm_sq_f, norm_sq_g
 from korenblum import quadrature
 from korenblum.family import eval_f, eval_g
 from korenblum.quadrature import (
-    QuadratureGrid,
     QuadratureNotConverged,
+    check_radial_nodes,
     cross_check,
     gauss_legendre_nodes,
 )
@@ -25,48 +25,52 @@ from .oracles import circle_kernel, mp_norm_sq, tensor_norm_sq, trapezoid_circle
 AGREEMENT_CASES = [("0.6666714", 10), ("0.1", 2), ("0.5", 10), ("0.9", 4)]
 
 
-def assert_matches_tensor_oracle(params, which, grid, coords, check_convergence):
+def assert_matches_tensor_oracle(params, which, radial_nodes, coords, check_convergence):
     """``norm_sq_quad`` against the two-dimensional rule of ``oracles.tensor_norm_sq``.
 
     The closed-form circle mean and the 256-point trapezoid mean agree to
     a few ulps (``TestCircleMean``), and the radial sums add positive
     terms, so the two rules agree to a few ulps of the value.
     """
-    expected = tensor_norm_sq(params, which, grid.radial_nodes, coords)
+    expected = tensor_norm_sq(params, which, radial_nodes, coords)
     if check_convergence:
-        refined = tensor_norm_sq(params, which, 2 * grid.radial_nodes, coords)
+        refined = tensor_norm_sq(params, which, 2 * radial_nodes, coords)
         if abs(refined - expected) > quadrature.CONVERGENCE_TOL:
             with pytest.raises(QuadratureNotConverged):
-                norm_sq_quad(params, which, grid, coords, check_convergence)
+                norm_sq_quad(params, which, radial_nodes, coords, check_convergence)
             return
         expected = refined
-    value = norm_sq_quad(params, which, grid, coords, check_convergence)
-    assert value == pytest.approx(expected, rel=2e-15, abs=0.0), (which, coords, grid)
+    value = norm_sq_quad(params, which, radial_nodes, coords, check_convergence)
+    assert value == pytest.approx(expected, rel=2e-15, abs=0.0), (which, coords, radial_nodes)
 
 
-class TestGrid:
-    def test_defaults(self):
-        assert QuadratureGrid().radial_nodes == 128
+class TestRadialNodes:
+    @pytest.mark.parametrize("radial_nodes", [8, 128, quadrature.MAX_RADIAL_NODES])
+    def test_accepted(self, radial_nodes):
+        assert check_radial_nodes(radial_nodes) == radial_nodes
 
-    def test_doubled(self):
-        assert QuadratureGrid(8).doubled() == QuadratureGrid(16)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            QuadratureGrid(radial_nodes=4)
+    def test_too_few(self):
+        with pytest.raises(ValueError, match="at least"):
+            check_radial_nodes(4)
 
     @pytest.mark.parametrize("radial_nodes", [4097, 8192])
-    def test_size_limits(self, radial_nodes):
+    def test_too_many(self, radial_nodes):
         with pytest.raises(ValueError, match="at most"):
-            QuadratureGrid(radial_nodes)
+            check_radial_nodes(radial_nodes)
 
-    def test_refuses_to_double_the_largest_grid_before_solving(self, reference):
-        # 4096 radial nodes is the largest grid allowed; its doubled grid is
+    @pytest.mark.parametrize("check_convergence", [False, True])
+    @pytest.mark.parametrize("radial_nodes, match", [(4, "at least"), (4097, "at most")])
+    def test_norm_sq_quad_checks_the_count(self, reference, radial_nodes, match, check_convergence):
+        with pytest.raises(ValueError, match=match):
+            norm_sq_quad(reference, radial_nodes=radial_nodes, check_convergence=check_convergence)
+
+    def test_refuses_to_double_the_largest_count_before_solving(self, reference):
+        # 4096 radial nodes is the largest count allowed; its double is
         # not, and that must fail before the 4096-node rule is solved (~5 s).
-        quadrature._legendre_rule.cache_clear()
+        gauss_legendre_nodes.cache_clear()
         start = time.perf_counter()
         with pytest.raises(ValueError, match="at most"):
-            norm_sq_quad(reference, grid=QuadratureGrid(4096))
+            norm_sq_quad(reference, radial_nodes=4096)
         assert time.perf_counter() - start < 1.0
 
 
@@ -87,17 +91,16 @@ class TestRuleCache:
             counts[count] = counts.get(count, 0) + 1
             return original(count)
 
-        quadrature._legendre_rule.cache_clear()
+        gauss_legendre_nodes.cache_clear()
         monkeypatch.setattr(np.polynomial.legendre, "leggauss", counted)
         yield counts
-        quadrature._legendre_rule.cache_clear()
+        gauss_legendre_nodes.cache_clear()
 
     def test_cross_check_solves_each_count_once(self, reference, leggauss_counts):
-        grid = QuadratureGrid()
-        cross_check(reference, grid)
-        assert leggauss_counts == {grid.radial_nodes: 1}
-        cross_check(reference, grid)
-        assert leggauss_counts == {grid.radial_nodes: 1}
+        cross_check(reference, 128)
+        assert leggauss_counts == {128: 1}
+        cross_check(reference, 128)
+        assert leggauss_counts == {128: 1}
 
     def test_norm_sq_quad_solves_base_and_doubled_grid_once(self, reference, leggauss_counts):
         norm_sq_quad(reference, "f")
@@ -105,23 +108,24 @@ class TestRuleCache:
         assert leggauss_counts == {128: 1, 256: 1}
 
     def test_cached_rule_is_read_only(self):
-        x, w = quadrature._legendre_rule(16)
+        x, w = gauss_legendre_nodes(16)
         with pytest.raises(ValueError):
             x[0] = 0.0
         with pytest.raises(ValueError):
             w[0] = 0.0
 
-    def test_writes_into_returned_nodes_do_not_leak(self):
-        x0, w0 = gauss_legendre_nodes(16)
-        x, w = gauss_legendre_nodes(16)
-        x[:] = 0.5
-        w[:] = 0.0
-        x1, w1 = gauss_legendre_nodes(16)
-        assert np.array_equal(x1, x0) and np.array_equal(w1, w0)
+    @pytest.mark.parametrize("count", [8, 128, 129, 256])
+    def test_rule_is_leggauss_mapped_to_the_unit_interval(self, count):
+        # The rule is mapped to [0, 1] once, with the bits of mapping
+        # leggauss's [-1, 1] rule by hand.
+        x, w = np.polynomial.legendre.leggauss(count)
+        u, wu = gauss_legendre_nodes(count)
+        assert u.tobytes() == (0.5 * (x + 1.0)).tobytes()
+        assert wu.tobytes() == (0.5 * w).tobytes()
 
     def test_report_unchanged_by_clearing_the_cache(self, reference):
         warm = cross_check(reference)
-        quadrature._legendre_rule.cache_clear()
+        gauss_legendre_nodes.cache_clear()
         cold = cross_check(reference)
         for field in dataclasses.fields(warm):
             assert getattr(cold, field.name) == getattr(warm, field.name), field.name
@@ -179,8 +183,7 @@ class TestTensorOracle:
     def test_norm_sq_quad_is_the_tensor_value(
         self, reference, radial_nodes, which, coords, check_convergence
     ):
-        grid = QuadratureGrid(radial_nodes)
-        assert_matches_tensor_oracle(reference, which, grid, coords, check_convergence)
+        assert_matches_tensor_oracle(reference, which, radial_nodes, coords, check_convergence)
 
     @settings(max_examples=60)
     @given(
@@ -192,7 +195,7 @@ class TestTensorOracle:
     )
     def test_tensor_value_at_random_params(self, m, n, which, coords, check_convergence):
         params = Params(Fraction(m, 10**7), n)
-        assert_matches_tensor_oracle(params, which, QuadratureGrid(), coords, check_convergence)
+        assert_matches_tensor_oracle(params, which, 128, coords, check_convergence)
 
 
 class TestMemory:
@@ -267,12 +270,12 @@ class TestNormValues:
 
     def test_convergence_guard_trips_on_coarse_grid(self, reference):
         with pytest.raises(QuadratureNotConverged):
-            norm_sq_quad(reference, "f", grid=QuadratureGrid(8))
+            norm_sq_quad(reference, "f", radial_nodes=8)
 
     def test_coarse_grid_suffices_for_gentle_params(self):
         # low frequency and moderate a converge already at 8 radial nodes
         p = Params(Fraction(1, 2), 2)
-        value = norm_sq_quad(p, "f", grid=QuadratureGrid(8))
+        value = norm_sq_quad(p, "f", radial_nodes=8)
         assert value == pytest.approx(float(norm_sq_f(p, K=64).midpoint), abs=1e-10)
 
 
@@ -321,14 +324,13 @@ class TestCrossCheck:
     def test_default_grid_takes_its_radial_nodes_from_n(self, a, n, radial):
         p = Params(Fraction(a), n)
         report = cross_check(p)
-        assert report == cross_check(p, QuadratureGrid(radial))
+        assert report == cross_check(p, radial)
         assert report.radial_nodes == radial
 
     def test_explicit_grid_is_used_as_given(self):
         p = Params(Fraction("0.998"), 1000)
-        grid = QuadratureGrid(128)
-        report = cross_check(p, grid)
+        report = cross_check(p, 128)
         assert report.radial_nodes == 128
-        assert report.quad_f_original == norm_sq_quad(p, "f", grid, check_convergence=False)
+        assert report.quad_f_original == norm_sq_quad(p, "f", 128, check_convergence=False)
         # 128 radial nodes miss ||f||^2 in original coordinates by 1.8e-8 here
         assert not report.passed

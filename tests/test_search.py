@@ -391,6 +391,34 @@ class TestBestBound:
             best_bound(10, safety=safety)
 
 
+@pytest.fixture
+def stray_peak_at_10(monkeypatch):
+    """The domination grid at n = 10 puts its peaks 3 angular steps off, failing the verdict."""
+    from korenblum import domination
+
+    sample_grid = domination._sample_grid
+
+    def stray(params, *args):
+        grid_max, offset = sample_grid(params, *args)
+        return grid_max, 3.0 if params.n == 10 else offset
+
+    monkeypatch.setattr(domination, "_sample_grid", stray)
+
+
+class TestDominationVerdict:
+    def test_best_bound_refuses_a_failing_verdict(self, stray_peak_at_10):
+        with pytest.raises(CertificationFailed, match="domination verdict .* is 'fail'.* 3 grid steps"):
+            best_bound(10)
+
+    def test_scan_records_the_failing_row(self, stray_peak_at_10):
+        result = scan([9, 10])
+        by_n = {row.n: row for row in result.rows}
+        assert by_n[9].candidate is not None
+        assert by_n[10].candidate is None
+        assert by_n[10].error.startswith("CertificationFailed: domination verdict")
+        assert result.best is by_n[9].candidate
+
+
 class TestScan:
     def test_small_range(self):
         result = scan(range(2, 5))
