@@ -57,15 +57,15 @@ and the cosines and sines come from math.cos and math.sin once per N, so
 the grid uses only real +, -, *, / and sqrt, which IEEE 754 rounds
 correctly: its bits are the same on every SIMD target of numpy, whose
 complex multiply, complex abs, ** and trig loops round per target.  The
-screen below adds only comparisons, maxima, slices and index gathers,
-which every target computes alike.
+screen below adds comparisons, maxima, slices, index gathers and abs
+values of table differences, and forms its bound E(r) with real +, -, *
+and /, which every target computes alike.
 
 Most cells cannot hold their row's maximum, and the grid skips most of
 them.  The cells j = k + m P of a row share the numerators num_f =
 (a + x)^2 + y^2 and num_g = (1 + a x)^2 + (a y)^2 of reduced column k,
-so a block of rows first forms q = num_f / num_g on the P columns.
-With u = 2^-53, the ratio_sq that the grid computes at every cell of
-column k is
+so q = num_f / num_g is a function of the row and k alone.  With u =
+2^-53, the ratio_sq that the grid computes at every cell of column k is
 
     ratio_sq = q / r^2 (1 + d),  |d| <= 13 u + O(u^2) < 14 u.
 
@@ -78,44 +78,105 @@ doubles both, the sum adds u, and cos^2 + sin^2 = 1 holds exactly for
 the rounded angle.  Over the 17 certified pairs at N = 1024, 300 and
 301, the largest |e| is 4.3 u and the largest |d| 6.3 u.
 
-A row whose q at every k > 0 lies below q_max (1 - GRID_SCREEN_CUT),
-q_max its largest q, is alone: its q_max lies at k = 0, and only the
-N / P repeats of k = 0 are evaluated.  A cell of any other column has
-ratio_sq < q_max (1 - 1e-12)(1 + 16 u) / r^2, counting the rounding of
-the cut, while the cells of k = 0 have ratio_sq >= q_max (1 - 14 u) /
-r^2.  So every skipped cell lies below the row's maximum by more than a
-relative 0.99e-12, and its ratio by more than 4.9e-13: below the 1e-13
-peak band with a margin of 3.9e-13, some 3500 u.  An alone row's
-maximum and band thus lie in column 0, and its maximum, the maximum
-over k = 0 and the band are the whole row's, bit for bit; its offset
-is 0.  A cut of 30 u would already keep the row maximum, and one of
-2.1e-13 the band; 1e-12 leaves a margin over both.  The screen reads
-only the grid's own sampled numerators, no closed form and not h(r),
-so the grid stays independent evidence.
+The screen forms q on the reduced columns k = 0..P/2 alone, and bounds
+each other column P - j by its mirror j.  Column P - j reads the angle
+index N - (n j mod N), the reflection of column j's, and every step of
+q is even in y bit for bit (fl(-v) = -fl(v), and y enters only through
+y y and (y a)^2), so with symmetric tables the two columns would have
+the same q.  The tables are not bitwise symmetric.  Their asymmetry
+
+    eta = max over 0 < j < P/2 of |cos_n[P-j] - cos_n[j]|, |sin_n[P-j] + sin_n[j]|
+
+is measured once per (N, n), from the tables themselves
+(_mirror_asymmetry): over n = 2..40 it is at most 6.25 u at N = 1024 and
+10.25 u at N = 300.  Nothing is assumed of libm: eta is inf, and no row
+is alone, unless column 0 reads exactly (1, 0) and every column has
+c^2 + s^2 <= 1 + 2^-50 in floats, so that |(c, s)| <= 1 + 2^-50.
+
+Mirror bound.  In a row with r^n = rho (the double the grid uses) and
+a < 1, let q(k) be the grid's q at column k, q_max its largest over k =
+0..P/2, b = a rho (1 + 2^-48) and
+
+    E(r) = (5 eta + 40 u) ((1 + b) / (1 - b))^2.
+
+Then q(P - j) <= q(j) + E(r) q_max.  Proof: by evenness q(j) is also the
+grid's q at p = (c, -s), the mirror image of column j's (c, s), and
+column P - j reads p' with |p' - p| <= sqrt(2) eta.  At a point p the
+grid rounds x = rho c and y = rho s by a relative u each, so v = x + i y
+lies within u rho |p| of rho p; num_f = |a + v|^2 (1 + th_f) with
+|th_f| <= 4 u + O(u^2), since a + x, its square, y^2 and their sum are
+each rounded once and the terms are nonnegative.  num_g = |1 + a w|^2
+(1 + th_g), |th_g| <= 4 u + O(u^2), with w = v after the roundings of
+a x and a y are moved onto x and y, so w lies within 2.01 u rho |p| of
+rho p.  Then q = Q (1 + th), |th| < 10 u, with Q = |a + v|^2 / |1 + a
+w|^2.  So v, w, v'
+and w' lie within R = rho (1 + 2^-49) of 0, each within delta = rho
+(sqrt(2) eta + 5 u) of its partner, and as ||a + v'|^2 - |a + v|^2| <=
+|v' - v| (2 a + |v| + |v'|), and alike for |1 + a w|^2,
+
+    |Q' - Q| <= 2 delta ((a + R) + a Q (1 + a R)) / (1 - a R)^2.
+
+Column 0 reads (1, 0), so q_max >= q(0) >= (1 - 10 u) (a + rho)^2 / (1
++ a rho)^2, and Q <= q(j) / (1 - 10 u) <= (1 + 11 u) q_max.  With rho <=
+a + rho, a + R <= (a + rho)(1 + 2^-49), 1 + a rho <= 1 + a R and 2 a rho
+<= 1 + a R, the first term is at most 2 (1 + 2^-48)(sqrt(2) eta + 5 u)
+S q_max and the second (1 + 11 u)(sqrt(2) eta + 5 u) S q_max, where S =
+((1 + a R) / (1 - a R))^2 >= 1.  Hence
+
+    q(P - j) - q(j) <= (1 + 10 u) |Q' - Q| + 20 u Q <= (4.25 eta + 37 u) S q_max.
+
+S grows with a R <= b.  Computed in floats, E(r) loses at most ten
+roundings of a relative u, and eta at most one; 5 and 40 cover that
+over 4.25 and 37.  When b >= 1 - 2^-47 the bound says nothing, but then
+E(r) > 1 and the row is not alone.  On the 17 pairs E(r) is at most
+3.0e-13, and the largest |q(P - j) - q(j)| / q_max is 13.3 u (12 u at
+N = 1024), against a smallest relative gap of 2.2e-8 between a row's
+q(0) and its q at any other column (r < 1).
+
+A row whose q at every k = 1..P/2 lies below q_max (1 - GRID_SCREEN_CUT
+- E(r)) is alone: its q_max lies at k = 0, and only the N / P repeats of
+k = 0 are evaluated.  That threshold is rounded three times, so those
+columns have q < q(0) (1 - 1e-12)(1 + 3.1 u), and by the mirror bound so
+does every column P - j: q(P - j) <= q(j) + E(r) q(0) < q(0) (1 - 1e-12)
+(1 + 3.1 u).  A cell of any column but k = 0 thus has ratio_sq < q_max
+(1 - 1e-12)(1 + 18 u) / r^2, while the cells of k = 0 have ratio_sq >=
+q_max (1 - 14 u) / r^2.  So every skipped cell lies below the row's
+maximum by more than a relative 0.99e-12, and its ratio by more than
+4.9e-13: below the 1e-13 peak band with a margin of 3.9e-13, some 3500
+u.  An alone row's maximum and band thus lie in column 0, and its
+maximum, the maximum over k = 0 and the band are the whole row's, bit
+for bit; its offset is 0.  A cut of 32 u would already keep the row
+maximum, and one of 2.1e-13 the band; 1e-12 leaves a margin over both.
+The screen reads only the grid's own sampled numerators and the tables,
+no closed form and not h(r), so the grid stays independent evidence.
 
 Every other row is evaluated in full, at all N angles.  That is a row
 whose maximum may lie off k = 0: a flat row, as at r = 1, where |f/g|
-is 1 on the whole circle, or at large n, where r^n is negligible, and
-a near tie away from k = 0, which the 17 pairs do not produce.  The
-bound is relative, so it holds only away from the subnormal range: at
-large n, r^n underflows, and with a tiny or zero a, q is subnormal, its
-rounding is absolute, and a row's q can differ from column to column
-by more than the cut though the row is flat.  So a row is not alone
-when q_max or r^2 is below 2^-800 (above it every quantity of the
-argument is normal for a < 1, and a subnormal cell errs by under
-2^-960, far below the cut), nor when q_max is NaN or inf, as it is
-whenever a NaN or inf lies among the row's P-wide values, since num_g
-overflows only with num_f for |a| < 1.  On the 17 pairs every row but
-r = 1 is alone, because the envelope lemma puts the peak at t = 1.
+is 1 on the whole circle, or at large n, where r^n is negligible, a
+near tie away from k = 0, which the 17 pairs do not produce, and a row
+where E(r) does not fit below the row's gap, as next to a = 1.  The
+bounds are relative, so they hold only away from the subnormal range:
+at large n, r^n underflows, and with a tiny or zero a, q is subnormal,
+its rounding is absolute, and a row's q can differ from column to
+column by more than the cut though the row is flat.  So a row is not
+alone when q_max or r^2 is below 2^-800 (above it every quantity of the
+argument is normal for a < 1 or errs by under 2^-960, far below u
+q_max), nor when q_max is NaN or inf, as it is whenever a NaN or inf
+lies among the row's values at k = 0..P/2, since num_g overflows only
+with num_f for |a| < 1; a NaN or inf in the tables makes eta inf.  On
+the 17 pairs every row but r = 1 is alone, because the envelope lemma
+puts the peak at t = 1.
 
-The q screen runs on blocks of about GRID_BLOCK_CELLS P-wide values.
-Each call allocates four block buffers once, and every block forms its
-numerators and q in them with the same sequence of real operations as
-grid_ratio_sq, so the screen makes no other block-sized array.  The
-alone rows, then the others, are evaluated in chunks of about as many
-cells, so the whole grid is never held in memory: a 256x1024 grid peaks
-near 390 KiB, 450 KiB at n = 16 (tracemalloc).  The bits depend neither
-on the block height nor on the period.
+The q screen runs on blocks of about GRID_BLOCK_CELLS values, P/2 + 1
+per row.  Each call allocates four block buffers once, and every block
+forms its numerators and q in them with the same sequence of real
+operations as grid_ratio_sq, so the screen makes no other block-sized
+array; r^n, q_max, the rest of each row and the alone mask are formed
+once per grid.  The alone rows, then the others, are evaluated in
+chunks of about as many cells, so the whole grid is never held in
+memory: a 256x1024 grid peaks near 370-390 KiB, 450 KiB at n = 16
+(tracemalloc).  The bits depend neither on the block height nor on the
+period.
 """
 
 from __future__ import annotations
@@ -142,16 +203,19 @@ BOUNDARY_TOL = 1e-9
 # A domination grid sample fails when |f|/|g| exceeds 1 + GRID_TOL.
 GRID_TOL = 1e-12
 # Blocks of the domination grid.  The screen runs on max(1,
-# GRID_BLOCK_CELLS // P) radii at a time, in four P-wide buffers of about
-# 8192 doubles, 64 KiB each: 8 rows at odd n and N = 1024, 16 at n = 10,
-# 128 at n = 16.  Rows are evaluated in chunks of as many cells: 8 rows at
-# all 1024 angles.  Over the 17 default grids, blocks of 2048, 4096, 8192,
-# 16384 and 32768 cells took 2.20, 1.66, 1.48, 1.36 and 1.07 ms per grid
-# (median of five runs on a shared 2-core VM), and one grid at n = 17
-# peaked at 183, 247, 389, 645 and 1158 KiB (tracemalloc).
+# GRID_BLOCK_CELLS // (P/2 + 1)) radii at a time, in four buffers of
+# P/2 + 1 columns and at most 8192 doubles, 64 KiB each: 15 rows at odd
+# n and N = 1024, 31 at n = 10, 248 at n = 16.  Rows are evaluated in
+# chunks of as many cells: 8 rows at all 1024 angles.  Over the 17
+# default grids, blocks of 2048, 4096, 8192, 16384 and 32768 cells took
+# 1.23, 0.90, 0.77, 0.72 and 0.67 ms per grid (median of five runs on a
+# shared 2-core VM), and one grid at n = 17 peaked at 173, 237, 372, 628
+# and 1141 KiB (tracemalloc).  Larger blocks gain little and cost
+# memory, which the benchmark's verify workload reads.
 GRID_BLOCK_CELLS = 8192
-# A row whose q lies below this share of its largest at every reduced
-# column but k = 0 is evaluated at k = 0 alone (module docstring).
+# A row whose q lies below its largest by more than this share, plus the
+# mirror bound E(r), at every reduced column 1..P/2 is evaluated at k = 0
+# alone (module docstring).
 GRID_SCREEN_CUT = 1e-12
 
 
@@ -347,13 +411,37 @@ def _angle_tables(angular_samples: int):
 
 @functools.lru_cache(maxsize=64)
 def _power_angle_tables(angular_samples: int, n: int):
-    """cos and sin of n theta_j = theta_k, k = n j mod N, for j < N / gcd(n, N); read-only."""
+    """cos and sin of n theta_j = theta_k, k = n j mod N, for j < N / gcd(n, N), and their eta.
+
+    The tables are read-only; eta is _mirror_asymmetry of these very
+    arrays, measured once as they are made.
+    """
     _, cos, sin = _angle_tables(angular_samples)
     k = [n * j % angular_samples for j in range(angular_samples // math.gcd(n, angular_samples))]
-    tables = cos[k], sin[k]
-    for table in tables:
+    cos_n, sin_n = cos[k], sin[k]
+    for table in (cos_n, sin_n):
         table.flags.writeable = False
-    return tables
+    return cos_n, sin_n, _mirror_asymmetry(cos_n, sin_n)
+
+
+def _mirror_asymmetry(cos_n, sin_n) -> float:
+    """eta, the largest |cos_n[P - j] - cos_n[j]| and |sin_n[P - j] + sin_n[j]| over 0 < j < P / 2.
+
+    inf unless the tables read exactly (1, 0) at k = 0 and c^2 + s^2 <= 1
+    + 2^-50 at every column, which the mirror bound of the module
+    docstring also needs; a NaN or inf in a table fails that test too.
+    """
+    import numpy as np
+
+    if not (cos_n[0] == 1.0 and sin_n[0] == 0.0
+            and np.max(cos_n * cos_n + sin_n * sin_n) <= 1.0 + 2.0**-50):
+        return math.inf
+    # Columns 1..m and their mirrors P - 1 down to P - m.
+    period = len(cos_n)
+    m = (period - 1) // 2
+    mirror = slice(period - 1, period - 1 - m, -1)
+    return float(max(np.max(np.abs(cos_n[mirror] - cos_n[1:m + 1]), initial=0.0),
+                     np.max(np.abs(sin_n[mirror] + sin_n[1:m + 1]), initial=0.0)))
 
 
 def _power(x, n: int):
@@ -405,7 +493,7 @@ def grid_ratio_sq(params: Params, radii, angular_samples: int, columns=slice(Non
     import numpy as np
 
     _, cos, sin = _angle_tables(angular_samples)
-    cos_n, sin_n = _power_angle_tables(angular_samples, params.n)
+    cos_n, sin_n, _ = _power_angle_tables(angular_samples, params.n)
     period = len(cos_n)
     # The z^n terms run on the selected reduced columns k and broadcast
     # over the repeats m, the middle axis.
@@ -424,6 +512,18 @@ def grid_ratio_sq(params: Params, radii, angular_samples: int, columns=slice(Non
     return ratio_sq.reshape(len(radii), -1)
 
 
+def _mirror_bound(a: float, rn, eta: float):
+    """E(r) = (5 eta + 40 u) ((1 + b) / (1 - b))^2, b = a r^n (1 + 2^-48), for each r^n in rn.
+
+    The grid's q at a reduced column P - j is at most its q at column j
+    plus E(r) times the row's largest q over columns 0..P/2 (module
+    docstring); eta is the tables' _mirror_asymmetry.
+    """
+    b = (a * (1.0 + 2.0**-48)) * rn
+    spread = (1.0 + b) / (1.0 - b)
+    return spread * spread * (5.0 * eta + 40.0 * 2.0**-53)
+
+
 def _sample_grid(params: Params, c: float, radial_samples: int, angular_samples: int):
     """Largest |f|/|g| on the grid and the angular peak offset.
 
@@ -432,41 +532,47 @@ def _sample_grid(params: Params, c: float, radial_samples: int, angular_samples:
     import numpy as np
 
     theta, _, _ = _angle_tables(angular_samples)
-    cos_n, sin_n = _power_angle_tables(angular_samples, params.n)
+    cos_n, sin_n, eta = _power_angle_tables(angular_samples, params.n)
     period = len(cos_n)
     repeats = angular_samples // period
     radii = np.linspace(c, 1.0, radial_samples)
+    a = params.a_float
 
     def row_ratio(i):
         # One row by itself; the same bits as in its chunk.
         return np.sqrt(grid_ratio_sq(params, radii[i:i + 1], angular_samples)[0])
 
-    block_rows = max(1, GRID_BLOCK_CELLS // period)
+    # The screen forms q on the reduced columns 0..P/2 alone; each other
+    # column P - j is bounded from its mirror j (module docstring).
+    half = period // 2 + 1
+    block_rows = max(1, GRID_BLOCK_CELLS // half)
     # The screen's four block buffers, in one allocation per call; every
     # block forms its numerators and q in them.  Four 64 KiB allocations
     # would, once freed, leave more than glibc's 128 KiB trim threshold at
     # the heap top, which the next grid faults in again (64 minor faults per
-    # 256x1024 grid at n = 17); freeing one 256 KiB block raises glibc's
-    # thresholds above its size, so later grids reuse the heap.
-    buffers = np.empty((4, min(block_rows, radial_samples), period))
-    alone = np.empty(radial_samples, dtype=bool)
+    # 256x1024 grid at n = 17); freeing one block of about 256 KiB raises
+    # glibc's thresholds above its size, so later grids reuse the heap.
+    buffers = np.empty((4, min(block_rows, radial_samples), half))
+    rn = _power(radii, params.n)
+    q_max, rest = np.empty(radial_samples), np.empty(radial_samples)
     for start in range(0, radial_samples, block_rows):
-        block = radii[start:start + block_rows]
+        block = rn[start:start + block_rows]
         num_f, num_g, _, _ = _power_terms(
-            params.a_float, _power(block, params.n)[:, None], cos_n, sin_n,
-            buffers[:, :len(block)],
+            a, block[:, None], cos_n[:half], sin_n[:half], buffers[:, :len(block)],
         )
         q = np.divide(num_f, num_g, out=num_f)
-        rest = np.maximum.reduce(q[:, 1:], axis=1, initial=-np.inf)
-        q_max = np.maximum(q[:, 0], rest)
-        # A NaN or inf anywhere in a row's P-wide values reaches q_max, and a
-        # row near the subnormal range is outside the error bound: both are
-        # evaluated in full, like a row whose maximum may lie off k = 0.
-        alone[start:start + block_rows] = (
-            (rest < q_max * (1.0 - GRID_SCREEN_CUT))
-            & np.isfinite(q_max)
-            & (np.minimum(q_max, block * block) >= 2.0**-800)
-        )
+        q_max[start:start + block_rows] = q[:, 0]
+        np.maximum.reduce(q[:, 1:], axis=1, initial=-np.inf, out=rest[start:start + block_rows])
+    np.maximum(q_max, rest, out=q_max)
+    # A NaN or inf in a row's values reaches q_max, and one in the tables
+    # makes eta inf; a row near the subnormal range is outside the error
+    # bounds.  All are evaluated in full, like a row whose maximum may lie
+    # off k = 0.
+    alone = (
+        (rest < q_max * ((1.0 - GRID_SCREEN_CUT) - _mirror_bound(a, rn, eta)))
+        & np.isfinite(q_max)
+        & (np.minimum(q_max, radii * radii) >= 2.0**-800)
+    )
 
     # Alone rows at k = 0, the columns with n*theta = 0 (mod 2 pi), and the
     # other rows at all P columns, in chunks of about GRID_BLOCK_CELLS cells.

@@ -32,6 +32,8 @@ from korenblum.domination import (
     HypothesisViolated,
     NoInteriorRoot,
     _angle_tables,
+    _mirror_asymmetry,
+    _mirror_bound,
     _power,
     _power_angle_tables,
     _power_terms,
@@ -149,6 +151,36 @@ def two_product(x, y):
     p = x * y
     (xh, xl), (yh, yl) = halves(x), halves(y)
     return p, ((xh * yh - p) + xh * yl + xl * yh) + xl * yl
+
+
+def assert_mirror_bound(params, radii, angular_samples):
+    """The grid's q at each reduced column P - j is at most q(j) + E(r) q_max.
+
+    q is formed on all P columns by the screen's own terms, and q_max is
+    the largest over columns 0..P/2, as the screen forms it.  Rows below
+    the screen's 2^-800 guard are outside the bound.  Also checks that
+    the eta the screen reads is the tables' asymmetry, measured exactly
+    to within one rounding.
+    """
+    cos_n, sin_n, eta = _power_angle_tables(angular_samples, params.n)
+    reduced = len(cos_n)
+    m = (reduced - 1) // 2
+    exact = max(
+        (max(abs(Fraction(cos_n[reduced - j]) - Fraction(cos_n[j])),
+             abs(Fraction(sin_n[reduced - j]) + Fraction(sin_n[j])))
+         for j in range(1, m + 1)),
+        default=Fraction(0),
+    )
+    assert abs(Fraction(eta) - exact) <= exact * 2**-53
+    rn = _power(radii, params.n)
+    num_f, num_g, _, _ = _power_terms(
+        params.a_float, rn[:, None], cos_n, sin_n, np.empty((4, len(radii), reduced))
+    )
+    q = num_f / num_g
+    q_max = q[:, :reduced // 2 + 1].max(axis=1)
+    bound = q[:, 1:m + 1] + (_mirror_bound(params.a_float, rn, eta) * q_max)[:, None]
+    guarded = np.minimum(q_max, radii * radii) >= 2.0**-800
+    assert np.all(q[guarded, reduced - m:][:, ::-1] <= bound[guarded])
 
 
 coefficients = st.integers(min_value=1, max_value=9_999_999).map(
@@ -423,8 +455,10 @@ class TestVerifyDomination:
         # last chunk of evaluated rows: 1000 at the three larger shapes, 48
         # at (16, 16), where n = 16 has P = 1 and no column but k = 0.  The
         # rows evaluated at k = 0 alone are those that the screen, written
-        # out below on all rows at once without buffers, finds alone; at
-        # P = 1 both paths evaluate every row at k = 0 alone.
+        # out below on all rows at once without buffers, finds alone: q on
+        # the reduced columns 0..P/2, against q_max less the cut and the
+        # mirror bound E(r).  At P = 1 both paths evaluate every row at
+        # k = 0 alone.
         monkeypatch.setattr(korenblum.domination, "GRID_BLOCK_CELLS", cells)
         monkeypatch.setattr(korenblum.domination, "BOUNDARY_TOL", math.inf)
         pairs = [(n, Fraction(a), c) for n, a, c, *_ in PINNED_DOMINATION] + GRID_EXTREMES
@@ -437,14 +471,19 @@ class TestVerifyDomination:
             assert (report.grid_max_ratio, report.angular_peak_offset) == expected, (n, a)
 
             radii = np.linspace(c, 1.0, shape[0])
-            cos_n, sin_n = _power_angle_tables(shape[1], n)
-            rn, a_float = _power(radii, n)[:, None], params.a_float
-            x, y = rn * cos_n, rn * sin_n
+            cos_n, sin_n, eta = _power_angle_tables(shape[1], n)
+            half = len(cos_n) // 2 + 1
+            rn, a_float = _power(radii, n), params.a_float
+            x, y = rn[:, None] * cos_n[:half], rn[:, None] * sin_n[:half]
             f_re, g_re, ay = a_float + x, 1.0 + a_float * x, a_float * y
             q = (f_re * f_re + y * y) / (g_re * g_re + ay * ay)
             q_max = np.maximum.reduce(q, axis=1)
+            b = a_float * (1.0 + 2.0**-48) * rn
+            spread = (1.0 + b) / (1.0 - b)
+            mirror = spread * spread * (5.0 * eta + 40.0 * 2.0**-53)
             alone = (
-                (np.maximum.reduce(q[:, 1:], axis=1, initial=-np.inf) < q_max * (1.0 - GRID_SCREEN_CUT))
+                (np.maximum.reduce(q[:, 1:], axis=1, initial=-np.inf)
+                 < q_max * ((1.0 - GRID_SCREEN_CUT) - mirror))
                 & np.isfinite(q_max)
                 & (np.minimum(q_max, radii * radii) >= 2.0**-800)
             )
@@ -497,10 +536,10 @@ class TestVerifyDomination:
         tables = korenblum.domination._power_angle_tables
 
         def with_nan(angular_samples, n):
-            cos_n, sin_n = tables(angular_samples, n)
+            cos_n, sin_n, _ = tables(angular_samples, n)
             cos_n = cos_n.copy()
             cos_n[5] = np.nan
-            return cos_n, sin_n
+            return cos_n, sin_n, _mirror_asymmetry(cos_n, sin_n)
 
         monkeypatch.setattr(korenblum.domination, "_power_angle_tables", with_nan)
         params = Params(Fraction(1, 2), 10)
@@ -519,9 +558,9 @@ class TestVerifyDomination:
         tables = korenblum.domination._power_angle_tables
 
         def tied(angular_samples, n):
-            cos_n, sin_n = (table.copy() for table in tables(angular_samples, n))
+            cos_n, sin_n = (table.copy() for table in tables(angular_samples, n)[:2])
             cos_n[5], sin_n[5] = cos_n[0], sin_n[0]
-            return cos_n, sin_n
+            return cos_n, sin_n, _mirror_asymmetry(cos_n, sin_n)
 
         monkeypatch.setattr(korenblum.domination, "_power_angle_tables", tied)
         monkeypatch.setattr(korenblum.domination, "BOUNDARY_TOL", math.inf)
@@ -534,6 +573,62 @@ class TestVerifyDomination:
         assert all(columns == range(512) for _, columns in calls)
         assert (report.grid_max_ratio, report.angular_peak_offset) == expected
 
+    @pytest.mark.parametrize("n, angles", [(10, 1024), (7, 301), (16, 32), (16, 16)])
+    def test_mirrored_column_at_the_k_zero_angle_takes_the_full_path(self, monkeypatch, n, angles):
+        # Column P - 5 reads the cosine and sine of k = 0, so it ties each
+        # row's largest q, though its mirror, column 5, does not.  The
+        # screen never forms q there: only the tables' measured asymmetry
+        # eta, now about |sin_n[5]|, puts E(r) above 1 and sends every row
+        # to the full path.  At P = 2 (n = 16, N = 32) the changed column is
+        # 1, its own mirror, which the screen forms; at P = 1 (N = 16) no
+        # column but k = 0 exists, and both paths evaluate k = 0 alone.
+        tables = korenblum.domination._power_angle_tables
+
+        def mirrored(angular_samples, n):
+            cos_n, sin_n = (table.copy() for table in tables(angular_samples, n)[:2])
+            reduced = len(cos_n)
+            column = reduced - 5 if reduced > 10 else reduced // 2
+            cos_n[column], sin_n[column] = cos_n[0], sin_n[0]
+            return cos_n, sin_n, _mirror_asymmetry(cos_n, sin_n)
+
+        monkeypatch.setattr(korenblum.domination, "_power_angle_tables", mirrored)
+        monkeypatch.setattr(korenblum.domination, "BOUNDARY_TOL", math.inf)
+        params = Params(Fraction("0.6666757"), n)
+        c = critical_root(params)
+        expected = grid_oracle(params, c, 64, angles)
+        calls = record_grid_calls(monkeypatch)
+        report = verify_domination(params, c, 64, angles)
+        assert (report.grid_max_ratio, report.angular_peak_offset) == expected
+        assert len({r for r, _ in calls}) == 64
+        assert all(columns == range(period(params, angles)) for _, columns in calls)
+
+    @pytest.mark.parametrize("angles", [1024, 300, 301])
+    def test_mirror_bound_on_the_pinned_pairs_and_extremes(self, monkeypatch, angles):
+        # The bound holds on every row of the 17 pairs and of the extreme
+        # inputs, and it is tight enough that on the 17 pairs every row but
+        # r = 1 stays alone, as under the full-width screen.
+        for n, a, c, *_ in PINNED_DOMINATION:
+            params = Params(Fraction(a), n)
+            radii = np.linspace(c, 1.0, 256)
+            assert_mirror_bound(params, radii, angles)
+            calls = record_grid_calls(monkeypatch)
+            verify_domination(params, c, 256, angles)
+            assert {r for r, k in calls if k == range(1)} == set(radii[:-1]), n
+        for n, a, c in GRID_EXTREMES:
+            params = Params(a, n)
+            c = critical_root(params) if c is None else c
+            assert_mirror_bound(params, np.linspace(c, 1.0, 256), angles)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        a=st.integers(min_value=0, max_value=9_999).map(lambda m: Fraction(m, 10**4)),
+        n=st.integers(min_value=2, max_value=40),
+        c=st.floats(min_value=0.05, max_value=0.95),
+        angles=st.sampled_from([16, 64, 300, 301, 1024]),
+    )
+    def test_mirror_bound_on_the_lattice(self, a, n, c, angles):
+        assert_mirror_bound(Params(a, n), np.linspace(c, 1.0, 32), angles)
+
     @settings(max_examples=100, deadline=None)
     @given(
         rn=st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=1, max_size=8),
@@ -545,7 +640,7 @@ class TestVerifyDomination:
         # plain expression, also at a NaN, an infinite and a subnormal r^n
         # (inf times sin 0 is NaN).
         rn = np.array(rn + [math.nan, math.inf, 5e-324, 2.0**-1050])[:, None]
-        cos_n, sin_n = _power_angle_tables(1024, n)
+        cos_n, sin_n, _ = _power_angle_tables(1024, n)
         with np.errstate(invalid="ignore"):
             x, y = rn * cos_n, rn * sin_n
             expected = ((a + x) * (a + x) + y * y, (1.0 + a * x) * (1.0 + a * x) + (a * y) * (a * y),
@@ -564,7 +659,7 @@ class TestVerifyDomination:
         for n, a, c, *_ in PINNED_DOMINATION:
             params = Params(Fraction(a), n)
             radii = np.linspace(c, 1.0, 256)
-            cos_n, sin_n = _power_angle_tables(angles, n)
+            cos_n, sin_n, _ = _power_angle_tables(angles, n)
             num_f, num_g, _, _ = _power_terms(
                 params.a_float, _power(radii, n)[:, None], cos_n, sin_n, np.empty((4, 256, len(cos_n)))
             )
@@ -618,7 +713,7 @@ class TestVerifyDomination:
         radii = np.linspace(c, 1.0, 256)
         ratio = np.sqrt(grid_ratio_sq(params, radii, angles))
         _, cos, sin = _angle_tables(angles)
-        cos_n, sin_n = _power_angle_tables(angles, n)
+        cos_n, sin_n, _ = _power_angle_tables(angles, n)
         period = len(cos_n)
         rng = np.random.default_rng(n)
         cells = list(zip(rng.integers(0, 256, 200), rng.integers(0, angles, 200)))
@@ -670,8 +765,9 @@ class TestVerifyDomination:
     @pytest.mark.parametrize("n", [10, 16, 17])
     def test_grid_memory(self, n):
         # The grid holds about GRID_BLOCK_CELLS cells at a time, and its
-        # screen writes into four block buffers: it peaks near 390 KiB at
-        # n = 10 and 17 and 450 KiB at n = 16 (P = 64, so 128-row blocks).
+        # screen writes into four block buffers of P/2 + 1 columns: it peaks
+        # near 370-385 KiB at n = 10 and 17 and 450 KiB at n = 16 (P = 64,
+        # so 33 columns and 248-row blocks).
         # One call of grid_ratio_sq on all 256 radii peaks near 20 MiB.
         _, a, c, *_ = PINNED_DOMINATION[n - 4]
         tracemalloc.start()
@@ -723,7 +819,7 @@ class TestVerifyDomination:
 
     def test_cached_angle_tables_are_read_only(self, reference):
         verify_domination(reference, critical_root(reference), 256, 1024)
-        for table in _angle_tables(1024) + _power_angle_tables(1024, reference.n):
+        for table in _angle_tables(1024) + _power_angle_tables(1024, reference.n)[:2]:
             with pytest.raises(ValueError, match="read-only"):
                 table[0] = 0
 
